@@ -38,6 +38,7 @@ from .obstruction import (
     exhaustive_search,
     extract_relations,
     multilinear_mod2,
+    symbolic_twin,
 )
 
 __version__ = "0.1.0"
@@ -77,4 +78,5 @@ __all__ = [
     "exhaustive_search",
     "extract_relations",
     "multilinear_mod2",
+    "symbolic_twin",
 ]

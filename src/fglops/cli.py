@@ -11,10 +11,10 @@ from .chern import ChernSeries, computation_one
 from .coefficients import IntegerRing
 from .fgl import ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
-    _monomial_label,
-    _symbolic_twin,
     exhaustive_search,
     extract_relations,
+    relation_table,
+    symbolic_twin,
 )
 from .powerops import PowerOpContext, standard_context, standard_ring
 from .series import series_from_json, series_to_json
@@ -124,36 +124,24 @@ def cmd_obstruct(args) -> int:
     if args.symbolic == args.search:
         raise ValueError("exactly one of --symbolic and --search is required")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
-    ring = ctx.ring
     if args.symbolic:
-        sym_candidate, sym_ring, sym_ctx = _symbolic_twin(ctx, args.degree)
-        relations = extract_relations(sym_candidate, sym_ring, sym_ctx)
-        if args.json:
-            _emit_json(
-                {
-                    "truncation": {"z": args.z_trunc, "t": args.t_trunc},
-                    "relations": [
-                        {"monomial": _monomial_label(ring, exps), "poly": str(poly)}
-                        for exps, poly in relations
-                    ],
-                }
-            )
-        else:
-            for exps, poly in relations:
-                print(f"{_monomial_label(ring, exps)}: {poly}")
-        return 0
-
-    report = exhaustive_search(args.degree, ring, ctx)
-    if args.json:
-        _emit_json(report.to_json())
-    elif report.verdict == "unsatisfiable":
-        total = len(report.failures)
-        print(f"UNSATISFIABLE: {total}/{total} candidates fail")
-        for cand, mono in report.failures:
-            print(f"  [{','.join(map(str, cand))}] fails at {_monomial_label(ring, mono)}")
+        candidate, sym_ctx = symbolic_twin(ctx, args.degree)
+        obj = relation_table(ctx.ring, extract_relations(candidate, sym_ctx))
     else:
-        print(f"SATISFIABLE: witness [{','.join(map(str, report.witness))}]")
-    return 0 if report.verdict == "unsatisfiable" else 1
+        obj = exhaustive_search(args.degree, ctx).to_json()
+    if args.json:
+        _emit_json(obj)
+    elif args.symbolic:
+        for row in obj["relations"]:
+            print(f"{row['monomial']}: {row['poly']}")
+    elif obj["verdict"] == "unsatisfiable":
+        total = len(obj["failures"])
+        print(f"UNSATISFIABLE: {total}/{total} candidates fail")
+        for row in obj["failures"]:
+            print(f"  [{','.join(map(str, row['candidate']))}] fails at {row['monomial']}")
+    else:
+        print(f"SATISFIABLE: witness [{','.join(map(str, obj['witness']))}]")
+    return 1 if obj.get("verdict") == "satisfiable" else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     powerop.set_defaults(func=cmd_powerop)
 
     chern = sub.add_parser("chern", help="evaluate r(t+z)r(t)/r(z) for a candidate r")
-    chern.add_argument("--coeffs", help="comma-separated integers a1,a2,...")
+    chern.add_argument(
+        "--coeffs", help="comma-separated integers a1,a2,...; write a negative a1 as --coeffs=-1,0"
+    )
     chern.add_argument("--symbolic", type=int, help="generic candidate of this degree")
     chern.add_argument("--t-trunc", type=int, default=5)
     chern.add_argument("--z-trunc", type=int, default=3)

@@ -42,13 +42,20 @@ class Ring:
     def coefficient(self, value) -> "Coefficient":
         return Coefficient(self, value)
 
+    def wrap(self, raw) -> "Coefficient":
+        """The coefficient whose raw value is ``raw``, already in normal form."""
+        obj = Coefficient.__new__(Coefficient)
+        obj.ring = self
+        obj.value = raw
+        return obj
+
     @property
     def zero(self) -> "Coefficient":
-        return Coefficient._wrap(self, self.from_int(0))
+        return self.wrap(self.from_int(0))
 
     @property
     def one(self) -> "Coefficient":
-        return Coefficient._wrap(self, self.from_int(1))
+        return self.wrap(self.from_int(1))
 
     # raw-value protocol
     def normalize(self, value):
@@ -204,6 +211,11 @@ def _poly_term_key(item):
     return (-sum(exps), exps)
 
 
+def monomial_text(names, exps) -> str:
+    """``a*b^2``-style product of the named factors; empty for exponent zero."""
+    return "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(names, exps) if e)
+
+
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
 
 
@@ -242,7 +254,7 @@ class PolynomialRing(Ring):
     def gen(self, name: str) -> "Coefficient":
         i = self.names.index(name)
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Coefficient._wrap(self, ((exps, self.base.from_int(1)),))
+        return self.wrap(((exps, self.base.from_int(1)),))
 
     def gens(self) -> tuple:
         return tuple(self.gen(n) for n in self.names)
@@ -273,6 +285,10 @@ class PolynomialRing(Ring):
                 acc[exps] = self.base.add(acc[exps], coef)
             else:
                 acc[exps] = coef
+        return self._canonical(acc)
+
+    def _canonical(self, acc: dict):
+        """Sorted nonzero terms of an exponent -> base value map."""
         return tuple(
             sorted(
                 ((e, c) for e, c in acc.items() if not self.base.is_zero(c)),
@@ -293,12 +309,7 @@ class PolynomialRing(Ring):
                 acc[exps] = self.base.add(acc[exps], c)
             else:
                 acc[exps] = c
-        return tuple(
-            sorted(
-                ((e, c) for e, c in acc.items() if not self.base.is_zero(c)),
-                key=_poly_term_key,
-            )
-        )
+        return self._canonical(acc)
 
     def neg(self, a):
         return tuple((e, self.base.neg(c)) for e, c in a)
@@ -313,12 +324,7 @@ class PolynomialRing(Ring):
                     acc[e] = self.base.add(acc[e], v)
                 else:
                     acc[e] = v
-        return tuple(
-            sorted(
-                ((e, c) for e, c in acc.items() if not self.base.is_zero(c)),
-                key=_poly_term_key,
-            )
-        )
+        return self._canonical(acc)
 
     def is_zero(self, a) -> bool:
         return a == ()
@@ -393,17 +399,13 @@ class PolynomialRing(Ring):
         for i, (exps, c) in enumerate(a):
             neg = c < 0
             mag = -c if neg else c
-            factors = [
-                f"{name}^{e}" if e > 1 else name
-                for name, e in zip(self.names, exps)
-                if e
-            ]
-            if not factors:
+            mono = monomial_text(self.names, exps)
+            if not mono:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = mono
             else:
-                body = f"{mag}*" + "*".join(factors)
+                body = f"{mag}*{mono}"
             if i == 0:
                 out.append(("-" if neg else "") + body)
             else:
@@ -458,32 +460,25 @@ class Coefficient:
         self.ring = ring
         self.value = ring.normalize(value)
 
-    @classmethod
-    def _wrap(cls, ring: Ring, raw) -> "Coefficient":
-        obj = cls.__new__(cls)
-        obj.ring = ring
-        obj.value = raw
-        return obj
-
     def _coerce(self, other):
         if isinstance(other, Coefficient):
             if other.ring != self.ring:
                 raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return Coefficient._wrap(self.ring, self.ring.from_int(other))
+            return self.ring.wrap(self.ring.from_int(other))
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Coefficient._wrap(self.ring, self.ring.add(self.value, other.value))
+        return self.ring.wrap(self.ring.add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient._wrap(self.ring, self.ring.neg(self.value))
+        return self.ring.wrap(self.ring.neg(self.value))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -501,20 +496,20 @@ class Coefficient:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Coefficient._wrap(self.ring, self.ring.mul(self.value, other.value))
+        return self.ring.wrap(self.ring.mul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("coefficient powers must be non-negative integers")
-        result = Coefficient._wrap(self.ring, self.ring.from_int(1))
+        result = self.ring.wrap(self.ring.from_int(1))
         for _ in range(exponent):
             result = result * self
         return result
 
     def invert(self) -> "Coefficient":
-        return Coefficient._wrap(self.ring, self.ring.invert(self.value))
+        return self.ring.wrap(self.ring.invert(self.value))
 
     def is_zero(self) -> bool:
         return self.ring.is_zero(self.value)
@@ -526,7 +521,7 @@ class Coefficient:
         return self.ring.is_nilpotent(self.value)
 
     def reduce_mod(self, m: int) -> "Coefficient":
-        return Coefficient._wrap(self.ring, self.ring.reduce_mod(self.value, m))
+        return self.ring.wrap(self.ring.reduce_mod(self.value, m))
 
     def __eq__(self, other):
         if isinstance(other, Coefficient):
@@ -550,7 +545,7 @@ class Coefficient:
 
 def parse_coefficient(ring: Ring, text: str) -> Coefficient:
     """Parse the string form produced by ``str(coefficient)``."""
-    return Coefficient._wrap(ring, ring.parse_value(text))
+    return ring.wrap(ring.parse_value(text))
 
 
 def coeff_ring_to_json(ring: Ring):
@@ -571,5 +566,10 @@ def coeff_ring_from_json(obj) -> Ring:
         return IntegerModRing(int(obj[2:]))
     if isinstance(obj, Mapping) and "poly" in obj:
         spec = obj["poly"]
-        return PolynomialRing(coeff_ring_from_json(spec["base"]), tuple(spec["vars"]))
+        names = spec.get("vars") if isinstance(spec, Mapping) else None
+        if not isinstance(names, list) or "base" not in spec or not all(
+            isinstance(name, str) for name in names
+        ):
+            raise ValueError(f"polynomial ring descriptor needs 'base' and a list 'vars': {spec!r}")
+        return PolynomialRing(coeff_ring_from_json(spec["base"]), tuple(names))
     raise ValueError(f"unrecognized coefficient ring descriptor {obj!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coefficients import Ring, RingMismatch
+from .coefficients import Ring, RingMismatch, monomial_text
 from .series import Series, SeriesRing, SeriesVar
 
 _AXIOM_LABELS = {
@@ -31,12 +31,7 @@ class ViolatedAxiom(ValueError):
 
 def _witness(diff: Series) -> str:
     exps, _ = diff.items()[0]
-    parts = [
-        f"{v.name}^{e}" if e > 1 else v.name
-        for v, e in zip(diff.ring.variables, exps)
-        if e
-    ]
-    return "*".join(parts) if parts else "1"
+    return monomial_text(diff.ring.names(), exps) or "1"
 
 
 @dataclass(frozen=True)
@@ -76,16 +71,25 @@ class FormalGroupLaw:
         return self.series.substitute({self.x_name: f, self.y_name: g}, target=f.ring)
 
     def n_series(self, n: int) -> Series:
-        """The n-fold formal sum [n](x), a univariate series in x."""
+        """The n-fold formal sum [n](x), a univariate series in x.
+
+        Double and add over the bits of n: [2k] = F([k], [k]) and
+        [k+1] = F(x, [k]), exact in the truncated ring since the law is
+        associative there.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"n-series index must be a non-negative integer, got {n}")
         ring = SeriesRing(self.coeff_ring, (SeriesVar(self.x_name, self.degree),))
         x = ring.gen(self.x_name)
-        acc = ring.zero
-        for _ in range(n):
-            acc = self.series.substitute(
-                {self.x_name: x, self.y_name: acc}, target=ring
-            )
+
+        def plus(f, g):
+            return self.series.substitute({self.x_name: f, self.y_name: g}, target=ring)
+
+        acc = x if n else ring.zero
+        for bit in bin(n)[3:]:
+            acc = plus(acc, acc)
+            if bit == "1":
+                acc = plus(x, acc)
         return acc
 
     def map_coefficients(self, coeff_ring: Ring, fn) -> "FormalGroupLaw":

@@ -26,22 +26,19 @@ from .coefficients import (
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
-    RingMismatch,
+    monomial_text,
 )
 from .chern import ChernSeries
 from .powerops import PowerOpContext
 from .series import Series, SeriesRing
 
 
-def delta(r: ChernSeries, ring: SeriesRing, ctx: PowerOpContext) -> Series:
-    """The exact defect series of the candidate r."""
-    if ring != ctx.ring:
-        raise RingMismatch("context ring differs from the requested ring")
-    t = ring.gen(ring.variables[0].name)
-    z = ring.gen(ring.variables[1].name)
-    tensor_root = ctx.law.formal_sum(t, z)
-    lhs = r.value_at(tensor_root) * r.value_at(t)
-    rhs = ctx.power_op(r.value_at(t)) * r.value_at(z)
+def delta(r: ChernSeries, ctx: PowerOpContext) -> Series:
+    """The exact defect series of the candidate r in the context ring."""
+    t, z = ctx.t, ctx.z
+    r_t = r.value_at(t)
+    lhs = r.value_at(ctx.law.formal_sum(t, z)) * r_t
+    rhs = ctx.power_op(r_t) * r.value_at(z)
     return lhs - rhs
 
 
@@ -74,7 +71,7 @@ def _relations_from_delta(defect: Series) -> list:
     return out
 
 
-def extract_relations(r: ChernSeries, ring: SeriesRing, ctx: PowerOpContext) -> list:
+def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
     """Relations on the a_i from z-positive coefficients of the defect.
 
     Requires the generic symbolic candidate; returns (monomial exponents,
@@ -82,30 +79,35 @@ def extract_relations(r: ChernSeries, ring: SeriesRing, ctx: PowerOpContext) -> 
     """
     if not r.is_generic_symbolic:
         raise ValueError("relation extraction needs the generic symbolic candidate")
-    return _relations_from_delta(delta(r, ring, ctx))
+    return _relations_from_delta(delta(r, ctx))
 
 
-def _symbolic_twin(ctx: PowerOpContext, degree: int):
-    """Rebuild the context over Z[a1..aD] and the generic candidate for it."""
+def symbolic_twin(ctx: PowerOpContext, degree: int):
+    """The generic candidate of this degree and the context rebuilt over Z[a1..aD]."""
     candidate = ChernSeries.symbolic(degree, IntegerRing())
     poly_ring = candidate.coeff_ring
     sym_series_ring = SeriesRing(poly_ring, ctx.ring.variables)
     lift = lambda c: poly_ring.coefficient(int(c.value))
     sym_law = ctx.law.map_coefficients(poly_ring, lift)
     sym_tau = poly_ring.coefficient(int(ctx.tau.value))
-    sym_ctx = PowerOpContext(sym_series_ring, sym_law, sym_tau)
-    return candidate, sym_series_ring, sym_ctx
+    return candidate, PowerOpContext(sym_series_ring, sym_law, sym_tau)
 
 
 def _monomial_label(ring: SeriesRing, exps) -> str:
-    t_var, z_var = ring.variables[0], ring.variables[1]
-    parts = []
-    for var, e in ((z_var, exps[1]), (t_var, exps[0])):
-        if e == 1:
-            parts.append(var.name)
-        elif e > 1:
-            parts.append(f"{var.name}^{e}")
-    return "*".join(parts) if parts else "1"
+    t_name, z_name = ring.names()
+    return monomial_text((z_name, t_name), (exps[1], exps[0])) or "1"
+
+
+def relation_table(ring: SeriesRing, relations) -> dict:
+    """JSON form of a relation table: the truncation and one row per relation."""
+    t_var, z_var = ring.variables
+    return {
+        "truncation": {"z": z_var.trunc, "t": t_var.trunc},
+        "relations": [
+            {"monomial": _monomial_label(ring, exps), "poly": str(poly)}
+            for exps, poly in relations
+        ],
+    }
 
 
 @dataclass(frozen=True)
@@ -122,15 +124,7 @@ class ObstructionReport:
     failures: Optional[tuple] = None
 
     def to_json(self) -> dict:
-        t_var, z_var = self.ring.variables[0], self.ring.variables[1]
-        obj = {
-            "verdict": self.verdict,
-            "truncation": {"z": z_var.trunc, "t": t_var.trunc},
-            "relations": [
-                {"monomial": _monomial_label(self.ring, exps), "poly": str(poly)}
-                for exps, poly in self.relations
-            ],
-        }
+        obj = {"verdict": self.verdict, **relation_table(self.ring, self.relations)}
         if self.verdict == "satisfiable":
             obj["witness"] = list(self.witness)
         else:
@@ -141,7 +135,7 @@ class ObstructionReport:
         return obj
 
 
-def exhaustive_search(degree: int, ring: SeriesRing, ctx: PowerOpContext) -> ObstructionReport:
+def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     """Evaluate the defect at every candidate with a1 = 1, a_i in {0, 1}.
 
     Candidates are ordered with the last coefficient varying fastest; each
@@ -150,13 +144,12 @@ def exhaustive_search(degree: int, ring: SeriesRing, ctx: PowerOpContext) -> Obs
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree}")
-    if ring != ctx.ring:
-        raise RingMismatch("context ring differs from the requested ring")
+    ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):
         raise ValueError("the exhaustive search runs over integer coefficients")
 
-    sym_candidate, sym_ring, sym_ctx = _symbolic_twin(ctx, degree)
-    sym_delta = delta(sym_candidate, sym_ring, sym_ctx)
+    sym_candidate, sym_ctx = symbolic_twin(ctx, degree)
+    sym_delta = delta(sym_candidate, sym_ctx)
     relations = _relations_from_delta(sym_delta)
 
     witness = None
@@ -164,7 +157,7 @@ def exhaustive_search(degree: int, ring: SeriesRing, ctx: PowerOpContext) -> Obs
     for tail in itertools.product((0, 1), repeat=degree - 1):
         cand = (1, *tail)
         r = ChernSeries(list(cand), ring.coeff_ring)
-        defect = delta(r, ring, ctx)
+        defect = delta(r, ctx)
         if not defect:
             witness = cand
             break

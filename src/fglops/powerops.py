@@ -123,6 +123,4 @@ def standard_context(
     ring = standard_ring(coeff_ring, t_trunc, z_trunc)
     if law is None:
         law = additive_law(ring.coeff_ring)
-    if isinstance(tau, int):
-        tau = ring.coeff_ring.coefficient(tau)
     return PowerOpContext(ring, law, tau)

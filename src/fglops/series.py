@@ -25,6 +25,7 @@ from .coefficients import (
     RingMismatch,
     coeff_ring_from_json,
     coeff_ring_to_json,
+    monomial_text,
     parse_coefficient,
 )
 
@@ -94,11 +95,11 @@ class SeriesRing:
 
     @property
     def zero(self) -> "Series":
-        return Series(self, {})
+        return Series._from_raw(self, {})
 
     @property
     def one(self) -> "Series":
-        return self.constant(1)
+        return Series._from_raw(self, {(0,) * self.nvars: self.coeff_ring.from_int(1)})
 
     def constant(self, value) -> "Series":
         return Series(self, {(0,) * self.nvars: value})
@@ -111,44 +112,19 @@ class SeriesRing:
         return Series(self, {tuple(exps): coef})
 
 
-def _canonical_terms(ring: SeriesRing, terms) -> dict:
-    if isinstance(terms, Mapping):
-        items = terms.items()
-    else:
-        items = list(terms)
+def _reduced(ring: SeriesRing, acc: dict) -> dict:
+    """Raw terms with each monomial's torsion modulus applied and zeros dropped."""
     cr = ring.coeff_ring
-    acc: dict = {}
-    for exps, coef in items:
-        exps = tuple(exps)
-        if len(exps) != ring.nvars:
-            raise ValueError(
-                f"exponent vector {exps} does not match variables {ring.names()}"
-            )
-        for e in exps:
-            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                raise ValueError(f"exponents must be non-negative integers, got {exps}")
-        if isinstance(coef, Coefficient):
-            if coef.ring != cr:
-                raise RingMismatch(
-                    f"coefficient in {coef.ring} used in series over {cr}"
-                )
-        else:
-            coef = Coefficient(cr, coef)
-        if any(e >= v.trunc for e, v in zip(exps, ring.variables)):
-            continue
-        if exps in acc:
-            acc[exps] = acc[exps] + coef
-        else:
-            acc[exps] = coef
+    torsion = [(i, v.torsion) for i, v in enumerate(ring.variables) if v.torsion is not None]
     out: dict = {}
     for exps, coef in acc.items():
         modulus = 0
-        for e, v in zip(exps, ring.variables):
-            if e > 0 and v.torsion is not None:
-                modulus = math.gcd(modulus, v.torsion)
+        for i, order in torsion:
+            if exps[i]:
+                modulus = math.gcd(modulus, order)
         if modulus:
-            coef = coef.reduce_mod(modulus)
-        if not coef.is_zero():
+            coef = cr.reduce_mod(coef, modulus)
+        if not cr.is_zero(coef):
             out[exps] = coef
     return out
 
@@ -158,22 +134,62 @@ def _term_order(exps) -> tuple:
 
 
 class Series:
-    """A canonical sparse element of a :class:`SeriesRing`."""
+    """A canonical sparse element of a :class:`SeriesRing`.
+
+    Terms map exponents to raw coefficient-ring values.  The constructor
+    checks its input; arithmetic builds its results with :meth:`_from_raw`.
+    """
 
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: SeriesRing, terms):
+        if isinstance(terms, Mapping):
+            items = terms.items()
+        else:
+            items = list(terms)
+        cr = ring.coeff_ring
+        acc: dict = {}
+        for exps, coef in items:
+            exps = tuple(exps)
+            if len(exps) != ring.nvars:
+                raise ValueError(
+                    f"exponent vector {exps} does not match variables {ring.names()}"
+                )
+            for e in exps:
+                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                    raise ValueError(f"exponents must be non-negative integers, got {exps}")
+            if isinstance(coef, Coefficient):
+                if coef.ring != cr:
+                    raise RingMismatch(
+                        f"coefficient in {coef.ring} used in series over {cr}"
+                    )
+                coef = coef.value
+            else:
+                coef = cr.normalize(coef)
+            if any(e >= v.trunc for e, v in zip(exps, ring.variables)):
+                continue
+            acc[exps] = cr.add(acc[exps], coef) if exps in acc else coef
         self.ring = ring
-        self._terms = _canonical_terms(ring, terms)
+        self._terms = _reduced(ring, acc)
+
+    @classmethod
+    def _from_raw(cls, ring: SeriesRing, acc: dict) -> "Series":
+        """Series from raw in-range terms; only torsion and zeros are applied."""
+        obj = cls.__new__(cls)
+        obj.ring = ring
+        obj._terms = _reduced(ring, acc)
+        return obj
 
     @property
     def terms(self) -> Mapping:
-        """Read-only view of the canonical term map (exponents -> Coefficient)."""
-        return MappingProxyType(self._terms)
+        """Read-only map of the canonical terms (exponents -> Coefficient)."""
+        wrap = self.ring.coeff_ring.wrap
+        return MappingProxyType({e: wrap(c) for e, c in self._terms.items()})
 
     def items(self) -> list:
         """Canonically ordered (exponents, coefficient) pairs."""
-        return sorted(self._terms.items(), key=lambda kv: _term_order(kv[0]))
+        wrap = self.ring.coeff_ring.wrap
+        return [(e, wrap(self._terms[e])) for e in sorted(self._terms, key=_term_order)]
 
     def coefficient_of(self, exps) -> Coefficient:
         exps = tuple(exps)
@@ -183,10 +199,11 @@ class Series:
             )
         if any(e < 0 or e >= v.trunc for e, v in zip(exps, self.ring.variables)):
             raise ValueError(f"monomial {exps} is outside the truncation bounds")
-        return self._terms.get(exps, self.ring.coeff_ring.zero)
+        cr = self.ring.coeff_ring
+        return cr.wrap(self._terms[exps]) if exps in self._terms else cr.zero
 
     def constant_term(self) -> Coefficient:
-        return self._terms.get((0,) * self.ring.nvars, self.ring.coeff_ring.zero)
+        return self.coefficient_of((0,) * self.ring.nvars)
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -203,18 +220,20 @@ class Series:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        add = self.ring.coeff_ring.add
         acc = dict(self._terms)
         for exps, coef in other._terms.items():
             if exps in acc:
-                acc[exps] = acc[exps] + coef
+                acc[exps] = add(acc[exps], coef)
             else:
                 acc[exps] = coef
-        return Series(self.ring, acc)
+        return Series._from_raw(self.ring, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.ring, {e: -c for e, c in self._terms.items()})
+        neg = self.ring.coeff_ring.neg
+        return Series._from_raw(self.ring, {e: neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -229,16 +248,10 @@ class Series:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, Coefficient) or (
-            isinstance(other, int) and not isinstance(other, bool)
-        ):
-            return Series(
-                self.ring, {e: c * other for e, c in self._terms.items()}
-            )
-        if not isinstance(other, Series):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if other.ring != self.ring:
-            raise RingMismatch(f"cannot multiply series over {self.ring} and {other.ring}")
+        add, mul = self.ring.coeff_ring.add, self.ring.coeff_ring.mul
         bounds = tuple(v.trunc for v in self.ring.variables)
         acc: dict = {}
         for e1, c1 in self._terms.items():
@@ -246,12 +259,12 @@ class Series:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 if any(e >= t for e, t in zip(exps, bounds)):
                     continue
-                v = c1 * c2
+                v = mul(c1, c2)
                 if exps in acc:
-                    acc[exps] = acc[exps] + v
+                    acc[exps] = add(acc[exps], v)
                 else:
                     acc[exps] = v
-        return Series(self.ring, acc)
+        return Series._from_raw(self.ring, acc)
 
     __rmul__ = __mul__
 
@@ -310,14 +323,17 @@ class Series:
             for _ in range(m):
                 cache.append(cache[-1] * img)
             powers.append(cache)
-        acc = target.zero
+        add, mul = target.coeff_ring.add, target.coeff_ring.mul
+        acc: dict = {}
         for exps, coef in self._terms.items():
-            term = target.constant(coef)
+            term = target.one
             for i, e in enumerate(exps):
                 if e:
                     term = term * powers[i][e]
-            acc = acc + term
-        return acc
+            for e, c in term._terms.items():
+                v = mul(coef, c)
+                acc[e] = add(acc[e], v) if e in acc else v
+        return Series._from_raw(target, acc)
 
     def invert(self) -> "Series":
         """Exact inverse via the geometric series; needs a unit constant term."""
@@ -332,7 +348,7 @@ class Series:
 
     def map_coefficients(self, target_ring: SeriesRing, fn) -> "Series":
         """Rebuild the series over ``target_ring``, mapping each coefficient."""
-        return Series(target_ring, {e: fn(c) for e, c in self._terms.items()})
+        return Series(target_ring, {e: fn(c) for e, c in self.terms.items()})
 
     def specialize(self, assignment: Mapping[str, int]) -> "Series":
         """Evaluate polynomial coefficients at integer points.
@@ -345,12 +361,8 @@ class Series:
         if base is None:
             raise ValueError("specialize needs polynomial coefficients")
         target = SeriesRing(base, self.ring.variables)
-        return Series(
-            target,
-            {
-                e: Coefficient._wrap(base, pr.evaluate(c.value, assignment))
-                for e, c in self._terms.items()
-            },
+        return Series._from_raw(
+            target, {e: pr.evaluate(c, assignment) for e, c in self._terms.items()}
         )
 
     def in_ring(self, target: SeriesRing) -> "Series":
@@ -358,14 +370,13 @@ class Series:
         if target.coeff_ring != self.ring.coeff_ring:
             raise RingMismatch("target ring has a different coefficient ring")
         out: dict = {}
-        for exps, coef in self._terms.items():
+        for exps, coef in self.terms.items():
             new_exps = [0] * target.nvars
             for e, v in zip(exps, self.ring.variables):
                 if e == 0:
                     continue
                 new_exps[target.index(v.name)] = e
-            key = tuple(new_exps)
-            out[key] = out[key] + coef if key in out else coef
+            out[tuple(new_exps)] = coef
         return Series(target, out)
 
     def __eq__(self, other):
@@ -374,7 +385,7 @@ class Series:
         return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, tuple(self.items())))
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def __bool__(self):
         return bool(self._terms)
@@ -383,12 +394,9 @@ class Series:
         if not self._terms:
             return "0"
         pieces = []
+        names = self.ring.names()
         for exps, coef in self.items():
-            mono = "*".join(
-                f"{v.name}^{e}" if e > 1 else v.name
-                for v, e in zip(self.ring.variables, exps)
-                if e
-            )
+            mono = monomial_text(names, exps)
             text = str(coef)
             negative = text.startswith("-") and "+" not in text[1:] and "-" not in text[1:]
             if negative:

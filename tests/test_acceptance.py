@@ -23,8 +23,8 @@ from fglops import (
     multiplicative_law,
     standard_context,
     standard_ring,
+    symbolic_twin,
 )
-from fglops.obstruction import _symbolic_twin
 from conftest import to_plain
 from longhand import (
     computation_one_unit_candidate,
@@ -55,8 +55,8 @@ def test_criterion_1_generator_formula():
 def test_criterion_2_relation_reproduction():
     ctx = standard_context(Z)
     start = time.perf_counter()
-    sym, sym_ring, sym_ctx = _symbolic_twin(ctx, 3)
-    relations = dict(extract_relations(sym, sym_ring, sym_ctx))
+    sym, sym_ctx = symbolic_twin(ctx, 3)
+    relations = dict(extract_relations(sym, sym_ctx))
     elapsed = time.perf_counter() - start
     poly_ring = PolynomialRing(IntegerModRing(2), ("a1", "a2", "a3"))
     a1, a2, a3 = poly_ring.gens()
@@ -69,11 +69,11 @@ def test_criterion_2_relation_reproduction():
 def test_criterion_3_search_certificate():
     ctx = standard_context(Z)
     for degree in (3, 4, 5):
-        report = exhaustive_search(degree, ctx.ring, ctx)
+        report = exhaustive_search(degree, ctx)
         assert report.verdict == "unsatisfiable"
         assert len(report.failures) == 2 ** (degree - 1)
     start = time.perf_counter()
-    report = exhaustive_search(6, ctx.ring, ctx)
+    report = exhaustive_search(6, ctx)
     elapsed = time.perf_counter() - start
     assert report.verdict == "unsatisfiable"
     assert len(report.failures) == 32
@@ -83,7 +83,7 @@ def test_criterion_3_search_certificate():
 
 def test_criterion_4_negative_control():
     ctx = standard_context(Z, z_trunc=1)
-    report = exhaustive_search(3, ctx.ring, ctx)
+    report = exhaustive_search(3, ctx)
     assert report.verdict == "satisfiable"
     assert report.witness == (1, 0, 0)
 
@@ -201,13 +201,13 @@ def test_criterion_7_property_suites():
 
     ctx = standard_context(Z)
     for degree in range(1, 5):
-        sym, sym_ring, sym_ctx = _symbolic_twin(ctx, degree)
-        sym_delta = delta(sym, sym_ring, sym_ctx)
+        sym, sym_ctx = symbolic_twin(ctx, degree)
+        sym_delta = delta(sym, sym_ctx)
         for tail in itertools.product((0, 1), repeat=degree - 1):
             cand = (1, *tail)
             values = {f"a{i}": v for i, v in enumerate(cand, start=1)}
             assert sym_delta.specialize(values).in_ring(ctx.ring) == delta(
-                ChernSeries(list(cand)), ctx.ring, ctx
+                ChernSeries(list(cand)), ctx
             )
 
     _report(
@@ -223,8 +223,8 @@ def test_criterion_8_headline_reduction():
     # contradiction has an algebraic witness: the two relations, evaluated
     # at a1 = 1, always sum to 1
     ctx = standard_context(Z)
-    sym, sym_ring, sym_ctx = _symbolic_twin(ctx, 3)
-    relations = dict(extract_relations(sym, sym_ring, sym_ctx))
+    sym, sym_ctx = symbolic_twin(ctx, 3)
+    relations = dict(extract_relations(sym, sym_ctx))
     total = relations[(1, 2)] + relations[(2, 2)]
     for a2 in (0, 1):
         for a3 in (0, 1):

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from fglops import series_from_json, series_to_json
 from fglops.cli import main
 
@@ -110,6 +112,21 @@ def test_malformed_series_file(tmp_path, capsys):
     assert main(["powerop", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"base": "Z/2"}, {"vars": ["a"]}, {"base": "Z/2", "vars": 5}, 5],
+    ids=["no-vars", "no-base", "vars-not-list", "not-mapping"],
+)
+def test_malformed_coefficient_ring(tmp_path, capsys, spec):
+    obj = _univariate([(1, 1)])
+    obj["ring"]["coeff"] = {"poly": spec}
+    path = _series_file(tmp_path, "poly.json", obj)
+    assert main(["powerop", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: polynomial ring descriptor")
+
+
 def test_powerop_rejects_multivariate(tmp_path, capsys):
     obj = {
         "ring": {
@@ -133,6 +150,11 @@ def test_chern_numeric(capsys):
     assert main(["chern", "--coeffs", "1,0,0"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "1 + 2*t + t^2 + t*z + t^2*z + t*z^2 + t^2*z^2"
+
+
+def test_chern_negative_leading_coefficient(capsys):
+    assert main(["chern", "--coeffs=-1,0,0"]) == 0
+    assert capsys.readouterr().out.strip()
 
 
 def test_chern_flag_validation(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from fglops import (
     additive_law,
     builtin_law,
     multiplicative_law,
+    series_from_json,
     standard_ring,
     validate_law,
 )
@@ -85,6 +87,44 @@ def test_n_series_examples():
     assert mult.n_series(0) == x_ring.zero
     with pytest.raises(ValueError):
         add.n_series(-1)
+
+
+NSERIES_N = (0, 1, 2, 3, 7, 64, 1500)
+
+
+@pytest.mark.parametrize("n", NSERIES_N)
+def test_n_series_closed_forms(n):
+    x_ring = SeriesRing(Z, (SeriesVar("x", 20),))
+    x = x_ring.gen("x")
+    assert additive_law(Z).n_series(n) == x * n
+    # [n](x) = (1 + x)^n - 1 for the multiplicative law
+    binomials = x_ring.from_terms({(k,): math.comb(n, k) for k in range(1, 20)})
+    assert multiplicative_law(Z).n_series(n) == binomials
+
+
+@pytest.mark.parametrize("n", NSERIES_N)
+def test_n_series_json_law_matches_iteration(n):
+    law = validate_law(
+        series_from_json(
+            {
+                "ring": {
+                    "coeff": "Z/7",
+                    "vars": [{"name": "x", "trunc": 8}, {"name": "y", "trunc": 8}],
+                },
+                "terms": [
+                    {"exp": [1, 0], "coef": "1"},
+                    {"exp": [0, 1], "coef": "1"},
+                    {"exp": [1, 1], "coef": "3"},
+                ],
+            }
+        )
+    )
+    ring = SeriesRing(IntegerModRing(7), (SeriesVar("x", 8),))
+    x = ring.gen("x")
+    acc = ring.zero
+    for _ in range(n):
+        acc = law.series.substitute({"x": x, "y": acc}, target=ring)
+    assert law.n_series(n) == acc
 
 
 def test_n_series_addition_identity():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -14,9 +15,8 @@ from fglops import (
     extract_relations,
     multilinear_mod2,
     standard_context,
-    standard_ring,
+    symbolic_twin,
 )
-from fglops.obstruction import _symbolic_twin
 from conftest import to_plain
 from longhand import delta_longhand
 
@@ -25,47 +25,60 @@ F2 = IntegerModRing(2)
 
 
 def test_delta_unit_candidate(default_context):
-    d = delta(ChernSeries([1, 0, 0]), default_context.ring, default_context)
+    d = delta(ChernSeries([1, 0, 0]), default_context)
     assert to_plain(d) == {(2, 1): 1, (1, 2): 1}
 
 
 def test_delta_matches_longhand(default_context):
     for cand in [(1,), (1, 0), (1, 1), (1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1),
                  (-1, 0, 0), (-1, 3, -2), (1, 2, 3, 4)]:
-        d = delta(ChernSeries(list(cand)), default_context.ring, default_context)
+        d = delta(ChernSeries(list(cand)), default_context)
         assert to_plain(d) == delta_longhand(cand), cand
 
 
 def test_delta_vanishes_mod_z(default_context):
     ring = default_context.ring
     for cand in [(1, 0, 0), (1, 1, 1), (-1, 2, -3), (1, 5, 7, -9, 11, 13)]:
-        d = delta(ChernSeries(list(cand)), ring, default_context)
+        d = delta(ChernSeries(list(cand)), default_context)
         restricted = d.substitute({"z": ring.zero}, target=ring)
         assert restricted == ring.zero
 
 
 def test_symbolic_delta_vanishes_mod_z(default_context):
     for degree in range(1, 7):
-        sym, sym_ring, sym_ctx = _symbolic_twin(default_context, degree)
-        d = delta(sym, sym_ring, sym_ctx)
+        sym, sym_ctx = symbolic_twin(default_context, degree)
+        d = delta(sym, sym_ctx)
+        sym_ring = sym_ctx.ring
         assert d.substitute({"z": sym_ring.zero}, target=sym_ring) == sym_ring.zero
         assert all(exps[1] > 0 for exps in d.terms)
 
 
 def test_delta_ring_mismatch(default_context):
-    other = standard_ring(Z, t_trunc=4)
     with pytest.raises(RingMismatch):
-        delta(ChernSeries([1]), other, default_context)
+        delta(ChernSeries([1], F2), default_context)
+
+
+@pytest.mark.parametrize("t_max", range(3, 10))
+def test_delta_oracle_grid(t_max):
+    # per-monomial truncation and torsion reduction against the longhand oracle
+    rng = random.Random(t_max)
+    for z_max in range(1, 6):
+        ctx = standard_context(Z, t_max, z_max)
+        for degree in range(1, 5):
+            for _ in range(3):
+                cand = [rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(degree - 1)]
+                d = delta(ChernSeries(cand), ctx)
+                assert to_plain(d) == delta_longhand(cand, t_max, z_max), (t_max, z_max, cand)
 
 
 def test_coefficient_read_off(default_context):
-    d = delta(ChernSeries([1, 0, 0]), default_context.ring, default_context)
+    d = delta(ChernSeries([1, 0, 0]), default_context)
     assert d.coefficient_of((1, 2)) == Z.one
 
 
 def test_extract_relations(default_context):
-    sym, sym_ring, sym_ctx = _symbolic_twin(default_context, 3)
-    relations = dict(extract_relations(sym, sym_ring, sym_ctx))
+    sym, sym_ctx = symbolic_twin(default_context, 3)
+    relations = dict(extract_relations(sym, sym_ctx))
     poly_ring = PolynomialRing(F2, ("a1", "a2", "a3"))
     a1, a2, a3 = poly_ring.gens()
     assert relations[(1, 2)] == a1 * a2 + a3 + a1
@@ -76,12 +89,12 @@ def test_extract_relations(default_context):
 
 def test_extract_relations_requires_generic(default_context):
     with pytest.raises(ValueError):
-        extract_relations(ChernSeries([1, 0, 0]), default_context.ring, default_context)
+        extract_relations(ChernSeries([1, 0, 0]), default_context)
 
 
 def test_relation_ordering(default_context):
-    sym, sym_ring, sym_ctx = _symbolic_twin(default_context, 3)
-    relations = extract_relations(sym, sym_ring, sym_ctx)
+    sym, sym_ctx = symbolic_twin(default_context, 3)
+    relations = extract_relations(sym, sym_ctx)
     keys = [(exps[1], exps[0]) for exps, _ in relations]
     assert keys == sorted(keys)
 
@@ -89,12 +102,12 @@ def test_relation_ordering(default_context):
 def test_relations_predict_numeric_failures(default_context):
     # for every candidate, each relation evaluated at the candidate matches
     # the mod-2 value of the corresponding defect coefficient
-    sym, sym_ring, sym_ctx = _symbolic_twin(default_context, 3)
-    relations = extract_relations(sym, sym_ring, sym_ctx)
+    sym, sym_ctx = symbolic_twin(default_context, 3)
+    relations = extract_relations(sym, sym_ctx)
     for a2 in (0, 1):
         for a3 in (0, 1):
             cand = ChernSeries([1, a2, a3])
-            d = delta(cand, default_context.ring, default_context)
+            d = delta(cand, default_context)
             values = {"a1": 1, "a2": a2, "a3": a3}
             for exps, poly in relations:
                 expected = poly.ring.evaluate(poly.value, values)
@@ -114,7 +127,7 @@ def test_multilinear_mod2():
 
 
 def test_search_default(default_context):
-    report = exhaustive_search(3, default_context.ring, default_context)
+    report = exhaustive_search(3, default_context)
     assert report.verdict == "unsatisfiable"
     assert len(report.failures) == 4
     failures = dict(report.failures)
@@ -123,14 +136,14 @@ def test_search_default(default_context):
 
 def test_search_monotone_in_degree(default_context):
     for degree in range(1, 7):
-        report = exhaustive_search(degree, default_context.ring, default_context)
+        report = exhaustive_search(degree, default_context)
         assert report.verdict == "unsatisfiable"
         assert len(report.failures) == 2 ** (degree - 1)
 
 
 def test_search_mod_z_is_satisfiable():
     ctx = standard_context(Z, z_trunc=1)
-    report = exhaustive_search(3, ctx.ring, ctx)
+    report = exhaustive_search(3, ctx)
     assert report.verdict == "satisfiable"
     assert report.witness == (1, 0, 0)
     assert report.failures is None
@@ -138,34 +151,34 @@ def test_search_mod_z_is_satisfiable():
 
 def test_search_bad_degree(default_context):
     with pytest.raises(ValueError):
-        exhaustive_search(0, default_context.ring, default_context)
+        exhaustive_search(0, default_context)
 
 
 def test_negative_unit_spot_check(default_context):
     # a1 = -1 gives the same defect as a1 = 1: z-positive parts only depend
     # on the coefficients mod 2, and the z-free part vanishes identically
-    plus = delta(ChernSeries([1, 0, 0]), default_context.ring, default_context)
-    minus = delta(ChernSeries([-1, 0, 0]), default_context.ring, default_context)
+    plus = delta(ChernSeries([1, 0, 0]), default_context)
+    minus = delta(ChernSeries([-1, 0, 0]), default_context)
     assert plus == minus
     assert minus  # still a nonzero obstruction
 
 
 def test_symbolic_delta_specializes_to_numeric(default_context):
     for degree in range(1, 5):
-        sym, sym_ring, sym_ctx = _symbolic_twin(default_context, degree)
-        sym_delta = delta(sym, sym_ring, sym_ctx)
+        sym, sym_ctx = symbolic_twin(default_context, degree)
+        sym_delta = delta(sym, sym_ctx)
         for tail in itertools.product((0, 1), repeat=degree - 1):
             cand = (1, *tail)
             values = {f"a{i}": v for i, v in enumerate(cand, start=1)}
             specialized = sym_delta.specialize(values).in_ring(default_context.ring)
-            direct = delta(ChernSeries(list(cand)), default_context.ring, default_context)
+            direct = delta(ChernSeries(list(cand)), default_context)
             assert specialized == direct, cand
 
 
 def test_relation_sum_contradiction(default_context):
     # substituting a1 = 1 into the two relations and adding yields 1
-    sym, sym_ring, sym_ctx = _symbolic_twin(default_context, 3)
-    relations = dict(extract_relations(sym, sym_ring, sym_ctx))
+    sym, sym_ctx = symbolic_twin(default_context, 3)
+    relations = dict(extract_relations(sym, sym_ctx))
     total = relations[(1, 2)] + relations[(2, 2)]
     ring = total.ring
     for a2 in (0, 1):
@@ -175,7 +188,7 @@ def test_relation_sum_contradiction(default_context):
 
 
 def test_report_json_round_trip(default_context):
-    report = exhaustive_search(3, default_context.ring, default_context)
+    report = exhaustive_search(3, default_context)
     obj = report.to_json()
     assert obj["verdict"] == "unsatisfiable"
     assert obj["truncation"] == {"z": 3, "t": 5}
@@ -186,7 +199,7 @@ def test_report_json_round_trip(default_context):
     assert json.loads(json.dumps(obj)) == obj
 
     ctx1 = standard_context(Z, z_trunc=1)
-    sat = exhaustive_search(3, ctx1.ring, ctx1)
+    sat = exhaustive_search(3, ctx1)
     sat_obj = sat.to_json()
     assert sat_obj["verdict"] == "satisfiable"
     assert sat_obj["witness"] == [1, 0, 0]
