@@ -114,13 +114,9 @@ class ChernSeries:
 
     def value_at(self, root: Series) -> Series:
         """Evaluate 1 + a1*root + ... + aD*root^D in the root's ring."""
-        ring = root.ring
-        if ring.coeff_ring != self.coeff_ring:
+        if root.ring.coeff_ring != self.coeff_ring:
             raise RingMismatch("root ring coefficients differ from candidate coefficients")
-        acc = ring.constant(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * root + ring.constant(c)
-        return acc * root + ring.one
+        return root.power_sum((1, *self.coeffs))
 
     def __repr__(self):
         body = " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs, start=1))

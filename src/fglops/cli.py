@@ -30,9 +30,9 @@ def _check_trunc(*degrees: int) -> None:
     cap = _trunc_cap()
     for d in degrees:
         if d > cap:
-            raise ValueError(f"truncation degree {d} exceeds FGLOPS_TRUNC_MAX={cap}")
+            raise ValueError(f"degree {d} exceeds FGLOPS_TRUNC_MAX={cap}")
         if d < 1:
-            raise ValueError(f"truncation degree {d} must be positive")
+            raise ValueError(f"degree {d} must be positive")
 
 
 def _load_series(path: str):
@@ -104,6 +104,7 @@ def cmd_chern(args) -> int:
     if (args.coeffs is None) == (args.symbolic is None):
         raise ValueError("exactly one of --coeffs and --symbolic is required")
     if args.symbolic is not None:
+        _check_trunc(args.symbolic)
         candidate = ChernSeries.symbolic(args.symbolic)
         coeff_ring = candidate.coeff_ring
     else:
@@ -120,7 +121,7 @@ def cmd_chern(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    _check_trunc(args.t_trunc, args.z_trunc)
+    _check_trunc(args.t_trunc, args.z_trunc, args.degree)
     if args.symbolic == args.search:
         raise ValueError("exactly one of --symbolic and --search is required")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)

@@ -35,10 +35,9 @@ from .series import Series, SeriesRing
 
 def delta(r: ChernSeries, ctx: PowerOpContext) -> Series:
     """The exact defect series of the candidate r in the context ring."""
-    t, z = ctx.t, ctx.z
-    r_t = r.value_at(t)
-    lhs = r.value_at(ctx.law.formal_sum(t, z)) * r_t
-    rhs = ctx.power_op(r_t) * r.value_at(z)
+    r_t = r.value_at(ctx.t)
+    lhs = r.value_at(ctx.tensor_root) * r_t
+    rhs = ctx.power_op(r_t) * r.value_at(ctx.z)
     return lhs - rhs
 
 
@@ -59,18 +58,6 @@ def multilinear_mod2(coef: Coefficient) -> Coefficient:
     return Coefficient(target, acc)
 
 
-def _relations_from_delta(defect: Series) -> list:
-    out = []
-    for exps, coef in defect.items():
-        if exps[1] == 0:
-            continue
-        reduced = multilinear_mod2(coef)
-        if not reduced.is_zero():
-            out.append((exps, reduced))
-    out.sort(key=lambda item: (item[0][1], item[0][0]))
-    return out
-
-
 def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
     """Relations on the a_i from z-positive coefficients of the defect.
 
@@ -79,7 +66,15 @@ def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
     """
     if not r.is_generic_symbolic:
         raise ValueError("relation extraction needs the generic symbolic candidate")
-    return _relations_from_delta(delta(r, ctx))
+    out = []
+    for exps, coef in delta(r, ctx).items():
+        if exps[1] == 0:
+            continue
+        reduced = multilinear_mod2(coef)
+        if not reduced.is_zero():
+            out.append((exps, reduced))
+    out.sort(key=lambda item: (item[0][1], item[0][0]))
+    return out
 
 
 def symbolic_twin(ctx: PowerOpContext, degree: int):
@@ -115,9 +110,6 @@ class ObstructionReport:
     """Search certificate: symbolic relations plus a per-candidate verdict."""
 
     ring: SeriesRing
-    degree: int
-    candidate: str
-    delta: Series
     relations: tuple
     verdict: str
     witness: Optional[tuple] = None
@@ -148,9 +140,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     if not isinstance(ring.coeff_ring, IntegerRing):
         raise ValueError("the exhaustive search runs over integer coefficients")
 
-    sym_candidate, sym_ctx = symbolic_twin(ctx, degree)
-    sym_delta = delta(sym_candidate, sym_ctx)
-    relations = _relations_from_delta(sym_delta)
+    relations = extract_relations(*symbolic_twin(ctx, degree))
 
     witness = None
     failures = []
@@ -166,9 +156,6 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     return ObstructionReport(
         ring=ring,
-        degree=degree,
-        candidate=f"symbolic {degree}",
-        delta=sym_delta,
         relations=tuple(relations),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,

@@ -19,6 +19,7 @@ exactly the squaring map f |-> f^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
 
@@ -52,39 +53,41 @@ class PowerOpContext:
                 "the transfer scalar is forced to 2 for the additive law with 2-torsion"
             )
 
-    @property
+    @cached_property
     def t(self) -> Series:
         return self.ring.gen(self.ring.variables[0].name)
 
-    @property
+    @cached_property
     def z(self) -> Series:
         return self.ring.gen(self.ring.variables[1].name)
 
+    @cached_property
+    def tensor_root(self) -> Series:
+        """F(t, z), the root of the tensor product of the two lines."""
+        return self.law.formal_sum(self.t, self.z)
+
+    @cached_property
+    def _generator_image(self) -> Series:
+        return self.t * self.tensor_root
+
     def generator_image(self) -> Series:
         """P(t) = t * F(t, z)."""
-        return self.t * self.law.formal_sum(self.t, self.z)
+        return self._generator_image
 
     def power_op(self, f: Series) -> Series:
         """Apply the operation to a univariate series in the line variable."""
         if f.ring != self.ring:
             raise RingMismatch("input series must live in the context ring")
-        entries = []
+        coeffs = {}
         for exps, coef in f.terms.items():
             if any(exps[1:]):
                 raise ValueError(
                     "power operation input must be univariate in the line variable"
                 )
-            entries.append((exps[0], coef))
-        entries.sort(key=lambda ec: ec[0])
-        image = self.generator_image()
-        powers = [self.ring.one]
-        max_exp = entries[-1][0] if entries else 0
-        for _ in range(max_exp):
-            powers.append(powers[-1] * image)
-        acc = self.ring.zero
-        for e, a in entries:
-            acc = acc + powers[e] * (a * a)
-        for (i, a_i), (j, a_j) in combinations(entries, 2):
+            coeffs[exps[0]] = coef
+        squares = [coeffs.get(e, 0) ** 2 for e in range(1 + max(coeffs, default=-1))]
+        acc = self.generator_image().power_sum(squares)
+        for (i, a_i), (j, a_j) in combinations(coeffs.items(), 2):
             cross = self.tau * a_i * a_j
             acc = acc + self.ring.monomial((i + j, 0), cross)
         return acc

@@ -14,6 +14,7 @@ can be shared freely across workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -335,16 +336,26 @@ class Series:
                 acc[e] = add(acc[e], v) if e in acc else v
         return Series._from_raw(target, acc)
 
+    def power_sum(self, coeffs) -> "Series":
+        """Sum of coeffs[i] * self**i, exact once a power of self is zero.
+
+        The sum stops there, so an infinite iterable is fine when self is
+        nilpotent; otherwise it runs through every coefficient given.
+        """
+        acc, power = self.ring.zero, self.ring.one
+        for i, c in enumerate(coeffs):
+            if i:
+                power = power * self
+                if not power:
+                    break
+            acc = acc + power * c
+        return acc
+
     def invert(self) -> "Series":
         """Exact inverse via the geometric series; needs a unit constant term."""
         u = self.constant_term().invert()
         h = self.ring.one - self * u
-        acc = self.ring.one
-        power = h
-        while power:
-            acc = acc + power
-            power = power * h
-        return acc * u
+        return h.power_sum(itertools.repeat(1)) * u
 
     def map_coefficients(self, target_ring: SeriesRing, fn) -> "Series":
         """Rebuild the series over ``target_ring``, mapping each coefficient."""

@@ -46,8 +46,12 @@ def computation_one_unit_candidate(t_max=5, z_max=3):
     return mul(mul(one_tz, one_t, t_max, z_max), inv_one_z, t_max, z_max)
 
 
-def delta_longhand(coeffs, t_max=5, z_max=3):
-    """Defect of the integer candidate (a1, ..., aD), expanded by hand."""
+def delta_longhand(coeffs, t_max=5, z_max=3, law="additive"):
+    """Defect of the integer candidate (a1, ..., aD), expanded by hand.
+
+    ``law`` is "additive", F(t, z) = t + z, or "multiplicative",
+    F(t, z) = t + z + tz; in both P(t) = t*F(t, z) and tau = 2.
+    """
     a = list(coeffs)
     r_t = {(0, 0): 1}
     for i, ai in enumerate(a, start=1):
@@ -60,11 +64,22 @@ def delta_longhand(coeffs, t_max=5, z_max=3):
         for k in range(i + 1):
             key = (i - k, k)
             r_tz[key] = r_tz.get(key, 0) + ai * math.comb(i, k)
+    if law == "multiplicative":
+        # (t + z + tz)^i by the multinomial theorem: j factors tz, k factors z
+        r_tz = {(0, 0): 1}
+        for i, ai in enumerate(a, start=1):
+            for j in range(i + 1):
+                for k in range(i - j + 1):
+                    key = (i - k, j + k)
+                    c = math.comb(i, j) * math.comb(i - j, k)
+                    r_tz[key] = r_tz.get(key, 0) + ai * c
     lhs = mul(
         normalize(r_tz, t_max, z_max), normalize(r_t, t_max, z_max), t_max, z_max
     )
 
     base = {(2, 0): 1, (1, 1): 1}  # t(t + z)
+    if law == "multiplicative":
+        base = {(2, 0): 1, (1, 1): 1, (2, 1): 1}  # t(t + z + tz)
     p2 = {(0, 0): 1}
     power = {(0, 0): 1}
     for ai in a:

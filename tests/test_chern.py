@@ -45,6 +45,17 @@ def test_value_at_single_root():
     t = TZ.gen("t")
     assert r.value_at(t) == TZ.one + t
     assert chern_of_line_sum(r, [t], [1]) == TZ.one + t
+    # against explicit powers, past the nilpotency order of t, z and t + z
+    # and at roots that are not nilpotent at all
+    z = TZ.gen("z")
+    rng = random.Random(0)
+    for root in (TZ.zero, t, z, t + z, 1 + t, 3 + z):
+        for degree in range(1, 9):
+            coeffs = [rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(degree - 1)]
+            want = TZ.one
+            for i, a in enumerate(coeffs, start=1):
+                want = want + a * root**i
+            assert ChernSeries(coeffs).value_at(root) == want, (root, coeffs)
 
 
 def test_line_sum_matches_computation_one():

@@ -185,6 +185,8 @@ def test_obstruct_mod_z(capsys):
 def test_obstruct_flag_validation(capsys):
     assert main(["obstruct", "--degree", "3"]) == 2
     assert main(["obstruct", "--degree", "0", "--search"]) == 2
+    assert main(["obstruct", "--degree", "0", "--symbolic"]) == 2
+    assert main(["chern", "--symbolic", "0"]) == 2
 
 
 def test_obstruct_json(capsys):
@@ -198,8 +200,19 @@ def test_trunc_cap(monkeypatch, capsys):
     monkeypatch.setenv("FGLOPS_TRUNC_MAX", "4")
     assert main(["obstruct", "--degree", "3", "--search"]) == 2
     assert "FGLOPS_TRUNC_MAX" in capsys.readouterr().err
+    # candidate degrees are capped too, with both truncations under the cap
+    degree_over_cap = [
+        ["obstruct", "--degree", "5", "--t-trunc", "4", "--search"],
+        ["obstruct", "--degree", "5", "--t-trunc", "4", "--symbolic"],
+        ["chern", "--symbolic", "5", "--t-trunc", "4"],
+    ]
+    for argv in degree_over_cap:
+        assert main(argv) == 2, argv
+        assert "degree 5 exceeds FGLOPS_TRUNC_MAX=4" in capsys.readouterr().err
     monkeypatch.delenv("FGLOPS_TRUNC_MAX")
     assert main(["obstruct", "--degree", "3", "--search"]) == 0
+    for argv in degree_over_cap:
+        assert main(argv) == 0, argv
 
 
 def test_outputs_deterministic(capsys):
