@@ -13,6 +13,10 @@ must satisfy.  The exhaustive search evaluates the defect at every integer
 candidate with a1 = 1 and remaining coefficients in {0, 1}, which covers all
 integer candidates because z-positive coefficients only depend on the a_i
 mod 2, and certifies the verdict with one failing monomial per candidate.
+Every candidate gets its verdict, but the defect is computed only once per
+prefix a1..a_reach, where the reach is the largest i at which a power t^i,
+z^i or F(t, z)^i is nonzero: a_i multiplies only those i-th powers, so the
+coefficients past the reach cannot change the defect.
 """
 
 from __future__ import annotations
@@ -128,11 +132,16 @@ class ObstructionReport:
 
 
 def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
-    """Evaluate the defect at every candidate with a1 = 1, a_i in {0, 1}.
+    """Give a verdict on every candidate with a1 = 1, a_i in {0, 1}.
 
     Candidates are ordered with the last coefficient varying fastest; each
     failure records the first nonzero monomial in (z-degree, t-degree)
-    order.
+    order.  The defect is computed once per prefix a1..a_reach
+    (``ctx.reach``) and shared by the candidates that extend it: a_i
+    multiplies only the i-th powers of t, z and F(t, z), which vanish past
+    the reach, and P(r(t)) reads nothing but r(t).  So candidates that agree
+    up to the reach have equal defects, and the first candidate of a prefix
+    whose defect is zero is that prefix followed by zeros.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree}")
@@ -142,17 +151,18 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     relations = extract_relations(*symbolic_twin(ctx, degree))
 
+    width = max(1, min(degree, ctx.reach))
     witness = None
     failures = []
-    for tail in itertools.product((0, 1), repeat=degree - 1):
-        cand = (1, *tail)
-        r = ChernSeries(list(cand), ring.coeff_ring)
-        defect = delta(r, ctx)
+    for head in itertools.product((0, 1), repeat=width - 1):
+        prefix = (1, *head)
+        defect = delta(ChernSeries(list(prefix), ring.coeff_ring), ctx)
         if not defect:
-            witness = cand
+            witness = prefix + (0,) * (degree - width)
             break
         first_fail = min(defect.terms, key=lambda e: (e[1], e[0]))
-        failures.append((cand, first_fail))
+        tails = itertools.product((0, 1), repeat=degree - width)
+        failures.extend(((*prefix, *tail), first_fail) for tail in tails)
 
     return ObstructionReport(
         ring=ring,

@@ -67,6 +67,15 @@ class PowerOpContext:
         return self.law.formal_sum(self.t, self.z)
 
     @cached_property
+    def reach(self) -> int:
+        """The largest i with t^i, z^i or F(t, z)^i nonzero.
+
+        A candidate coefficient a_i with i past the reach multiplies only
+        zero powers, so it cannot change the defect.
+        """
+        return max(root.top_power() for root in (self.t, self.z, self.tensor_root))
+
+    @cached_property
     def _generator_image(self) -> Series:
         return self.t * self.tensor_root
 

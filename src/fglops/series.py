@@ -9,7 +9,10 @@ in one monomial, the applicable modulus is the gcd of their orders.
 
 Elements are sparse term maps in canonical normal form; equality is
 structural.  All values are immutable and all operations are pure, so series
-can be shared freely across workers.
+can be shared freely across workers.  The one piece of memory a series keeps
+is the table of its powers 1, x, x^2, ... that :meth:`Series.power_sum` and
+:meth:`Series.substitute` have computed so far; it is extended by swapping in a longer tuple, never by
+changing one in place, so concurrent readers always see correct powers.
 """
 
 from __future__ import annotations
@@ -130,6 +133,20 @@ def _reduced(ring: SeriesRing, acc: dict) -> dict:
     return out
 
 
+def _raw_value(cr: Ring, coef):
+    """Raw value of a Coefficient of ``cr``, or of a plain value ``cr`` normalizes."""
+    if isinstance(coef, Coefficient):
+        if coef.ring != cr:
+            raise RingMismatch(f"coefficient in {coef.ring} used in series over {cr}")
+        return coef.value
+    return cr.normalize(coef)
+
+
+def _is_scalar(value) -> bool:
+    """An int (not a bool) or a Coefficient: what series arithmetic accepts besides series."""
+    return isinstance(value, Coefficient) or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def _term_order(exps) -> tuple:
     return (sum(exps), tuple(-e for e in exps))
 
@@ -141,7 +158,7 @@ class Series:
     checks its input; arithmetic builds its results with :meth:`_from_raw`.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_powers")
 
     def __init__(self, ring: SeriesRing, terms):
         if isinstance(terms, Mapping):
@@ -159,19 +176,13 @@ class Series:
             for e in exps:
                 if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise ValueError(f"exponents must be non-negative integers, got {exps}")
-            if isinstance(coef, Coefficient):
-                if coef.ring != cr:
-                    raise RingMismatch(
-                        f"coefficient in {coef.ring} used in series over {cr}"
-                    )
-                coef = coef.value
-            else:
-                coef = cr.normalize(coef)
+            coef = _raw_value(cr, coef)
             if any(e >= v.trunc for e, v in zip(exps, ring.variables)):
                 continue
             acc[exps] = cr.add(acc[exps], coef) if exps in acc else coef
         self.ring = ring
         self._terms = _reduced(ring, acc)
+        self._powers = None
 
     @classmethod
     def _from_raw(cls, ring: SeriesRing, acc: dict) -> "Series":
@@ -179,6 +190,7 @@ class Series:
         obj = cls.__new__(cls)
         obj.ring = ring
         obj._terms = _reduced(ring, acc)
+        obj._powers = None
         return obj
 
     @property
@@ -211,9 +223,7 @@ class Series:
             if other.ring != self.ring:
                 raise RingMismatch(f"cannot combine series over {self.ring} and {other.ring}")
             return other
-        if isinstance(other, Coefficient) or (
-            isinstance(other, int) and not isinstance(other, bool)
-        ):
+        if _is_scalar(other):
             return self.ring.constant(other)
         return None
 
@@ -314,23 +324,13 @@ class Series:
             else:
                 img = target.gen(v.name)
             images.append(img)
-        max_exp = [0] * self.ring.nvars
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                max_exp[i] = max(max_exp[i], e)
-        powers = []
-        for img, m in zip(images, max_exp):
-            cache = [target.one]
-            for _ in range(m):
-                cache.append(cache[-1] * img)
-            powers.append(cache)
         add, mul = target.coeff_ring.add, target.coeff_ring.mul
         acc: dict = {}
         for exps, coef in self._terms.items():
             term = target.one
             for i, e in enumerate(exps):
                 if e:
-                    term = term * powers[i][e]
+                    term = term * images[i]._power(e)
             for e, c in term._terms.items():
                 v = mul(coef, c)
                 acc[e] = add(acc[e], v) if e in acc else v
@@ -340,16 +340,43 @@ class Series:
         """Sum of coeffs[i] * self**i, exact once a power of self is zero.
 
         The sum stops there, so an infinite iterable is fine when self is
-        nilpotent; otherwise it runs through every coefficient given.
+        nilpotent; otherwise it runs through every coefficient given.  The
+        powers are computed once per series and kept for later calls, which
+        only scale and add them.
         """
-        acc, power = self.ring.zero, self.ring.one
+        cr = self.ring.coeff_ring
+        add, mul = cr.add, cr.mul
+        acc: dict = {}
         for i, c in enumerate(coeffs):
-            if i:
-                power = power * self
-                if not power:
-                    break
-            acc = acc + power * c
-        return acc
+            power = self._power(i)
+            if not power:
+                break
+            if not _is_scalar(c):
+                raise TypeError(f"power_sum coefficients must be ints or Coefficients, got {c!r}")
+            raw = _raw_value(cr, c)
+            if cr.is_zero(raw):
+                continue
+            for exps, coef in power._terms.items():
+                v = mul(coef, raw)
+                acc[exps] = add(acc[exps], v) if exps in acc else v
+        return Series._from_raw(self.ring, acc)
+
+    def _power(self, i: int) -> "Series":
+        """self**i from the power table, which grows as needed and stops at zero."""
+        powers = self._powers or (self.ring.one,)
+        while len(powers) <= i and powers[-1]:
+            powers = powers + (powers[-1] * self,)
+            self._powers = powers
+        return powers[min(i, len(powers) - 1)]
+
+    def top_power(self) -> int:
+        """The largest i with self**i nonzero; needs a nilpotent series."""
+        if not self.constant_term().is_nilpotent():
+            raise ValueError("a series with a non-nilpotent constant term has no top power")
+        i = 0
+        while self._power(i + 1):
+            i += 1
+        return i
 
     def invert(self) -> "Series":
         """Exact inverse via the geometric series; needs a unit constant term."""

@@ -161,6 +161,52 @@ def test_search_mod_z_is_satisfiable():
     assert report.failures is None
 
 
+def _brute_force_search(degree, ctx):
+    """(witness, failures) from the defect of every candidate, one by one."""
+    failures = []
+    for tail in itertools.product((0, 1), repeat=degree - 1):
+        cand = (1, *tail)
+        d = delta(ChernSeries(list(cand)), ctx)
+        if not d:
+            return cand, None
+        failures.append((cand, min(d.terms, key=lambda e: (e[1], e[0]))))
+    return None, tuple(failures)
+
+
+def _top_power(root):
+    i = 0
+    while root ** (i + 1) != root.ring.zero:
+        i += 1
+    return i
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative"])
+@pytest.mark.parametrize("t_max, z_max", [(3, 2), (4, 2), (5, 3), (5, 1)])
+def test_search_matches_brute_force(t_max, z_max, law):
+    # the search computes one defect per prefix a1..a_reach; every candidate's
+    # verdict must still equal the one from its own defect, past the reach too
+    ctx = standard_context(Z, t_max, z_max, law=builtin_law(law, Z))
+    assert ctx.reach == max(_top_power(root) for root in (ctx.t, ctx.z, ctx.tensor_root))
+    for degree in range(1, ctx.reach + 5):
+        report = exhaustive_search(degree, ctx)
+        witness, failures = _brute_force_search(degree, ctx)
+        assert report.witness == witness, (degree, report.witness)
+        assert report.failures == failures, degree
+        assert report.verdict == ("satisfiable" if witness else "unsatisfiable")
+
+
+def test_search_witness_is_first_zero_defect():
+    # z_trunc = 1 kills z, so every defect vanishes and the witness is a1 = 1, zeros after;
+    # at (3, 2) the first zero defect comes after failures, and zeros follow its prefix
+    ctx = standard_context(Z, z_trunc=1)
+    assert exhaustive_search(7, ctx).witness == (1, 0, 0, 0, 0, 0, 0)
+    ctx = standard_context(Z, 3, 2)
+    report = exhaustive_search(ctx.reach + 3, ctx)
+    assert report.witness == _brute_force_search(ctx.reach + 3, ctx)[0]
+    assert report.witness[1:ctx.reach] != (0,) * (ctx.reach - 1)
+    assert report.witness[ctx.reach:] == (0, 0, 0)
+
+
 def test_search_bad_degree(default_context):
     with pytest.raises(ValueError):
         exhaustive_search(0, default_context)

@@ -1,15 +1,20 @@
+import itertools
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglops import (
+    Coefficient,
     IntegerModRing,
     IntegerRing,
     NonConvergent,
     NotAUnit,
     PolynomialRing,
+    RingMismatch,
     SeriesRing,
     SeriesVar,
     series_from_json,
@@ -263,3 +268,107 @@ def test_str_formatting():
     assert str(TZ.zero) == "0"
     assert str(TZ.one + t * 2 + t * t + t * z) == "1 + 2*t + t^2 + t*z"
     assert str(TZ.one - t) == "1 - t"
+
+
+def _power_sum_by_pow(root, coeffs):
+    # independent of the power table: explicit Series.__pow__ for every term
+    acc = root.ring.zero
+    for i, c in enumerate(coeffs):
+        acc = acc + root**i * c
+    return acc
+
+
+def _power_sum_calls():
+    t, z = TZ.gen("t"), TZ.gen("z")
+    nilpotent = t + z + t * z * 3
+    unit = TZ.one + t
+    return [
+        (nilpotent, lambda: [1, 2, -3]),
+        (nilpotent, lambda: [5, -1, 0, 2, 7, 1, -4, 3, 9, 2, 1]),
+        (nilpotent, lambda: itertools.repeat(1)),
+        (unit, lambda: [1, -2]),
+        (unit, lambda: [3, 0, 1, -1, 2, 5, 1]),
+    ]
+
+
+def _fresh(f):
+    return f.ring.from_terms(dict(f.terms))
+
+
+def test_power_sum_cache_any_call_order():
+    calls = _power_sum_calls()
+    shared = {id(root): _fresh(root) for root, _ in calls}  # one cache per root, all orders
+    for order in itertools.permutations(range(len(calls))):
+        local = {id(root): _fresh(root) for root, _ in calls}  # one cache per root, this order
+        for k in order:
+            root, coeffs = calls[k]
+            want = _fresh(root).power_sum(coeffs())
+            assert shared[id(root)].power_sum(coeffs()) == want, (order, k)
+            assert local[id(root)].power_sum(coeffs()) == want, (order, k)
+    for root, coeffs in calls:
+        finite = list(itertools.islice(coeffs(), 16))
+        assert shared[id(root)].power_sum(finite) == _power_sum_by_pow(root, finite)
+
+
+def test_power_sum_cache_shared_across_threads():
+    calls = _power_sum_calls()
+    roots = {id(root): _fresh(root) for root, _ in calls}
+    work = [calls[i % len(calls)] for i in range(60)]
+    want = [_fresh(root).power_sum(coeffs()) for root, coeffs in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda r, c: roots[id(r)].power_sum(c()), root, coeffs)
+                       for root, coeffs in work]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_power_sum_checks_coefficients():
+    t = TZ.gen("t")
+    with pytest.raises(RingMismatch):
+        t.power_sum([1, IntegerModRing(2).one])
+    with pytest.raises(TypeError):
+        t.power_sum([1, 0.5])
+    with pytest.raises(TypeError):
+        t.power_sum([True])
+    assert t.power_sum([]) == TZ.zero
+    assert t.power_sum([Coefficient(Z, 3), 0, -1]) == TZ.one * 3 - t * t
+
+
+def test_top_power():
+    t, z = TZ.gen("t"), TZ.gen("z")
+    assert TZ.zero.top_power() == 0
+    assert t.top_power() == 4 and z.top_power() == 2
+    assert (t + z).top_power() == 6  # 15*t^4*z^2 survives the 2-torsion of z
+    with pytest.raises(ValueError):
+        (TZ.one + t).top_power()
+
+
+def test_scalar_mul_matches_constant_series():
+    rng = random.Random(17)
+    poly = PolynomialRing(Z, ("a1", "a2"))
+    rings = [(_ring_for(specs), Z) for specs in RING_SHAPES]
+    rings.append((SeriesRing(IntegerModRing(4), (SeriesVar("t", 4), SeriesVar("z", 3, 2))), None))
+    rings.append((SeriesRing(poly, (SeriesVar("t", 4), SeriesVar("z", 3, 2))), poly))
+    for ring, _ in rings:
+        specs = [(v.trunc, v.torsion) for v in ring.variables]
+        for _ in range(30):
+            f = ring.from_terms(_random_plain(rng, specs))
+            c = rng.choice([0, 1, -1, 2, 3, -6])
+            scalars = [c, ring.coeff_ring.coefficient(c)]
+            if ring.coeff_ring == poly:
+                scalars.append(poly.gen("a1") * c + poly.gen("a2"))
+            for s in scalars:
+                assert f * s == f * ring.constant(s) == s * f
+        assert f * 0 == ring.zero
+    with pytest.raises(RingMismatch):
+        TZ.gen("t") * IntegerModRing(2).one
+    with pytest.raises(TypeError):
+        TZ.gen("t") * 1.5
+    with pytest.raises(TypeError):
+        TZ.gen("t") * True
+
