@@ -20,6 +20,8 @@ from .powerops import PowerOpContext, standard_context, standard_ring
 from .series import series_from_json, series_to_json
 
 _BUILTIN_LAWS = ("additive", "multiplicative")
+# obstruct --search holds and prints 2^(D-1) rows: 2^15 at this degree
+_SEARCH_DEGREE_MAX = 16
 
 
 def _trunc_cap() -> int:
@@ -40,9 +42,9 @@ def _load_series(path: str):
         return series_from_json(json.load(handle))
 
 
-def _load_law(name_or_path: str, degree: int):
+def _load_law(name_or_path: str, degree: int, coeff_ring):
     if name_or_path in _BUILTIN_LAWS:
-        return builtin_law(name_or_path, IntegerRing(), degree)
+        return builtin_law(name_or_path, coeff_ring, degree)
     return validate_law(_load_series(name_or_path))
 
 
@@ -53,7 +55,7 @@ def _emit_json(obj) -> None:
 def cmd_fgl_check(args) -> int:
     _check_trunc(args.degree)
     try:
-        law = _load_law(args.law, args.degree)
+        law = _load_law(args.law, args.degree, IntegerRing())
     except ViolatedAxiom as exc:
         if args.json:
             _emit_json({"valid": False, "axiom": exc.axiom, "monomial": exc.monomial})
@@ -71,7 +73,7 @@ def cmd_fgl_nseries(args) -> int:
     _check_trunc(args.degree)
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
-    law = _load_law(args.law, args.degree)
+    law = _load_law(args.law, args.degree, IntegerRing())
     result = law.n_series(args.n)
     if args.json:
         _emit_json(series_to_json(result))
@@ -89,7 +91,7 @@ def cmd_powerop(args) -> int:
         raise ValueError("power operation input must be univariate")
     pos = next(iter(positions)) if positions else 0
     lifted = ring.from_terms({(exps[pos], 0): c for exps, c in f.terms.items()})
-    law = builtin_law(args.fgl, ring.coeff_ring) if args.fgl in _BUILTIN_LAWS else _load_law(args.fgl, 20)
+    law = _load_law(args.fgl, 20, ring.coeff_ring)
     ctx = PowerOpContext(ring, law, ring.coeff_ring.coefficient(args.tau))
     result = ctx.power_op(lifted)
     if args.json:
@@ -124,6 +126,8 @@ def cmd_obstruct(args) -> int:
     _check_trunc(args.t_trunc, args.z_trunc, args.degree)
     if args.symbolic == args.search:
         raise ValueError("exactly one of --symbolic and --search is required")
+    if args.search and args.degree > _SEARCH_DEGREE_MAX:
+        raise ValueError(f"search degree {args.degree} exceeds {_SEARCH_DEGREE_MAX} (2^(D-1) rows)")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
     if args.symbolic:
         candidate, sym_ctx = symbolic_twin(ctx, args.degree)

@@ -81,15 +81,11 @@ class FormalGroupLaw:
             raise ValueError(f"n-series index must be a non-negative integer, got {n}")
         ring = SeriesRing(self.coeff_ring, (SeriesVar(self.x_name, self.degree),))
         x = ring.gen(self.x_name)
-
-        def plus(f, g):
-            return self.series.substitute({self.x_name: f, self.y_name: g}, target=ring)
-
         acc = x if n else ring.zero
         for bit in bin(n)[3:]:
-            acc = plus(acc, acc)
+            acc = self.formal_sum(acc, acc)
             if bit == "1":
-                acc = plus(x, acc)
+                acc = self.formal_sum(x, acc)
         return acc
 
     def map_coefficients(self, coeff_ring: Ring, fn) -> "FormalGroupLaw":
@@ -116,16 +112,12 @@ def validate_law(F: Series, name: Optional[str] = None) -> FormalGroupLaw:
         raise ValueError("law variables must be torsion-free")
     degree = vx.trunc
 
-    uni = SeriesRing(ring.coeff_ring, (SeriesVar(vx.name, degree),))
-    x = uni.gen(vx.name)
-    diff = F.substitute({vx.name: x, vy.name: uni.zero}, target=uni) - x
-    if diff:
-        raise ViolatedAxiom("unit", _witness(diff))
-    uni_y = SeriesRing(ring.coeff_ring, (SeriesVar(vy.name, degree),))
-    y = uni_y.gen(vy.name)
-    diff = F.substitute({vx.name: uni_y.zero, vy.name: y}, target=uni_y) - y
-    if diff:
-        raise ViolatedAxiom("unit", _witness(diff))
+    for kept, dropped in ((vx, vy), (vy, vx)):
+        uni = SeriesRing(ring.coeff_ring, (SeriesVar(kept.name, degree),))
+        v = uni.gen(kept.name)
+        diff = F.substitute({kept.name: v, dropped.name: uni.zero}, target=uni) - v
+        if diff:
+            raise ViolatedAxiom("unit", _witness(diff))
 
     swapped = Series(ring, {(b, a): c for (a, b), c in F.terms.items()})
     diff = F - swapped

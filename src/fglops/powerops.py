@@ -7,9 +7,11 @@ scalar tau.  The operation is generated by its value on the line generator,
     P(t) = t * F(t, z),
 
 and extends to an arbitrary univariate series by multiplicativity together
-with a transfer-corrected sum rule:
+with a transfer-corrected sum rule.  Both halves are power sums
+(:meth:`Series.power_sum`) on the context's cached roots P(t) and t:
 
-    P(sum_i a_i t^i) = sum_i a_i^2 P(t)^i + tau * sum_{i<j} a_i a_j t^(i+j).
+    P(sum_i a_i t^i) = sum_i a_i^2 P(t)^i + sum_k c_k t^k,
+    c_k = tau * sum_{i<j, i+j=k} a_i a_j.
 
 Constants obey P(a) = a^2.  When F is additive and z carries 2-torsion the
 transfer scalar is pinned to 2; restricted to z = 0 the operation is then
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional, Union
 
 from .coefficients import Coefficient, IntegerRing, Ring, RingMismatch
@@ -94,12 +95,13 @@ class PowerOpContext:
                     "power operation input must be univariate in the line variable"
                 )
             coeffs[exps[0]] = coef
-        squares = [coeffs.get(e, 0) ** 2 for e in range(1 + max(coeffs, default=-1))]
-        acc = self.generator_image().power_sum(squares)
-        for (i, a_i), (j, a_j) in combinations(coeffs.items(), 2):
-            cross = self.tau * a_i * a_j
-            acc = acc + self.ring.monomial((i + j, 0), cross)
-        return acc
+        a = [coeffs.get(e, 0) for e in range(1 + max(coeffs, default=-1))]
+        squares = [a_e ** 2 for a_e in a]
+        cross = [
+            self.tau * sum(a[i] * a[k - i] for i in range(max(0, k + 1 - len(a)), (k + 1) // 2))
+            for k in range(2 * len(a) - 2)
+        ]
+        return self.generator_image().power_sum(squares) + self.t.power_sum(cross)
 
     def transfer(self, a: Series) -> Series:
         """The transfer map, multiplication by the scalar tau."""

@@ -112,9 +112,6 @@ class SeriesRing:
         exps = tuple(1 if i == self.index(name) else 0 for i in range(self.nvars))
         return Series(self, {exps: 1})
 
-    def monomial(self, exps, coef=1) -> "Series":
-        return Series(self, {tuple(exps): coef})
-
 
 def _reduced(ring: SeriesRing, acc: dict) -> dict:
     """Raw terms with each monomial's torsion modulus applied and zeros dropped."""

@@ -97,6 +97,36 @@ def delta_longhand(coeffs, t_max=5, z_max=3, law="additive"):
     return sub(lhs, rhs, t_max, z_max)
 
 
+def power_op_longhand(f, t_max=5, z_max=3, law="additive", tau=2, modulus=None):
+    """P(f) for f = {e: a_e}, an integer series in t, expanded by hand.
+
+    P(t) = t*F(t, z) with F additive or multiplicative.  The squares
+    a_e^2 P(t)^e come from repeated products, the cross terms
+    tau*a_i*a_j*t^(i+j), i < j, one pair at a time.  With ``modulus`` the
+    result is mapped to Z/modulus, where a z-positive coefficient is also
+    killed by 2.
+    """
+    base = {(2, 0): 1, (1, 1): 1}  # t(t + z)
+    if law == "multiplicative":
+        base = {(2, 0): 1, (1, 1): 1, (2, 1): 1}  # t(t + z + tz)
+    out = {}
+    power = {(0, 0): 1}
+    for e in range(max(f, default=-1) + 1):
+        for key, c in power.items():
+            out[key] = out.get(key, 0) + f.get(e, 0) ** 2 * c
+        power = mul(power, base, t_max, z_max)
+    for i, a_i in f.items():
+        for j, a_j in f.items():
+            if i < j:
+                key = (i + j, 0)
+                out[key] = out.get(key, 0) + tau * a_i * a_j
+    out = normalize(out, t_max, z_max)
+    if modulus:
+        out = {k: c % (math.gcd(modulus, 2) if k[1] else modulus) for k, c in out.items()}
+        out = {k: c for k, c in out.items() if c}
+    return out
+
+
 def naive_normalize(terms, specs):
     out = {}
     for exps, c in terms.items():

@@ -196,6 +196,22 @@ def test_obstruct_json(capsys):
     assert len(obj["failures"]) == 8
 
 
+def test_search_degree_bound(capsys):
+    for argv in (["obstruct", "--degree", "17", "--search"],
+                 ["obstruct", "--degree", "17", "--search", "--json", "--z-trunc", "1"],
+                 ["obstruct", "--degree", "64", "--search"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: search degree ")
+        assert "exceeds 16" in captured.err
+    # the bound itself is accepted (a satisfiable search prints no rows), and
+    # the relation table is not bounded by it
+    assert main(["obstruct", "--degree", "16", "--search", "--z-trunc", "1"]) == 1
+    assert capsys.readouterr().out.startswith("SATISFIABLE: witness [1,0,")
+    assert main(["obstruct", "--degree", "17", "--symbolic", "--t-trunc", "3", "--z-trunc", "2"]) == 0
+
+
 def test_trunc_cap(monkeypatch, capsys):
     monkeypatch.setenv("FGLOPS_TRUNC_MAX", "4")
     assert main(["obstruct", "--degree", "3", "--search"]) == 2

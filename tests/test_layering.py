@@ -1,0 +1,74 @@
+"""No module of the package reaches into another module's private names.
+
+A name starting with one underscore belongs to the module that defines it.
+The check is syntactic: it reads each module with ``ast`` and fails on
+
+* ``from .m import _x`` (any private name imported from the package), and
+* an attribute ``obj._x`` whose name the module does not define itself: as a
+  function, method, class, assignment target, attribute assignment or
+  ``__slots__`` entry.
+
+Dunder names (``__init__``, ``__setattr__``, ...) are public protocol and
+exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fglops"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _defined_names(tree: ast.AST) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+    return names
+
+
+def foreign_private_uses(source: str) -> list:
+    """(line, text) for each private name the module takes from elsewhere."""
+    tree = ast.parse(source)
+    own = _defined_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fglops")):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in own:
+            found.append((node.lineno, f".{node.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_foreign_private_names(path):
+    assert foreign_private_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_foreign_private_names():
+    shortcut = "def power_op(f):\n    return f._terms\n"
+    assert foreign_private_uses(shortcut) == [(2, "._terms")]
+    imported = "from .obstruction import _monomial_label, relation_table\n"
+    assert foreign_private_uses(imported) == [(1, "import _monomial_label")]
+    owned = (
+        "class S:\n    __slots__ = ('_terms',)\n"
+        "    def f(self):\n        return self._terms, self._g(), self.__class__\n"
+        "    def _g(self):\n        return 0\n"
+    )
+    assert foreign_private_uses(owned) == []

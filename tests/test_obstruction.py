@@ -59,14 +59,14 @@ def test_delta_ring_mismatch(default_context):
         delta(ChernSeries([1], F2), default_context)
 
 
-def _check_delta_grid(t_max, law):
+def _check_delta_grid(t_max, law, z_maxes=range(1, 6), degrees=range(1, 9), repeats=3):
     # per-monomial truncation and torsion reduction against the longhand oracle;
     # at small t_max, z_max the degrees pass t_max + z_max - 2, where powers of t + z vanish
     rng = random.Random(t_max)
-    for z_max in range(1, 6):
+    for z_max in z_maxes:
         ctx = standard_context(Z, t_max, z_max, law=builtin_law(law, Z))
-        for degree in range(1, 9):
-            for _ in range(3):
+        for degree in degrees:
+            for _ in range(repeats):
                 cand = [rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(degree - 1)]
                 d = delta(ChernSeries(cand), ctx)
                 want = delta_longhand(cand, t_max, z_max, law)
@@ -81,6 +81,14 @@ def test_delta_oracle_grid(t_max):
 @pytest.mark.parametrize("t_max", range(3, 10))
 def test_delta_oracle_grid_multiplicative(t_max):
     _check_delta_grid(t_max, "multiplicative")
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative"])
+@pytest.mark.parametrize("t_max", range(10, 18))
+def test_delta_oracle_grid_large_truncations(t_max, law):
+    # degree t_max - 1 gives r(t) a term in every power of t below the truncation,
+    # so the power operation's cross sum runs over t_max*(t_max-1)/2 pairs (136 at 17)
+    _check_delta_grid(t_max, law, range(6, 10), (4, 8, t_max - 1), repeats=1)
 
 
 def test_coefficient_read_off(default_context):

@@ -3,14 +3,17 @@ import random
 import pytest
 
 from fglops import (
+    IntegerModRing,
     IntegerRing,
     PolynomialRing,
     RingMismatch,
+    builtin_law,
     multiplicative_law,
     standard_context,
     standard_ring,
 )
 from conftest import to_plain
+from longhand import power_op_longhand
 
 Z = IntegerRing()
 
@@ -146,3 +149,21 @@ def test_naturality_under_specialization():
     specialized_then_op = num_ctx.power_op(f.specialize(a).in_ring(num_ctx.ring))
     op_then_specialized = sym_ctx.power_op(f).specialize(a).in_ring(num_ctx.ring)
     assert specialized_then_op == op_then_specialized
+
+
+@pytest.mark.parametrize("modulus", [None, 4, 6, 8])
+def test_power_op_oracle_grid(modulus):
+    # dense inputs with any constant term give each cross sum c_k = tau * sum_{i<j, i+j=k}
+    # a_i a_j all its pairs: up to 8 for one k at t_max = 17
+    coeff_ring = IntegerModRing(modulus) if modulus else Z
+    rng = random.Random(modulus or 0)
+    for law, tau in (("additive", 2), ("multiplicative", 1), ("multiplicative", 2),
+                     ("multiplicative", 3)):
+        fgl = builtin_law(law, coeff_ring)
+        for t_max in range(2, 18):
+            for z_max in (1, 2, 4):
+                ctx = standard_context(coeff_ring, t_max, z_max, law=fgl, tau=tau)
+                f = {e: rng.randint(-5, 5) for e in range(rng.randint(1, t_max))}
+                series = ctx.ring.from_terms({(e, 0): a for e, a in f.items()})
+                want = power_op_longhand(f, t_max, z_max, law, tau, modulus)
+                assert to_plain(ctx.power_op(series)) == want, (law, tau, t_max, z_max, f)
