@@ -3,6 +3,7 @@ formal group laws, quadratic power operations, total Chern class
 candidates, and obstruction certificates."""
 
 from .coefficients import (
+    BooleanRing,
     Coefficient,
     IntegerModRing,
     IntegerRing,
@@ -44,6 +45,7 @@ from .obstruction import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BooleanRing",
     "Coefficient",
     "IntegerModRing",
     "IntegerRing",

@@ -31,6 +31,8 @@ def _trunc_cap() -> int:
 def _check_trunc(*degrees: int) -> None:
     cap = _trunc_cap()
     for d in degrees:
+        if d is None:  # a default the command fills in
+            continue
         if d > cap:
             raise ValueError(f"degree {d} exceeds FGLOPS_TRUNC_MAX={cap}")
         if d < 1:
@@ -42,10 +44,15 @@ def _load_series(path: str):
         return series_from_json(json.load(handle))
 
 
-def _load_law(name_or_path: str, degree: int, coeff_ring):
+def _load_law(name_or_path: str, degree, coeff_ring):
+    """A built-in law at ``degree`` (20 if None), or a law file truncated to ``degree``.
+
+    A law file keeps its own truncation when ``degree`` is None and may not
+    be asked for more.
+    """
     if name_or_path in _BUILTIN_LAWS:
-        return builtin_law(name_or_path, coeff_ring, degree)
-    return validate_law(_load_series(name_or_path))
+        return builtin_law(name_or_path, coeff_ring, 20 if degree is None else degree)
+    return validate_law(_load_series(name_or_path), degree=degree)
 
 
 def _emit_json(obj) -> None:
@@ -91,7 +98,8 @@ def cmd_powerop(args) -> int:
         raise ValueError("power operation input must be univariate")
     pos = next(iter(positions)) if positions else 0
     lifted = ring.from_terms({(exps[pos], 0): c for exps, c in f.terms.items()})
-    law = _load_law(args.fgl, 20, ring.coeff_ring)
+    # F(t, z) reads the law's terms x^i y^j with i < t-trunc and j < z-trunc
+    law = _load_law(args.fgl, max(args.t_trunc, args.z_trunc), ring.coeff_ring)
     ctx = PowerOpContext(ring, law, ring.coeff_ring.coefficient(args.tau))
     result = ctx.power_op(lifted)
     if args.json:
@@ -162,14 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = fgl_sub.add_parser("check", help="validate the law axioms")
     check.add_argument("law", help="built-in name (additive, multiplicative) or JSON file")
-    check.add_argument("--degree", type=int, default=20)
+    check.add_argument(
+        "--degree", type=int, help="truncation degree (default: a law file's own, else 20)"
+    )
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_fgl_check)
 
     nseries = fgl_sub.add_parser("nseries", help="print the n-fold formal sum [n](x)")
     nseries.add_argument("law")
     nseries.add_argument("n", type=int)
-    nseries.add_argument("--degree", type=int, default=20)
+    nseries.add_argument(
+        "--degree", type=int, help="truncation degree (default: a law file's own, else 20)"
+    )
     nseries.add_argument("--json", action="store_true")
     nseries.set_defaults(func=cmd_fgl_nseries)
 

@@ -1,5 +1,6 @@
 """Exact coefficient rings: arbitrary-precision integers, integers modulo n,
-and sparse multivariate polynomial rings over either.
+sparse multivariate polynomial rings over either, and Boolean polynomial
+rings.
 
 A ring object is an immutable descriptor that owns all arithmetic on raw
 values; :class:`Coefficient` pairs a ring with one raw value kept in
@@ -10,6 +11,7 @@ canonical normal form.  Raw encodings per ring:
   PolynomialRing  tuple of (exponent tuple, base value) pairs, sorted by
                   total degree descending then exponent tuple ascending,
                   with no zero base values
+  BooleanRing     frozenset of monomial bitmasks (multilinear, over F2)
 
 Because values are always normal forms, structural equality decides ring
 equality questions and every value is hashable and freely shareable.
@@ -441,6 +443,145 @@ class PolynomialRing(Ring):
             v = self.base.from_int(coef)
             acc[key] = self.base.add(acc[key], v) if key in acc else v
         return self.normalize(acc)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class BooleanRing(Ring):
+    """The Boolean polynomial ring F2[x1..xn]/(x_i^2 + x_i).
+
+    A value is a frozenset of monomial bitmasks, bit i standing for the
+    indeterminate ``names[i]``: multilinear polynomials over F2, the
+    functions on {0, 1}^n.  Sums are symmetric differences; a product ORs
+    each pair of masks (x_i^2 = x_i) and keeps the masks that occur an odd
+    number of times.  Reducing integer polynomials mod 2 with x_i^2 = x_i is
+    a ring homomorphism into this ring (:meth:`image`), so a computation can
+    run here from the start instead of being reduced at the end.
+    :attr:`polynomial_ring` is PolynomialRing(Z/2, names), where
+    :meth:`polynomial` lands.
+    """
+
+    # immutable like the dataclass rings, but a plain class: building a
+    # dataclass costs about 0.4 ms at import, which every CLI start would pay
+    def __init__(self, names):
+        polynomial_ring = PolynomialRing(IntegerModRing(2), names)  # checks the names
+        object.__setattr__(self, "names", polynomial_ring.names)
+        object.__setattr__(self, "polynomial_ring", polynomial_ring)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, BooleanRing) and other.names == self.names
+
+    def __hash__(self):
+        return hash((BooleanRing, self.names))
+
+    def __repr__(self) -> str:
+        return f"BooleanRing(names={self.names!r})"
+
+    def __str__(self) -> str:
+        return f"F2[{','.join(self.names)}]/(x^2+x)"
+
+    def gen(self, name: str) -> "Coefficient":
+        return self.wrap(frozenset((1 << self.names.index(name),)))
+
+    def gens(self) -> tuple:
+        return tuple(self.gen(n) for n in self.names)
+
+    def image(self, coef: "Coefficient") -> "Coefficient":
+        """The image of an integer or polynomial coefficient: mod 2, x_i^2 = x_i.
+
+        The source is Z, Z/n with n even, or a polynomial ring over one of
+        them in the same indeterminates.
+        """
+        ring = coef.ring
+        if isinstance(ring, PolynomialRing):
+            if ring.names != self.names:
+                raise RingMismatch(f"cannot map {ring} into {self}")
+            base, terms = ring.base, coef.value
+        else:
+            base, terms = ring, (((0,) * len(self.names), coef.value),)
+        if not (
+            isinstance(base, IntegerRing)
+            or isinstance(base, IntegerModRing) and base.modulus % 2 == 0
+        ):
+            raise RingMismatch(f"no reduction mod 2 from {ring}")
+        acc: set = set()
+        for exps, c in terms:
+            if c % 2:
+                acc ^= {sum(1 << i for i, e in enumerate(exps) if e)}
+        return self.wrap(frozenset(acc))
+
+    def polynomial(self, coef: "Coefficient") -> "Coefficient":
+        """The same multilinear polynomial as a value of :attr:`polynomial_ring`."""
+        if coef.ring != self:
+            raise RingMismatch(f"coefficient in {coef.ring} is not in {self}")
+        # the exponent of names[i] is bit i: the binary digits of the mask, reversed
+        digits = f"0{len(self.names)}b"
+        terms = [
+            (tuple(format(m, digits).encode().translate(_BINARY_DIGITS)[::-1]), 1)
+            for m in coef.value
+        ]
+        terms.sort(key=_poly_term_key)
+        return self.polynomial_ring.wrap(tuple(terms))
+
+    def normalize(self, value):
+        if isinstance(value, int):
+            return self.from_int(value)
+        n = len(self.names)
+        acc: set = set()
+        for m in value:
+            if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < 1 << n:
+                raise ValueError(f"monomial masks must be integers in [0, 2^{n}), got {m!r}")
+            acc ^= {m}
+        return frozenset(acc)
+
+    def from_int(self, n: int):
+        return frozenset((0,)) if _check_int(n) % 2 else frozenset()
+
+    def add(self, a, b):
+        return a ^ b
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a, b):
+        acc: set = set()
+        for x in a:
+            for y in b:
+                m = x | y
+                if m in acc:
+                    acc.remove(m)
+                else:
+                    acc.add(m)
+        return frozenset(acc)
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+    def is_unit(self, a) -> bool:
+        # every element is idempotent, and an idempotent unit is 1
+        return a == {0}
+
+    def invert(self, a):
+        if a == {0}:
+            return a
+        raise NotAUnit(f"{self.format_value(a)} is not a unit in {self}")
+
+    def is_nilpotent(self, a) -> bool:
+        return not a
+
+    def reduce_mod(self, a, m: int):
+        # 2 = 0 here: an even m kills nothing and an odd m is a unit
+        return a if m % 2 == 0 else frozenset()
+
+    def format_value(self, a) -> str:
+        return str(self.polynomial(self.wrap(a)))
+
+    def parse_value(self, text: str):
+        return self.image(self.polynomial_ring.wrap(self.polynomial_ring.parse_value(text))).value
 
 
 CoefficientValue = Union[int, Mapping, Iterable]

@@ -100,8 +100,15 @@ class FormalGroupLaw:
         return f"{label}: F({self.x_name},{self.y_name}) = {self.series}"
 
 
-def validate_law(F: Series, name: Optional[str] = None) -> FormalGroupLaw:
-    """Check the law axioms, returning the validated law or raising ViolatedAxiom."""
+def validate_law(
+    F: Series, name: Optional[str] = None, degree: Optional[int] = None
+) -> FormalGroupLaw:
+    """Check the law axioms, returning the validated law or raising ViolatedAxiom.
+
+    With ``degree`` the law is first truncated to that degree, which must
+    not exceed the series' own truncation; the axioms are then checked to
+    that degree only.
+    """
     ring = F.ring
     if ring.nvars != 2:
         raise ValueError("a formal group law is a series in exactly two variables")
@@ -110,6 +117,14 @@ def validate_law(F: Series, name: Optional[str] = None) -> FormalGroupLaw:
         raise ValueError("both law variables must share one truncation degree")
     if vx.torsion is not None or vy.torsion is not None:
         raise ValueError("law variables must be torsion-free")
+    if degree is not None and degree != vx.trunc:
+        if degree > vx.trunc:
+            raise ValueError(
+                f"degree {degree} exceeds the law's own truncation degree {vx.trunc}"
+            )
+        vx, vy = SeriesVar(vx.name, degree), SeriesVar(vy.name, degree)
+        F = F.in_ring(SeriesRing(ring.coeff_ring, (vx, vy)))
+        ring = F.ring
     degree = vx.trunc
 
     for kept, dropped in ((vx, vy), (vy, vx)):

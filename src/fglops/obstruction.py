@@ -5,14 +5,27 @@ For a candidate r the defect is the exact difference
     delta(r) = r(t +_F z) * r(t) - P(r(t)) * r(z)
 
 computed in the two-variable quotient ring, where torsion normalization
-removes everything divisible by the torsion order automatically.  For a
-generic symbolic candidate, the coefficient of each z-positive monomial is
-reduced to a multilinear polynomial over F2 (integer values satisfy
-a^2 = a mod 2); each nonzero reduction is a relation every viable candidate
-must satisfy.  The exhaustive search evaluates the defect at every integer
-candidate with a1 = 1 and remaining coefficients in {0, 1}, which covers all
-integer candidates because z-positive coefficients only depend on the a_i
-mod 2, and certifies the verdict with one failing monomial per candidate.
+removes everything divisible by the torsion order automatically.
+
+Relation tables.  For the generic symbolic candidate over Z[a1..aD], the
+coefficient of each z-positive monomial is 2-torsion, so it is read mod 2
+as a multilinear polynomial over F2 (integer values satisfy a^2 = a mod 2);
+each nonzero one is a relation every viable candidate must satisfy.
+Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
+
+    Z[a][[t, z]]/(2z, z^k, t^m) -> B_D[[t, z]]/(z^k, t^m),
+    B_D = F2[a1..aD]/(a_i^2 + a_i),
+
+and it commutes with the power operation, so :func:`extract_relations`
+computes the whole defect in the Boolean ring B_D from the start and never
+forms the growing integer polynomials; :func:`multilinear_mod2` is the
+reduction at the end that it replaces, kept as a public reference.
+
+Search.  With tau = 2 the z^0 part of every defect is zero, so the verdict
+depends only on the a_i mod 2.  The exhaustive search evaluates the defect
+at every integer candidate with a1 = 1 and remaining coefficients in
+{0, 1}, which then covers all integer candidates, and certifies the verdict
+with one failing monomial per candidate; it refuses other values of tau.
 Every candidate gets its verdict, but the defect is computed only once per
 prefix a1..a_reach, where the reach is the largest i at which a power t^i,
 z^i or F(t, z)^i is nonzero: a_i multiplies only those i-th powers, so the
@@ -26,10 +39,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coefficients import (
+    BooleanRing,
     Coefficient,
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
+    RingMismatch,
     monomial_text,
 )
 from .chern import ChernSeries
@@ -65,18 +80,32 @@ def multilinear_mod2(coef: Coefficient) -> Coefficient:
 def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
     """Relations on the a_i from z-positive coefficients of the defect.
 
-    Requires the generic symbolic candidate; returns (monomial exponents,
-    multilinear F2 polynomial) pairs ordered by (z-degree, t-degree).
+    Requires the generic symbolic candidate over Z[a1..aD] and its context
+    (:func:`symbolic_twin`).  The defect is computed over the Boolean ring
+    F2[a1..aD]/(a_i^2 + a_i), the image of the context under reduction mod 2
+    with a_i^2 = a_i; on z-positive monomials that image is
+    :func:`multilinear_mod2` of the integer defect.  Returns (monomial
+    exponents, multilinear F2 polynomial) pairs ordered by (z-degree,
+    t-degree).
     """
     if not r.is_generic_symbolic:
         raise ValueError("relation extraction needs the generic symbolic candidate")
-    out = []
-    for exps, coef in delta(r, ctx).items():
-        if exps[1] == 0:
-            continue
-        reduced = multilinear_mod2(coef)
-        if not reduced.is_zero():
-            out.append((exps, reduced))
+    if ctx.ring.coeff_ring != r.coeff_ring:
+        raise RingMismatch("the context must be the candidate's symbolic twin")
+    if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
+        raise ValueError("relations are read mod 2, which needs even torsion orders")
+    boolean = BooleanRing(r.coeff_ring.names)
+    bool_ctx = PowerOpContext(
+        SeriesRing(boolean, ctx.ring.variables),
+        ctx.law.map_coefficients(boolean, boolean.image),
+        boolean.image(ctx.tau),
+    )
+    bool_r = ChernSeries([boolean.image(c) for c in r.coeffs], boolean)
+    out = [
+        (exps, boolean.polynomial(coef))
+        for exps, coef in delta(bool_r, bool_ctx).terms.items()
+        if exps[1]
+    ]
     out.sort(key=lambda item: (item[0][1], item[0][0]))
     return out
 
@@ -134,6 +163,9 @@ class ObstructionReport:
 def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     """Give a verdict on every candidate with a1 = 1, a_i in {0, 1}.
 
+    The context must have tau = 2, or ``ValueError`` is raised: only then is
+    the z^0 part of every defect zero, so that the a_i mod 2 decide the
+    verdict and {0, 1} covers every integer candidate.
     Candidates are ordered with the last coefficient varying fastest; each
     failure records the first nonzero monomial in (z-degree, t-degree)
     order.  The defect is computed once per prefix a1..a_reach
@@ -148,6 +180,8 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):
         raise ValueError("the exhaustive search runs over integer coefficients")
+    if ctx.tau != 2:
+        raise ValueError(f"the exhaustive search needs tau = 2, got {ctx.tau}")
 
     relations = extract_relations(*symbolic_twin(ctx, degree))
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fglops import (
+    BooleanRing,
     ChernSeries,
     IntegerRing,
     PolynomialRing,
@@ -38,6 +39,16 @@ def test_symbolic_candidate():
     with pytest.raises(UnitViolation):
         ring = PolynomialRing(Z, ("a1", "a2"))
         ChernSeries([ring.gen("a1") * ring.gen("a2"), ring.gen("a2")], ring)
+
+
+def test_boolean_candidate_leading_coefficient():
+    ring = BooleanRing(("a1", "a2"))
+    a1, a2 = ring.gens()
+    ChernSeries([a1, a2], ring)
+    ChernSeries([ring.one, a2], ring)
+    for bad in (ring.zero, a1 * a2, a1 + 1, a1 + a2):
+        with pytest.raises(UnitViolation):
+            ChernSeries([bad, a2], ring)
 
 
 def test_value_at_single_root():

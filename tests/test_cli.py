@@ -24,11 +24,11 @@ def _univariate(terms):
     }
 
 
-def _law_file(tmp_path, terms):
+def _law_file(tmp_path, terms, trunc=20):
     obj = {
         "ring": {
             "coeff": "Z",
-            "vars": [{"name": "x", "trunc": 20}, {"name": "y", "trunc": 20}],
+            "vars": [{"name": "x", "trunc": trunc}, {"name": "y", "trunc": trunc}],
         },
         "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms],
     }
@@ -55,6 +55,74 @@ def test_fgl_check_json(capsys):
     assert main(["fgl", "check", "additive", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj == {"valid": True, "degree": 20}
+
+
+MULTIPLICATIVE = [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)]
+
+
+def _out(capsys):
+    return capsys.readouterr().out.strip()
+
+
+def test_law_file_default_degree_is_its_own(tmp_path, capsys):
+    path = _law_file(tmp_path, MULTIPLICATIVE, trunc=5)
+    assert main(["fgl", "check", path]) == 0
+    assert _out(capsys) == "valid to degree 5"
+    assert main(["fgl", "nseries", path, "3"]) == 0
+    assert _out(capsys) == "3*x + 3*x^2 + x^3"
+    # a built-in law still defaults to 20
+    assert main(["fgl", "check", "additive"]) == 0
+    assert _out(capsys) == "valid to degree 20"
+
+
+def test_law_file_truncated_to_requested_degree(tmp_path, capsys):
+    path = _law_file(tmp_path, MULTIPLICATIVE, trunc=5)
+    assert main(["fgl", "check", path, "--degree", "3"]) == 0
+    assert _out(capsys) == "valid to degree 3"
+    assert main(["fgl", "check", path, "--degree", "5", "--json"]) == 0
+    assert json.loads(_out(capsys)) == {"valid": True, "degree": 5}
+    assert main(["fgl", "nseries", path, "3", "--degree", "3"]) == 0
+    assert _out(capsys) == "3*x + 3*x^2"
+    assert main(["fgl", "nseries", "multiplicative", "3", "--degree", "3"]) == 0
+    assert _out(capsys) == "3*x + 3*x^2"
+    # the axioms are checked to the requested degree: x^2*y^2 breaks
+    # associativity at degree 5 and is truncated away at degree 2
+    bad = _law_file(tmp_path, [((1, 0), 1), ((0, 1), 1), ((2, 2), 1)], trunc=5)
+    assert main(["fgl", "check", bad]) == 1
+    assert _out(capsys).startswith("associativity fails at ")
+    assert main(["fgl", "check", bad, "--degree", "2"]) == 0
+    assert _out(capsys) == "valid to degree 2"
+
+
+def test_law_file_degree_above_its_truncation(tmp_path, capsys):
+    path = _law_file(tmp_path, MULTIPLICATIVE, trunc=5)
+    for argv in (["fgl", "check", path, "--degree", "8"],
+                 ["fgl", "check", path, "--degree", "6", "--json"],
+                 ["fgl", "nseries", path, "3", "--degree", "12"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        degree = argv[argv.index("--degree") + 1]
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"degree {degree} exceeds" in captured.err
+        assert "truncation degree 5" in captured.err
+
+
+def test_powerop_law_file_truncation(tmp_path, capsys):
+    series = _series_file(tmp_path, "f.json", _univariate([(0, 1), (1, 3), (2, 1)]))
+    law = _law_file(tmp_path, MULTIPLICATIVE, trunc=5)
+    for truncs in ([], ["--t-trunc", "4", "--z-trunc", "5"]):
+        assert main(["powerop", series, "--fgl", "multiplicative", *truncs]) == 0
+        want = _out(capsys)
+        assert main(["powerop", series, "--fgl", law, *truncs]) == 0
+        assert _out(capsys) == want
+    # the context reads the law below max(t-trunc, z-trunc)
+    for truncs in (["--t-trunc", "6"], ["--z-trunc", "7"]):
+        assert main(["powerop", series, "--fgl", law, *truncs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: degree ")
+        assert "truncation degree 5" in captured.err
 
 
 def test_nseries(capsys):

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglops import (
+    BooleanRing,
     Coefficient,
     IntegerModRing,
     IntegerRing,
     NotAUnit,
     PolynomialRing,
     RingMismatch,
+    multilinear_mod2,
     parse_coefficient,
 )
 
@@ -16,11 +18,15 @@ F2 = IntegerModRing(2)
 Z6 = IntegerModRing(6)
 P2 = PolynomialRing(F2, ("a1", "a2", "a3"))
 PZ = PolynomialRing(Z, ("a", "b"))
+B3 = BooleanRing(("a1", "a2", "a3"))
 
-RINGS = [Z, F2, Z6, P2, PZ]
+RINGS = [Z, F2, Z6, P2, PZ, B3]
 
 
 def coefficients(ring):
+    if isinstance(ring, BooleanRing):
+        masks = st.lists(st.integers(0, 2 ** len(ring.names) - 1), max_size=5)
+        return masks.map(lambda ms: Coefficient(ring, ms))
     if isinstance(ring, PolynomialRing):
         exps = st.tuples(*([st.integers(0, 3)] * ring.nvars))
         term = st.tuples(exps, st.integers(-9, 9))
@@ -160,3 +166,69 @@ def test_descriptor_invariants():
         PolynomialRing(Z, ("a", "a"))
     with pytest.raises(ValueError):
         PolynomialRing(PZ, ("c",))
+
+
+def test_boolean_examples():
+    a1, a2, a3 = B3.gens()
+    assert a1 * a1 == a1
+    assert a1 + a1 == B3.zero
+    assert (a1 + a2) * (a1 + a2) == a1 + a2
+    assert (a1 + 1) * a1 == B3.zero
+    assert -a3 == a3
+    assert B3.coefficient(3) == B3.one and B3.coefficient(-2) == B3.zero
+    assert Coefficient(B3, [1, 1, 2]) == a2
+    assert B3.image(Z.coefficient(-3)) == B3.one
+    assert B3.image(IntegerModRing(4).coefficient(2)) == B3.zero
+    assert str(a1 * a2 + a3 + a1) == "a1*a2+a3+a1"
+    assert str(B3.zero) == "0" and str(B3.one) == "1"
+    same = BooleanRing(["a1", "a2", "a3"])
+    assert same == B3 and hash(same) == hash(B3) and same != BooleanRing(("a1", "a2"))
+    with pytest.raises(AttributeError):
+        B3.names = ("b",)
+
+
+def test_boolean_units_and_torsion():
+    a1, a2, _ = B3.gens()
+    assert B3.one.is_unit() and B3.one.invert() == B3.one
+    for x in (B3.zero, a1, a1 + 1, a1 * a2 + 1):
+        assert not x.is_unit()
+        with pytest.raises(NotAUnit):
+            x.invert()
+    assert B3.zero.is_nilpotent() and not a1.is_nilpotent()
+    x = a1 * a2 + 1
+    assert x.reduce_mod(2) == x and x.reduce_mod(4) == x
+    assert x.reduce_mod(3) == B3.zero
+
+
+def test_boolean_rejects_bad_input():
+    with pytest.raises(ValueError):
+        Coefficient(B3, [8])
+    with pytest.raises(ValueError):
+        Coefficient(B3, [-1])
+    with pytest.raises(ValueError):
+        BooleanRing(("a", "a"))
+    with pytest.raises(ValueError):
+        BooleanRing(())
+    with pytest.raises(RingMismatch):
+        B3.image(IntegerModRing(3).one)
+    with pytest.raises(RingMismatch):
+        B3.image(PolynomialRing(Z, ("a1", "a2")).gen("a1"))
+    with pytest.raises(RingMismatch):
+        B3.polynomial(P2.gen("a1"))
+
+
+PZ3 = PolynomialRing(Z, B3.names)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_boolean_image_is_a_homomorphism(data):
+    # Z[a] -> F2[a]/(a_i^2 + a_i), read back as a polynomial, is multilinear_mod2
+    x, y = (data.draw(coefficients(PZ3)) for _ in range(2))
+    image = B3.image
+    assert image(x + y) == image(x) + image(y)
+    assert image(x * y) == image(x) * image(y)
+    assert image(-x) == -image(x)
+    assert B3.polynomial(image(x)) == multilinear_mod2(x)
+    assert B3.polynomial(image(x * y)) == multilinear_mod2(x * y)
+    assert B3.polynomial(image(x)).ring == B3.polynomial_ring == PolynomialRing(F2, B3.names)

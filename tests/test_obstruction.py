@@ -9,6 +9,7 @@ from fglops import (
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
+    PowerOpContext,
     RingMismatch,
     builtin_law,
     delta,
@@ -16,6 +17,7 @@ from fglops import (
     extract_relations,
     multilinear_mod2,
     standard_context,
+    standard_ring,
     symbolic_twin,
 )
 from conftest import to_plain
@@ -91,6 +93,18 @@ def test_delta_oracle_grid_large_truncations(t_max, law):
     _check_delta_grid(t_max, law, range(6, 10), (4, 8, t_max - 1), repeats=1)
 
 
+@pytest.mark.parametrize("law", ["additive", "multiplicative"])
+@pytest.mark.parametrize("t_max", range(3, 10))
+def test_delta_oracle_grid_high_z(t_max, law):
+    _check_delta_grid(t_max, law, z_maxes=range(6, 10))
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative"])
+@pytest.mark.parametrize("t_max", range(10, 18))
+def test_delta_oracle_grid_long_t(t_max, law):
+    _check_delta_grid(t_max, law, range(1, 6), (4, 8, t_max - 1))
+
+
 def test_coefficient_read_off(default_context):
     d = delta(ChernSeries([1, 0, 0]), default_context)
     assert d.coefficient_of((1, 2)) == Z.one
@@ -134,6 +148,51 @@ def test_relations_predict_numeric_failures(default_context):
                 actual = d.terms.get(exps)
                 actual_val = actual.value % 2 if actual is not None else 0
                 assert actual_val == expected, (exps, values)
+
+
+def _relations_by_reduction(r, ctx):
+    """The integer pipeline: the defect over Z[a1..aD], multilinear_mod2 at the end."""
+    out = []
+    for exps, coef in delta(r, ctx).items():
+        reduced = multilinear_mod2(coef)
+        if exps[1] and reduced:
+            out.append((exps, reduced))
+    out.sort(key=lambda item: (item[0][1], item[0][0]))
+    return out
+
+
+@pytest.mark.parametrize("law, tau", [
+    ("additive", 2), ("multiplicative", 1), ("multiplicative", 2), ("multiplicative", 3),
+])
+def test_boolean_relations_match_integer_reduction(law, tau):
+    # extract_relations computes over F2[a]/(a_i^2 + a_i) from the start; it must
+    # give the rows, polynomials and order of the reduction at the end
+    rng = random.Random(f"{law}-{tau}")
+    points = [(rng.randint(2, 12), rng.randint(1, 7), rng.randint(1, 10)) for _ in range(8)]
+    points += [(5, 3, 9), (4, 2, 7), (33, 17, 32)]  # D > t, then the largest point
+    for t_max, z_max, degree in points:
+        ctx = standard_context(Z, t_max, z_max, law=builtin_law(law, Z), tau=tau)
+        sym, sym_ctx = symbolic_twin(ctx, degree)
+        relations = extract_relations(sym, sym_ctx)
+        assert relations == _relations_by_reduction(sym, sym_ctx), (t_max, z_max, degree)
+        assert all(poly.ring == PolynomialRing(F2, sym.coeff_ring.names) for _, poly in relations)
+        if (t_max, z_max, degree) == (33, 17, 32):
+            assert len(relations) > 400
+
+
+def test_extract_relations_checks_its_context(default_context):
+    sym, _ = symbolic_twin(default_context, 3)
+    with pytest.raises(RingMismatch):
+        extract_relations(sym, default_context)
+    # mod 2 is a homomorphism from Z/4 but not from Z/3
+    for torsion, ok in ((4, True), (None, True), (3, False)):
+        ring = standard_ring(Z, 5, 3, z_torsion=torsion)
+        sym, sym_ctx = symbolic_twin(PowerOpContext(ring, builtin_law("additive", Z), 2), 3)
+        if ok:
+            assert extract_relations(sym, sym_ctx) == _relations_by_reduction(sym, sym_ctx)
+        else:
+            with pytest.raises(ValueError, match="even torsion"):
+                extract_relations(sym, sym_ctx)
 
 
 def test_multilinear_mod2():
@@ -213,6 +272,19 @@ def test_search_witness_is_first_zero_defect():
     assert report.witness == _brute_force_search(ctx.reach + 3, ctx)[0]
     assert report.witness[1:ctx.reach] != (0,) * (ctx.reach - 1)
     assert report.witness[ctx.reach:] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_search_refuses_tau_other_than_2(tau):
+    # with tau != 2 the z^0 part of the defect is (2 - tau)*t + ...: it reads
+    # the a_i beyond mod 2, so {0, 1} candidates no longer cover the integers
+    ctx = standard_context(Z, law=builtin_law("multiplicative", Z), tau=tau)
+    for tail in itertools.product((0, 1), repeat=2):
+        d = delta(ChernSeries([1, *tail]), ctx)
+        assert d.coefficient_of((1, 0)) == 2 - tau
+        assert min(d.terms, key=lambda e: (e[1], e[0])) == (1, 0)
+    with pytest.raises(ValueError, match="tau = 2"):
+        exhaustive_search(3, ctx)
 
 
 def test_search_bad_degree(default_context):
