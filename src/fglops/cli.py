@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .chern import ChernSeries, computation_one
@@ -195,9 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     powerop.set_defaults(func=cmd_powerop)
 
     chern = sub.add_parser("chern", help="evaluate r(t+z)r(t)/r(z) for a candidate r")
-    chern.add_argument(
-        "--coeffs", help="comma-separated integers a1,a2,...; write a negative a1 as --coeffs=-1,0"
-    )
+    chern.add_argument("--coeffs", help="comma-separated integers a1,a2,...")
     chern.add_argument("--symbolic", type=int, help="generic candidate of this degree")
     chern.add_argument("--t-trunc", type=int, default=5)
     chern.add_argument("--z-trunc", type=int, default=3)
@@ -216,8 +215,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_coeffs(argv: list) -> list:
+    """Write ``--coeffs -1,0`` (or an abbreviation such as ``--co -1,0``) with ``=``.
+
+    The option parser takes a token that starts with ``-`` for an option
+    unless it is a single negative number, so a list with a negative a1
+    would never reach ``--coeffs``.
+    """
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--coeffs".startswith(flag) and re.match(r"-\d", token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_coeffs(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,15 +21,17 @@ computes the whole defect in the Boolean ring B_D from the start and never
 forms the growing integer polynomials; :func:`multilinear_mod2` is the
 reduction at the end that it replaces, kept as a public reference.
 
-Search.  With tau = 2 the z^0 part of every defect is zero, so the verdict
-depends only on the a_i mod 2.  The exhaustive search evaluates the defect
-at every integer candidate with a1 = 1 and remaining coefficients in
-{0, 1}, which then covers all integer candidates, and certifies the verdict
-with one failing monomial per candidate; it refuses other values of tau.
-Every candidate gets its verdict, but the defect is computed only once per
-prefix a1..a_reach, where the reach is the largest i at which a power t^i,
-z^i or F(t, z)^i is nonzero: a_i multiplies only those i-th powers, so the
-coefficients past the reach cannot change the defect.
+Search.  With tau = 2 the z^0 part of every defect is zero, and with z
+torsion 2 every z-positive coefficient is its image mod 2, so the verdict
+depends only on the a_i mod 2.  The exhaustive search gives a verdict on
+every integer candidate with a1 = 1 and remaining coefficients in {0, 1},
+which then covers all integer candidates, and certifies it with one failing
+monomial per candidate; it refuses other values of tau and of the z
+torsion.  A candidate's z-positive coefficients are the Boolean relations
+evaluated at it, so its failing monomial is the first relation, in (z, t)
+order, that evaluates to 1.  The search computes the Boolean defect once
+and evaluates its rows on candidate bitmasks; no series arithmetic is done
+per candidate.
 """
 
 from __future__ import annotations
@@ -77,16 +79,11 @@ def multilinear_mod2(coef: Coefficient) -> Coefficient:
     return Coefficient(target, acc)
 
 
-def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
-    """Relations on the a_i from z-positive coefficients of the defect.
+def _boolean_rows(r: ChernSeries, ctx: PowerOpContext):
+    """The Boolean ring B_D and the z-positive terms of the defect over it.
 
-    Requires the generic symbolic candidate over Z[a1..aD] and its context
-    (:func:`symbolic_twin`).  The defect is computed over the Boolean ring
-    F2[a1..aD]/(a_i^2 + a_i), the image of the context under reduction mod 2
-    with a_i^2 = a_i; on z-positive monomials that image is
-    :func:`multilinear_mod2` of the integer defect.  Returns (monomial
-    exponents, multilinear F2 polynomial) pairs ordered by (z-degree,
-    t-degree).
+    Rows are (monomial exponents, frozenset of monomial bitmasks) in
+    (z-degree, t-degree) order; see :func:`extract_relations`.
     """
     if not r.is_generic_symbolic:
         raise ValueError("relation extraction needs the generic symbolic candidate")
@@ -101,13 +98,31 @@ def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
         boolean.image(ctx.tau),
     )
     bool_r = ChernSeries([boolean.image(c) for c in r.coeffs], boolean)
-    out = [
-        (exps, boolean.polynomial(coef))
+    rows = [
+        (exps, coef.value)
         for exps, coef in delta(bool_r, bool_ctx).terms.items()
         if exps[1]
     ]
-    out.sort(key=lambda item: (item[0][1], item[0][0]))
-    return out
+    rows.sort(key=lambda row: (row[0][1], row[0][0]))
+    return boolean, rows
+
+
+def _polynomial_rows(boolean: BooleanRing, rows) -> list:
+    return [(exps, boolean.polynomial(boolean.wrap(masks))) for exps, masks in rows]
+
+
+def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
+    """Relations on the a_i from z-positive coefficients of the defect.
+
+    Requires the generic symbolic candidate over Z[a1..aD] and its context
+    (:func:`symbolic_twin`).  The defect is computed over the Boolean ring
+    F2[a1..aD]/(a_i^2 + a_i), the image of the context under reduction mod 2
+    with a_i^2 = a_i; on z-positive monomials that image is
+    :func:`multilinear_mod2` of the integer defect.  Returns (monomial
+    exponents, multilinear F2 polynomial) pairs ordered by (z-degree,
+    t-degree).
+    """
+    return _polynomial_rows(*_boolean_rows(r, ctx))
 
 
 def symbolic_twin(ctx: PowerOpContext, degree: int):
@@ -153,8 +168,10 @@ class ObstructionReport:
         if self.verdict == "satisfiable":
             obj["witness"] = list(self.witness)
         else:
+            monomials = {mono for _, mono in self.failures}
+            labels = {mono: _monomial_label(self.ring, mono) for mono in monomials}
             obj["failures"] = [
-                {"candidate": list(cand), "monomial": _monomial_label(self.ring, mono)}
+                {"candidate": list(cand), "monomial": labels[mono]}
                 for cand, mono in self.failures
             ]
         return obj
@@ -163,17 +180,21 @@ class ObstructionReport:
 def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     """Give a verdict on every candidate with a1 = 1, a_i in {0, 1}.
 
-    The context must have tau = 2, or ``ValueError`` is raised: only then is
-    the z^0 part of every defect zero, so that the a_i mod 2 decide the
-    verdict and {0, 1} covers every integer candidate.
+    The context must have integer coefficients, tau = 2, z torsion 2 and a
+    law with F(t, 0) = t, or ``ValueError`` is raised: only then is the z^0
+    part of every defect zero and every z-positive coefficient read mod 2,
+    so that the a_i mod 2 decide the verdict and {0, 1} covers every integer
+    candidate.
     Candidates are ordered with the last coefficient varying fastest; each
     failure records the first nonzero monomial in (z-degree, t-degree)
-    order.  The defect is computed once per prefix a1..a_reach
-    (``ctx.reach``) and shared by the candidates that extend it: a_i
-    multiplies only the i-th powers of t, z and F(t, z), which vanish past
-    the reach, and P(r(t)) reads nothing but r(t).  So candidates that agree
-    up to the reach have equal defects, and the first candidate of a prefix
-    whose defect is zero is that prefix followed by zeros.
+    order.  That monomial is the first relation that evaluates to 1 at the
+    candidate, so the defect is computed once, over the Boolean ring, and
+    its rows are evaluated on candidate bitmasks (bit i for a_(i+1)): a row
+    is 1 at c when an odd number of its monomial masks m divide c, that is
+    m & ~c == 0.  The rows read only a1..a_w, w the highest bit of any of
+    their masks (at most ``ctx.reach``), so candidates that agree up to w
+    share a verdict, and the first candidate of a prefix at which no row is
+    1 is that prefix followed by zeros.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree}")
@@ -182,25 +203,34 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         raise ValueError("the exhaustive search runs over integer coefficients")
     if ctx.tau != 2:
         raise ValueError(f"the exhaustive search needs tau = 2, got {ctx.tau}")
+    z_torsion = ring.variables[1].torsion
+    if z_torsion != 2:
+        raise ValueError(f"the exhaustive search needs z torsion 2, got {z_torsion}")
+    # F(t, 0) = t makes the z^0 part of every defect r(t)^2 - r(t)^2; a law
+    # object built without validate_law need not satisfy it
+    if {e: c for e, c in ctx.tensor_root.terms.items() if not e[1]} != ctx.t.terms:
+        raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
-    relations = extract_relations(*symbolic_twin(ctx, degree))
+    boolean, rows = _boolean_rows(*symbolic_twin(ctx, degree))
 
-    width = max(1, min(degree, ctx.reach))
+    width = max([1] + [m.bit_length() for _, masks in rows for m in masks])
     witness = None
     failures = []
     for head in itertools.product((0, 1), repeat=width - 1):
         prefix = (1, *head)
-        defect = delta(ChernSeries(list(prefix), ring.coeff_ring), ctx)
-        if not defect:
+        off = ~sum(bit << i for i, bit in enumerate(prefix))
+        first_fail = next(
+            (exps for exps, masks in rows if sum(not m & off for m in masks) % 2), None
+        )
+        if first_fail is None:
             witness = prefix + (0,) * (degree - width)
             break
-        first_fail = min(defect.terms, key=lambda e: (e[1], e[0]))
         tails = itertools.product((0, 1), repeat=degree - width)
         failures.extend(((*prefix, *tail), first_fail) for tail in tails)
 
     return ObstructionReport(
         ring=ring,
-        relations=tuple(relations),
+        relations=tuple(_polynomial_rows(boolean, rows)),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
         failures=None if witness is not None else tuple(failures),

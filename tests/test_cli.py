@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fglops import series_from_json, series_to_json
 from fglops.cli import main
@@ -223,6 +226,45 @@ def test_chern_numeric(capsys):
 def test_chern_negative_leading_coefficient(capsys):
     assert main(["chern", "--coeffs=-1,0,0"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_chern_negative_coeffs_space_form(extra):
+    # `--coeffs -1,0` starts with "-" but is the option's value, as with `=`
+    spaced = _run(["chern", "--coeffs", "-1,0", *extra])
+    joined = _run(["chern", "--coeffs=-1,0", *extra])
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1] == joined[1] and spaced[1]
+    longer = _run(["chern", "--coeffs", "-1,0,-3", *extra])
+    assert longer[:2] == _run(["chern", "--coeffs=-1,0,-3", *extra])[:2]
+    assert _run(["chern", "--co", "-1,0", *extra])[:2] == joined[:2]
+    # an option after --coeffs is still not taken for its value
+    assert _run(["chern", "--coeffs", "--json"])[:2] == (2, "")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([-1, 0, 1]), st.integers(min_value=-10**6, max_value=10**6)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_chern_coeffs_fuzz(values):
+    text = ",".join(map(str, values))
+    spaced = _run(["chern", "--coeffs", text])
+    joined = _run(["chern", f"--coeffs={text}"])
+    assert spaced[0] in (0, 1, 2)
+    assert spaced[:2] == joined[:2]
+    assert "Traceback" not in spaced[2] + joined[2]
 
 
 def test_chern_flag_validation(capsys):

@@ -6,11 +6,14 @@ import pytest
 
 from fglops import (
     ChernSeries,
+    FormalGroupLaw,
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
     PowerOpContext,
     RingMismatch,
+    SeriesRing,
+    SeriesVar,
     builtin_law,
     delta,
     exhaustive_search,
@@ -285,6 +288,62 @@ def test_search_refuses_tau_other_than_2(tau):
         assert min(d.terms, key=lambda e: (e[1], e[0])) == (1, 0)
     with pytest.raises(ValueError, match="tau = 2"):
         exhaustive_search(3, ctx)
+
+
+@pytest.mark.parametrize("torsion", [4, None])
+def test_search_refuses_z_torsion_other_than_2(torsion):
+    # at torsion 4 candidates equal mod 2 have different defects, so the
+    # mod-2 evaluation of the relations would not decide them
+    ctx = PowerOpContext(standard_ring(Z, 5, 3, z_torsion=torsion), builtin_law("additive", Z), 2)
+    if torsion == 4:
+        assert delta(ChernSeries([1, 0, 0]), ctx) != delta(ChernSeries([1, 2, 0]), ctx)
+    with pytest.raises(ValueError, match="z torsion 2"):
+        exhaustive_search(3, ctx)
+
+
+def test_search_refuses_law_without_unit():
+    # x + y + x^2 is no formal group law: F(t, 0) = t + t^2 puts t^2 into the
+    # z^0 part of the defect, which the relation rows do not see
+    law_ring = SeriesRing(Z, (SeriesVar("x", 6), SeriesVar("y", 6)))
+    x, y = law_ring.gen("x"), law_ring.gen("y")
+    ctx = standard_context(Z, law=FormalGroupLaw(Z, 6, x + y + x * x))
+    assert delta(ChernSeries([1, 0, 0]), ctx).coefficient_of((2, 0)) == 1
+    with pytest.raises(ValueError, match="F\\(t, 0\\) = t"):
+        exhaustive_search(3, ctx)
+    # at t_trunc = 1 the series t is zero, and so is F(t, 0)
+    assert exhaustive_search(3, standard_context(Z, 1, 2)).verdict == "satisfiable"
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative"])
+@pytest.mark.parametrize("t_max, z_max", [(6, 3), (7, 4), (9, 5), (6, 1)])
+def test_search_matches_brute_force_wide_grid(t_max, z_max, law):
+    # the relations read a1..a7 at (6, 3) and (7, 4), so D = 8 extends past the
+    # prefix width; z_trunc = 1 is satisfiable at every degree
+    ctx = standard_context(Z, t_max, z_max, law=builtin_law(law, Z))
+    for degree in range(1, 9):
+        report = exhaustive_search(degree, ctx)
+        witness, failures = _brute_force_search(degree, ctx)
+        assert report.witness == witness, (degree, report.witness)
+        assert report.failures == failures, degree
+        assert report.verdict == ("satisfiable" if witness else "unsatisfiable")
+    if z_max == 1:
+        assert report.witness == (1,) + (0,) * 7
+
+
+def test_search_computes_one_defect(monkeypatch):
+    import fglops.obstruction
+
+    calls = []
+    real_delta = fglops.obstruction.delta
+
+    def counting_delta(r, ctx):
+        calls.append(ctx)
+        return real_delta(r, ctx)
+
+    monkeypatch.setattr(fglops.obstruction, "delta", counting_delta)
+    report = exhaustive_search(8, standard_context(Z, 9, 5))
+    assert report.verdict == "unsatisfiable" and len(report.failures) == 2 ** 7
+    assert len(calls) == 1
 
 
 def test_search_bad_degree(default_context):
