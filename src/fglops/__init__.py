@@ -35,6 +35,7 @@ from .powerops import PowerOpContext, standard_context, standard_ring
 from .chern import ChernSeries, UnitViolation, chern_of_line_sum, computation_one
 from .obstruction import (
     ObstructionReport,
+    boolean_relations,
     delta,
     exhaustive_search,
     extract_relations,
@@ -76,6 +77,7 @@ __all__ = [
     "chern_of_line_sum",
     "computation_one",
     "ObstructionReport",
+    "boolean_relations",
     "delta",
     "exhaustive_search",
     "extract_relations",

@@ -12,8 +12,9 @@ from .chern import ChernSeries, computation_one
 from .coefficients import IntegerRing
 from .fgl import ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
+    boolean_relations,
     exhaustive_search,
-    extract_relations,
+    extract_relations,  # unused here, but bench/tracing.py wraps it by this name
     relation_table,
     symbolic_twin,
 )
@@ -140,7 +141,7 @@ def cmd_obstruct(args) -> int:
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
     if args.symbolic:
         candidate, sym_ctx = symbolic_twin(ctx, args.degree)
-        obj = relation_table(ctx.ring, extract_relations(candidate, sym_ctx))
+        obj = relation_table(ctx.ring, boolean_relations(candidate, sym_ctx))
     else:
         obj = exhaustive_search(args.degree, ctx).to_json()
     if args.json:

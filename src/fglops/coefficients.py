@@ -460,14 +460,23 @@ class BooleanRing(Ring):
     run here from the start instead of being reduced at the end.
     :attr:`polynomial_ring` is PolynomialRing(Z/2, names), where
     :meth:`polynomial` lands.
+
+    Values print straight from their masks, in the order and text of
+    :attr:`polynomial_ring`: popcount descending, then set-bit indices
+    descending.  The ring keeps each formatted mask's sort key, text and
+    exponent vector, so a table of values over one ring works each distinct
+    mask out once; that memo changes no value.
     """
 
     # immutable like the dataclass rings, but a plain class: building a
     # dataclass costs about 0.4 ms at import, which every CLI start would pay
+    __slots__ = ("names", "polynomial_ring", "_masks")
+
     def __init__(self, names):
         polynomial_ring = PolynomialRing(IntegerModRing(2), names)  # checks the names
         object.__setattr__(self, "names", polynomial_ring.names)
         object.__setattr__(self, "polynomial_ring", polynomial_ring)
+        object.__setattr__(self, "_masks", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -518,14 +527,26 @@ class BooleanRing(Ring):
         """The same multilinear polynomial as a value of :attr:`polynomial_ring`."""
         if coef.ring != self:
             raise RingMismatch(f"coefficient in {coef.ring} is not in {self}")
-        # the exponent of names[i] is bit i: the binary digits of the mask, reversed
-        digits = f"0{len(self.names)}b"
-        terms = [
-            (tuple(format(m, digits).encode().translate(_BINARY_DIGITS)[::-1]), 1)
-            for m in coef.value
-        ]
-        terms.sort(key=_poly_term_key)
-        return self.polynomial_ring.wrap(tuple(terms))
+        return self.polynomial_ring.wrap(tuple((exps, 1) for _, _, exps in self._entries(coef.value)))
+
+    def _entries(self, value) -> list:
+        """(sort key, text, exponent vector) of each mask of a value, in print order."""
+        known = self._masks
+        return sorted(known.get(m) or self._new_entry(m) for m in value)
+
+    def _new_entry(self, m: int) -> tuple:
+        # the exponent of names[i] is bit i: the binary digits of the mask, reversed;
+        # ascending strings of equal length are ascending exponent vectors
+        bits = format(m, f"0{len(self.names)}b")[::-1]
+        factors = []
+        rest = m
+        while rest:
+            low = rest & -rest
+            factors.append(self.names[low.bit_length() - 1])
+            rest ^= low
+        exps = tuple(bits.encode().translate(_BINARY_DIGITS))
+        entry = self._masks[m] = ((-m.bit_count(), bits), "*".join(factors) or "1", exps)
+        return entry
 
     def normalize(self, value):
         if isinstance(value, int):
@@ -578,7 +599,9 @@ class BooleanRing(Ring):
         return a if m % 2 == 0 else frozenset()
 
     def format_value(self, a) -> str:
-        return str(self.polynomial(self.wrap(a)))
+        if not a:
+            return "0"
+        return "+".join(text for _, text, _ in self._entries(a))
 
     def parse_value(self, text: str):
         return self.image(self.polynomial_ring.wrap(self.polynomial_ring.parse_value(text))).value

@@ -16,10 +16,13 @@ Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
     Z[a][[t, z]]/(2z, z^k, t^m) -> B_D[[t, z]]/(z^k, t^m),
     B_D = F2[a1..aD]/(a_i^2 + a_i),
 
-and it commutes with the power operation, so :func:`extract_relations`
+and it commutes with the power operation, so :func:`boolean_relations`
 computes the whole defect in the Boolean ring B_D from the start and never
 forms the growing integer polynomials; :func:`multilinear_mod2` is the
-reduction at the end that it replaces, kept as a public reference.
+reduction at the end that it replaces, kept as a public reference.  The
+relations stay B_D values, which print as their F2[a1..aD] polynomials;
+:func:`extract_relations` is the same table with each coefficient
+converted to PolynomialRing(Z/2, names).
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
 torsion 2 every z-positive coefficient is its image mod 2, so the verdict
@@ -79,11 +82,16 @@ def multilinear_mod2(coef: Coefficient) -> Coefficient:
     return Coefficient(target, acc)
 
 
-def _boolean_rows(r: ChernSeries, ctx: PowerOpContext):
-    """The Boolean ring B_D and the z-positive terms of the defect over it.
+def boolean_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
+    """Relations on the a_i as values of the Boolean ring F2[a1..aD]/(a_i^2 + a_i).
 
-    Rows are (monomial exponents, frozenset of monomial bitmasks) in
-    (z-degree, t-degree) order; see :func:`extract_relations`.
+    Requires the generic symbolic candidate over Z[a1..aD] and its context
+    (:func:`symbolic_twin`).  The law, tau and the candidate are mapped into
+    B_D (:meth:`BooleanRing.image`) and the unchanged :func:`delta` runs
+    there.  Returns (monomial exponents, B_D coefficient) pairs for the
+    nonzero z-positive coefficients, ordered by (z-degree, t-degree); all
+    coefficients share one fresh ring, so printing the table formats each
+    distinct monomial mask once.
     """
     if not r.is_generic_symbolic:
         raise ValueError("relation extraction needs the generic symbolic candidate")
@@ -98,31 +106,20 @@ def _boolean_rows(r: ChernSeries, ctx: PowerOpContext):
         boolean.image(ctx.tau),
     )
     bool_r = ChernSeries([boolean.image(c) for c in r.coeffs], boolean)
-    rows = [
-        (exps, coef.value)
-        for exps, coef in delta(bool_r, bool_ctx).terms.items()
-        if exps[1]
-    ]
+    rows = [(exps, coef) for exps, coef in delta(bool_r, bool_ctx).terms.items() if exps[1]]
     rows.sort(key=lambda row: (row[0][1], row[0][0]))
-    return boolean, rows
-
-
-def _polynomial_rows(boolean: BooleanRing, rows) -> list:
-    return [(exps, boolean.polynomial(boolean.wrap(masks))) for exps, masks in rows]
+    return rows
 
 
 def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
     """Relations on the a_i from z-positive coefficients of the defect.
 
-    Requires the generic symbolic candidate over Z[a1..aD] and its context
-    (:func:`symbolic_twin`).  The defect is computed over the Boolean ring
-    F2[a1..aD]/(a_i^2 + a_i), the image of the context under reduction mod 2
-    with a_i^2 = a_i; on z-positive monomials that image is
-    :func:`multilinear_mod2` of the integer defect.  Returns (monomial
-    exponents, multilinear F2 polynomial) pairs ordered by (z-degree,
-    t-degree).
+    The polynomial view of :func:`boolean_relations`: on z-positive
+    monomials the Boolean defect is :func:`multilinear_mod2` of the integer
+    defect.  Returns (monomial exponents, multilinear F2 polynomial) pairs
+    ordered by (z-degree, t-degree), in PolynomialRing(Z/2, names).
     """
-    return _polynomial_rows(*_boolean_rows(r, ctx))
+    return [(exps, coef.ring.polynomial(coef)) for exps, coef in boolean_relations(r, ctx)]
 
 
 def symbolic_twin(ctx: PowerOpContext, degree: int):
@@ -142,7 +139,11 @@ def _monomial_label(ring: SeriesRing, exps) -> str:
 
 
 def relation_table(ring: SeriesRing, relations) -> dict:
-    """JSON form of a relation table: the truncation and one row per relation."""
+    """JSON form of a relation table: the truncation and one row per relation.
+
+    ``relations`` are (exponents, coefficient) pairs from
+    :func:`boolean_relations` or :func:`extract_relations`; both print alike.
+    """
     t_var, z_var = ring.variables
     return {
         "truncation": {"z": z_var.trunc, "t": t_var.trunc},
@@ -211,7 +212,8 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     if {e: c for e, c in ctx.tensor_root.terms.items() if not e[1]} != ctx.t.terms:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
-    boolean, rows = _boolean_rows(*symbolic_twin(ctx, degree))
+    relations = boolean_relations(*symbolic_twin(ctx, degree))
+    rows = [(exps, coef.value) for exps, coef in relations]
 
     width = max([1] + [m.bit_length() for _, masks in rows for m in masks])
     witness = None
@@ -230,7 +232,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     return ObstructionReport(
         ring=ring,
-        relations=tuple(_polynomial_rows(boolean, rows)),
+        relations=tuple((exps, coef.ring.polynomial(coef)) for exps, coef in relations),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
         failures=None if witness is not None else tuple(failures),

@@ -8,8 +8,17 @@ a positive v-exponent is kept only modulo m.  With several torsion variables
 in one monomial, the applicable modulus is the gcd of their orders.
 
 Elements are sparse term maps in canonical normal form; equality is
-structural.  All values are immutable and all operations are pure, so series
-can be shared freely across workers.  The one piece of memory a series keeps
+structural.  A term's monomial is stored as one packed int key: the ring
+gives each variable a bit field wide enough that 2^(w-1) >= its truncation
+degree, so the key of a product monomial is the sum of the two keys, and
+adding a fixed bias sets a field's top bit exactly when that exponent
+reaches its truncation.  A product then costs one int add and one AND per
+term pair; exponent tuples appear only at the boundary (the constructor,
+:attr:`Series.terms`, :meth:`Series.items`, :meth:`Series.coefficient_of`,
+:meth:`Series.substitute` and printing).
+
+All values are immutable and all operations are pure, so series can be
+shared freely across workers.  The one piece of memory a series keeps
 is the table of its powers 1, x, x^2, ... that :meth:`Series.power_sum` and
 :meth:`Series.substitute` have computed so far; it is extended by swapping in a longer tuple, never by
 changing one in place, so concurrent readers always see correct powers.
@@ -20,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -38,6 +48,10 @@ class NonConvergent(ValueError):
     """A substitution image has a constant term that is not nilpotent."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SeriesVar:
     """One series variable: name, truncation degree, optional torsion order."""
@@ -47,13 +61,11 @@ class SeriesVar:
     torsion: Optional[int] = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("variable names must be non-empty")
-        if not isinstance(self.trunc, int) or self.trunc < 1:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"variable names must be non-empty strings, got {self.name!r}")
+        if not _is_int(self.trunc) or self.trunc < 1:
             raise ValueError(f"truncation degree must be a positive integer, got {self.trunc}")
-        if self.torsion is not None and (
-            not isinstance(self.torsion, int) or self.torsion < 1
-        ):
+        if self.torsion is not None and (not _is_int(self.torsion) or self.torsion < 1):
             raise ValueError(f"torsion order must be a positive integer, got {self.torsion}")
 
 
@@ -94,6 +106,11 @@ class SeriesRing:
                 return i
         raise ValueError(f"no variable named {name!r} in {self}")
 
+    @cached_property
+    def layout(self) -> "KeyLayout":
+        """The packing of this ring's exponent vectors into int keys."""
+        return KeyLayout(tuple(v.trunc for v in self.variables))
+
     def from_terms(self, terms) -> "Series":
         return Series(self, terms)
 
@@ -103,7 +120,7 @@ class SeriesRing:
 
     @property
     def one(self) -> "Series":
-        return Series._from_raw(self, {(0,) * self.nvars: self.coeff_ring.from_int(1)})
+        return Series._from_raw(self, {0: self.coeff_ring.from_int(1)})
 
     def constant(self, value) -> "Series":
         return Series(self, {(0,) * self.nvars: value})
@@ -113,20 +130,55 @@ class SeriesRing:
         return Series(self, {exps: 1})
 
 
+class KeyLayout:
+    """Bit fields that pack exponent vectors below their truncations into ints.
+
+    Variable i owns the field ``masks[i]`` of w bits at ``offsets[i]``, with
+    2^(w-1) >= trunc.  For in-range vectors, pack(e1) + pack(e2) is
+    pack(e1 + e2) (each exponent sum is below 2^w, so no field carries), and
+    ``(pack(e1) + pack(e2) + bias) & overflow`` is nonzero exactly when some
+    exponent of e1 + e2 reaches its truncation: ``bias`` adds
+    2^(w-1) - trunc to each field and ``overflow`` holds each field's top bit.
+    """
+
+    __slots__ = ("offsets", "masks", "bias", "overflow")
+
+    def __init__(self, truncs):
+        offsets, masks = [], []
+        bias = overflow = offset = 0
+        for trunc in truncs:
+            width = (trunc - 1).bit_length() + 1
+            offsets.append(offset)
+            masks.append(((1 << width) - 1) << offset)
+            bias += ((1 << (width - 1)) - trunc) << offset
+            overflow |= 1 << (offset + width - 1)
+            offset += width
+        self.offsets, self.masks = tuple(offsets), tuple(masks)
+        self.bias, self.overflow = bias, overflow
+
+    def pack(self, exps) -> int:
+        """The key of an exponent vector with every exponent below its truncation."""
+        return sum(e << off for e, off in zip(exps, self.offsets))
+
+    def unpack(self, key: int) -> tuple:
+        return tuple((key & mask) >> off for mask, off in zip(self.masks, self.offsets))
+
+
 def _reduced(ring: SeriesRing, acc: dict) -> dict:
     """Raw terms with each monomial's torsion modulus applied and zeros dropped."""
     cr = ring.coeff_ring
-    torsion = [(i, v.torsion) for i, v in enumerate(ring.variables) if v.torsion is not None]
+    masks = ring.layout.masks
+    torsion = [(masks[i], v.torsion) for i, v in enumerate(ring.variables) if v.torsion is not None]
     out: dict = {}
-    for exps, coef in acc.items():
+    for key, coef in acc.items():
         modulus = 0
-        for i, order in torsion:
-            if exps[i]:
+        for mask, order in torsion:
+            if key & mask:
                 modulus = math.gcd(modulus, order)
         if modulus:
             coef = cr.reduce_mod(coef, modulus)
         if not cr.is_zero(coef):
-            out[exps] = coef
+            out[key] = coef
     return out
 
 
@@ -141,7 +193,7 @@ def _raw_value(cr: Ring, coef):
 
 def _is_scalar(value) -> bool:
     """An int (not a bool) or a Coefficient: what series arithmetic accepts besides series."""
-    return isinstance(value, Coefficient) or (isinstance(value, int) and not isinstance(value, bool))
+    return isinstance(value, Coefficient) or _is_int(value)
 
 
 def _term_order(exps) -> tuple:
@@ -151,8 +203,9 @@ def _term_order(exps) -> tuple:
 class Series:
     """A canonical sparse element of a :class:`SeriesRing`.
 
-    Terms map exponents to raw coefficient-ring values.  The constructor
-    checks its input; arithmetic builds its results with :meth:`_from_raw`.
+    Terms map packed monomial keys (:attr:`SeriesRing.layout`) to raw
+    coefficient-ring values.  The constructor checks its input and packs
+    it; arithmetic builds its results with :meth:`_from_raw`.
     """
 
     __slots__ = ("ring", "_terms", "_powers")
@@ -163,6 +216,7 @@ class Series:
         else:
             items = list(terms)
         cr = ring.coeff_ring
+        pack = ring.layout.pack
         acc: dict = {}
         for exps, coef in items:
             exps = tuple(exps)
@@ -171,19 +225,20 @@ class Series:
                     f"exponent vector {exps} does not match variables {ring.names()}"
                 )
             for e in exps:
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                if not _is_int(e) or e < 0:
                     raise ValueError(f"exponents must be non-negative integers, got {exps}")
             coef = _raw_value(cr, coef)
             if any(e >= v.trunc for e, v in zip(exps, ring.variables)):
                 continue
-            acc[exps] = cr.add(acc[exps], coef) if exps in acc else coef
+            key = pack(exps)
+            acc[key] = cr.add(acc[key], coef) if key in acc else coef
         self.ring = ring
         self._terms = _reduced(ring, acc)
         self._powers = None
 
     @classmethod
     def _from_raw(cls, ring: SeriesRing, acc: dict) -> "Series":
-        """Series from raw in-range terms; only torsion and zeros are applied."""
+        """Series from raw terms keyed in range; only torsion and zeros are applied."""
         obj = cls.__new__(cls)
         obj.ring = ring
         obj._terms = _reduced(ring, acc)
@@ -193,13 +248,14 @@ class Series:
     @property
     def terms(self) -> Mapping:
         """Read-only map of the canonical terms (exponents -> Coefficient)."""
-        wrap = self.ring.coeff_ring.wrap
-        return MappingProxyType({e: wrap(c) for e, c in self._terms.items()})
+        wrap, unpack = self.ring.coeff_ring.wrap, self.ring.layout.unpack
+        return MappingProxyType({unpack(k): wrap(c) for k, c in self._terms.items()})
 
     def items(self) -> list:
         """Canonically ordered (exponents, coefficient) pairs."""
-        wrap = self.ring.coeff_ring.wrap
-        return [(e, wrap(self._terms[e])) for e in sorted(self._terms, key=_term_order)]
+        wrap, unpack = self.ring.coeff_ring.wrap, self.ring.layout.unpack
+        pairs = [(unpack(k), wrap(c)) for k, c in self._terms.items()]
+        return sorted(pairs, key=lambda pair: _term_order(pair[0]))
 
     def coefficient_of(self, exps) -> Coefficient:
         exps = tuple(exps)
@@ -210,10 +266,12 @@ class Series:
         if any(e < 0 or e >= v.trunc for e, v in zip(exps, self.ring.variables)):
             raise ValueError(f"monomial {exps} is outside the truncation bounds")
         cr = self.ring.coeff_ring
-        return cr.wrap(self._terms[exps]) if exps in self._terms else cr.zero
+        key = self.ring.layout.pack(exps)
+        return cr.wrap(self._terms[key]) if key in self._terms else cr.zero
 
     def constant_term(self) -> Coefficient:
-        return self.coefficient_of((0,) * self.ring.nvars)
+        cr = self.ring.coeff_ring
+        return cr.wrap(self._terms[0]) if 0 in self._terms else cr.zero
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -230,18 +288,18 @@ class Series:
             return NotImplemented
         add = self.ring.coeff_ring.add
         acc = dict(self._terms)
-        for exps, coef in other._terms.items():
-            if exps in acc:
-                acc[exps] = add(acc[exps], coef)
+        for key, coef in other._terms.items():
+            if key in acc:
+                acc[key] = add(acc[key], coef)
             else:
-                acc[exps] = coef
+                acc[key] = coef
         return Series._from_raw(self.ring, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.ring.coeff_ring.neg
-        return Series._from_raw(self.ring, {e: neg(c) for e, c in self._terms.items()})
+        return Series._from_raw(self.ring, {k: neg(c) for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -260,18 +318,20 @@ class Series:
         if other is None:
             return NotImplemented
         add, mul = self.ring.coeff_ring.add, self.ring.coeff_ring.mul
-        bounds = tuple(v.trunc for v in self.ring.variables)
+        layout = self.ring.layout
+        bias, overflow = layout.bias, layout.overflow
         acc: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if any(e >= t for e, t in zip(exps, bounds)):
+        for k1, c1 in self._terms.items():
+            biased = k1 + bias
+            for k2, c2 in other._terms.items():
+                if (biased + k2) & overflow:
                     continue
+                key = k1 + k2
                 v = mul(c1, c2)
-                if exps in acc:
-                    acc[exps] = add(acc[exps], v)
+                if key in acc:
+                    acc[key] = add(acc[key], v)
                 else:
-                    acc[exps] = v
+                    acc[key] = v
         return Series._from_raw(self.ring, acc)
 
     __rmul__ = __mul__
@@ -322,15 +382,16 @@ class Series:
                 img = target.gen(v.name)
             images.append(img)
         add, mul = target.coeff_ring.add, target.coeff_ring.mul
+        unpack = self.ring.layout.unpack
         acc: dict = {}
-        for exps, coef in self._terms.items():
+        for key, coef in self._terms.items():
             term = target.one
-            for i, e in enumerate(exps):
+            for i, e in enumerate(unpack(key)):
                 if e:
                     term = term * images[i]._power(e)
-            for e, c in term._terms.items():
+            for k, c in term._terms.items():
                 v = mul(coef, c)
-                acc[e] = add(acc[e], v) if e in acc else v
+                acc[k] = add(acc[k], v) if k in acc else v
         return Series._from_raw(target, acc)
 
     def power_sum(self, coeffs) -> "Series":
@@ -353,9 +414,9 @@ class Series:
             raw = _raw_value(cr, c)
             if cr.is_zero(raw):
                 continue
-            for exps, coef in power._terms.items():
+            for key, coef in power._terms.items():
                 v = mul(coef, raw)
-                acc[exps] = add(acc[exps], v) if exps in acc else v
+                acc[key] = add(acc[key], v) if key in acc else v
         return Series._from_raw(self.ring, acc)
 
     def _power(self, i: int) -> "Series":
@@ -396,8 +457,9 @@ class Series:
         if base is None:
             raise ValueError("specialize needs polynomial coefficients")
         target = SeriesRing(base, self.ring.variables)
+        # the same variables, so the same key layout
         return Series._from_raw(
-            target, {e: pr.evaluate(c, assignment) for e, c in self._terms.items()}
+            target, {k: pr.evaluate(c, assignment) for k, c in self._terms.items()}
         )
 
     def in_ring(self, target: SeriesRing) -> "Series":
@@ -494,6 +556,8 @@ def series_from_json(obj) -> Series:
     terms = []
     try:
         for entry in obj["terms"]:
+            if not isinstance(entry["coef"], str):
+                raise ValueError(f"coefficients are strings, got {entry['coef']!r}")
             coef = parse_coefficient(ring.coeff_ring, entry["coef"])
             terms.append((tuple(entry["exp"]), coef))
     except (KeyError, TypeError) as exc:

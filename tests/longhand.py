@@ -151,3 +151,21 @@ def naive_convolution(f, g, specs):
             key = tuple(x + y for x, y in zip(e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return naive_normalize(out, specs)
+
+
+def naive_substitute(f, images, specs):
+    """f(images) for plain dicts: the sum of c * prod images[i]^e_i over f's terms.
+
+    Powers are repeated :func:`naive_convolution` products; every image
+    lives in the ring described by ``specs``.
+    """
+    one = naive_normalize({(0,) * len(specs): 1}, specs)
+    out = {}
+    for exps, c in f.items():
+        term = one
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = naive_convolution(term, image, specs)
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + c * v
+    return naive_normalize(out, specs)

@@ -232,3 +232,36 @@ def test_boolean_image_is_a_homomorphism(data):
     assert B3.polynomial(image(x)) == multilinear_mod2(x)
     assert B3.polynomial(image(x * y)) == multilinear_mod2(x * y)
     assert B3.polynomial(image(x)).ring == B3.polynomial_ring == PolynomialRing(F2, B3.names)
+
+
+@st.composite
+def _boolean_values(draw):
+    """A Boolean ring of up to 70 indeterminates and one value, masks past 64 bits included."""
+    n = draw(st.integers(1, 70))
+    full = (1 << n) - 1
+    mask = st.one_of(
+        st.integers(0, full),
+        st.sampled_from([0, 1 << (n - 1), full]),
+        # high popcount: all indeterminates but a few
+        st.lists(st.integers(0, n - 1), max_size=3).map(
+            lambda bits: full & ~sum(1 << b for b in set(bits))
+        ),
+    )
+    ring = BooleanRing(tuple(f"a{i}" for i in range(1, n + 1)))
+    return ring, Coefficient(ring, draw(st.lists(mask, max_size=8)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_boolean_values())
+def test_boolean_text_matches_polynomial_text(ring_and_value):
+    # the masks print in PolynomialRing(Z/2) order without building exponent
+    # vectors; the expected polynomial is built and ordered by that ring alone
+    ring, c = ring_and_value
+    n = len(ring.names)
+    exps = {tuple((m >> i) & 1 for i in range(n)): 1 for m in c.value}
+    expected = Coefficient(ring.polynomial_ring, exps)
+    assert ring.polynomial(c) == expected
+    assert str(c) == str(ring.polynomial(c)) == str(expected)
+    assert parse_coefficient(ring, str(c)) == c
+    # a second, fresh ring prints the same: the kept mask texts change nothing
+    assert str(c) == str(BooleanRing(ring.names).wrap(c.value))
