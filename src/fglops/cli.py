@@ -16,7 +16,6 @@ from .obstruction import (
     exhaustive_search,
     extract_relations,  # unused here, but bench/tracing.py wraps it by this name
     relation_table,
-    symbolic_twin,
 )
 from .powerops import PowerOpContext, standard_context, standard_ring
 from .series import series_from_json, series_to_json
@@ -49,12 +48,15 @@ def _load_series(path: str):
 def _load_law(name_or_path: str, degree, coeff_ring):
     """A built-in law at ``degree`` (20 if None), or a law file truncated to ``degree``.
 
-    A law file keeps its own truncation when ``degree`` is None and may not
-    be asked for more.
+    A law file keeps its own truncation when ``degree`` is None, which must
+    then be within ``FGLOPS_TRUNC_MAX``, and may not be asked for more.
     """
     if name_or_path in _BUILTIN_LAWS:
         return builtin_law(name_or_path, coeff_ring, 20 if degree is None else degree)
-    return validate_law(_load_series(name_or_path), degree=degree)
+    law = _load_series(name_or_path)
+    if degree is None:
+        _check_trunc(*(v.trunc for v in law.ring.variables))
+    return validate_law(law, degree=degree)
 
 
 def _emit_json(obj) -> None:
@@ -140,8 +142,7 @@ def cmd_obstruct(args) -> int:
         raise ValueError(f"search degree {args.degree} exceeds {_SEARCH_DEGREE_MAX} (2^(D-1) rows)")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
     if args.symbolic:
-        candidate, sym_ctx = symbolic_twin(ctx, args.degree)
-        obj = relation_table(ctx.ring, boolean_relations(candidate, sym_ctx))
+        obj = relation_table(ctx.ring, boolean_relations(args.degree, ctx))
     else:
         obj = exhaustive_search(args.degree, ctx).to_json()
     if args.json:

@@ -445,9 +445,6 @@ class PolynomialRing(Ring):
         return self.normalize(acc)
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 class BooleanRing(Ring):
     """The Boolean polynomial ring F2[x1..xn]/(x_i^2 + x_i).
 
@@ -458,24 +455,21 @@ class BooleanRing(Ring):
     number of times.  Reducing integer polynomials mod 2 with x_i^2 = x_i is
     a ring homomorphism into this ring (:meth:`image`), so a computation can
     run here from the start instead of being reduced at the end.
-    :attr:`polynomial_ring` is PolynomialRing(Z/2, names), where
-    :meth:`polynomial` lands.
 
     Values print straight from their masks, in the order and text of
-    :attr:`polynomial_ring`: popcount descending, then set-bit indices
-    descending.  The ring keeps each formatted mask's sort key, text and
-    exponent vector, so a table of values over one ring works each distinct
-    mask out once; that memo changes no value.
+    PolynomialRing(Z/2, names): popcount descending, then set-bit indices
+    descending.  The ring keeps each formatted mask's sort key and text, so
+    a table of values over one ring works each distinct mask out once; that
+    memo changes no value.
     """
 
     # immutable like the dataclass rings, but a plain class: building a
     # dataclass costs about 0.4 ms at import, which every CLI start would pay
-    __slots__ = ("names", "polynomial_ring", "_masks")
+    __slots__ = ("names", "_masks")
 
     def __init__(self, names):
-        polynomial_ring = PolynomialRing(IntegerModRing(2), names)  # checks the names
-        object.__setattr__(self, "names", polynomial_ring.names)
-        object.__setattr__(self, "polynomial_ring", polynomial_ring)
+        names = PolynomialRing(IntegerModRing(2), names).names  # checks the names
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "_masks", {})
 
     def __setattr__(self, name, value):
@@ -523,14 +517,8 @@ class BooleanRing(Ring):
                 acc ^= {sum(1 << i for i, e in enumerate(exps) if e)}
         return self.wrap(frozenset(acc))
 
-    def polynomial(self, coef: "Coefficient") -> "Coefficient":
-        """The same multilinear polynomial as a value of :attr:`polynomial_ring`."""
-        if coef.ring != self:
-            raise RingMismatch(f"coefficient in {coef.ring} is not in {self}")
-        return self.polynomial_ring.wrap(tuple((exps, 1) for _, _, exps in self._entries(coef.value)))
-
     def _entries(self, value) -> list:
-        """(sort key, text, exponent vector) of each mask of a value, in print order."""
+        """(sort key, text) of each mask of a value, in print order."""
         known = self._masks
         return sorted(known.get(m) or self._new_entry(m) for m in value)
 
@@ -544,8 +532,7 @@ class BooleanRing(Ring):
             low = rest & -rest
             factors.append(self.names[low.bit_length() - 1])
             rest ^= low
-        exps = tuple(bits.encode().translate(_BINARY_DIGITS))
-        entry = self._masks[m] = ((-m.bit_count(), bits), "*".join(factors) or "1", exps)
+        entry = self._masks[m] = ((-m.bit_count(), bits), "*".join(factors) or "1")
         return entry
 
     def normalize(self, value):
@@ -601,10 +588,11 @@ class BooleanRing(Ring):
     def format_value(self, a) -> str:
         if not a:
             return "0"
-        return "+".join(text for _, text, _ in self._entries(a))
+        return "+".join(text for _, text in self._entries(a))
 
     def parse_value(self, text: str):
-        return self.image(self.polynomial_ring.wrap(self.polynomial_ring.parse_value(text))).value
+        ring = PolynomialRing(IntegerModRing(2), self.names)
+        return self.image(ring.wrap(ring.parse_value(text))).value
 
 
 CoefficientValue = Union[int, Mapping, Iterable]

@@ -7,22 +7,23 @@ For a candidate r the defect is the exact difference
 computed in the two-variable quotient ring, where torsion normalization
 removes everything divisible by the torsion order automatically.
 
-Relation tables.  For the generic symbolic candidate over Z[a1..aD], the
-coefficient of each z-positive monomial is 2-torsion, so it is read mod 2
-as a multilinear polynomial over F2 (integer values satisfy a^2 = a mod 2);
-each nonzero one is a relation every viable candidate must satisfy.
-Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
+Relation tables.  The coefficient of each z-positive monomial of the
+defect of the generic candidate 1 + a1 x + ... + aD x^D is 2-torsion, so it
+is read mod 2 as a multilinear polynomial over F2 (integer values satisfy
+a^2 = a mod 2); each nonzero one is a relation every viable candidate must
+satisfy.  Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
 
     Z[a][[t, z]]/(2z, z^k, t^m) -> B_D[[t, z]]/(z^k, t^m),
     B_D = F2[a1..aD]/(a_i^2 + a_i),
 
 and it commutes with the power operation, so :func:`boolean_relations`
-computes the whole defect in the Boolean ring B_D from the start and never
-forms the growing integer polynomials; :func:`multilinear_mod2` is the
-reduction at the end that it replaces, kept as a public reference.  The
-relations stay B_D values, which print as their F2[a1..aD] polynomials;
-:func:`extract_relations` is the same table with each coefficient
-converted to PolynomialRing(Z/2, names).
+maps the law and tau of the numeric context into B_D and computes the
+whole defect there; the integer polynomials never form.  The relations are
+B_D values, which print as their F2[a1..aD] polynomials, and they are what
+the CLI prints and the search evaluates.  :func:`extract_relations` is the
+independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
+reduced at the end by :func:`multilinear_mod2`, with the same rows as
+PolynomialRing(Z/2, names) values.
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
 torsion 2 every z-positive coefficient is its image mod 2, so the verdict
@@ -49,7 +50,6 @@ from .coefficients import (
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
-    RingMismatch,
     monomial_text,
 )
 from .chern import ChernSeries
@@ -82,44 +82,54 @@ def multilinear_mod2(coef: Coefficient) -> Coefficient:
     return Coefficient(target, acc)
 
 
-def boolean_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
-    """Relations on the a_i as values of the Boolean ring F2[a1..aD]/(a_i^2 + a_i).
+def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
+    """Relations on a1..aD as values of the Boolean ring F2[a1..aD]/(a_i^2 + a_i).
 
-    Requires the generic symbolic candidate over Z[a1..aD] and its context
-    (:func:`symbolic_twin`).  The law, tau and the candidate are mapped into
-    B_D (:meth:`BooleanRing.image`) and the unchanged :func:`delta` runs
-    there.  Returns (monomial exponents, B_D coefficient) pairs for the
-    nonzero z-positive coefficients, ordered by (z-degree, t-degree); all
+    ``degree`` is the candidate degree D and ``ctx`` the numeric context.
+    The law and tau are mapped into B_D (:meth:`BooleanRing.image`, which
+    refuses coefficients with no reduction mod 2) and the unchanged
+    :func:`delta` runs there on the generic candidate 1 + a1 x + ... + aD x^D.
+    Returns (monomial exponents, B_D coefficient) pairs for the nonzero
+    z-positive coefficients, ordered by (z-degree, t-degree); all
     coefficients share one fresh ring, so printing the table formats each
     distinct monomial mask once.
     """
-    if not r.is_generic_symbolic:
-        raise ValueError("relation extraction needs the generic symbolic candidate")
-    if ctx.ring.coeff_ring != r.coeff_ring:
-        raise RingMismatch("the context must be the candidate's symbolic twin")
+    if not isinstance(degree, int) or degree < 1:
+        raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
     if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
         raise ValueError("relations are read mod 2, which needs even torsion orders")
-    boolean = BooleanRing(r.coeff_ring.names)
+    boolean = BooleanRing(tuple(f"a{i}" for i in range(1, degree + 1)))
     bool_ctx = PowerOpContext(
         SeriesRing(boolean, ctx.ring.variables),
         ctx.law.map_coefficients(boolean, boolean.image),
         boolean.image(ctx.tau),
     )
-    bool_r = ChernSeries([boolean.image(c) for c in r.coeffs], boolean)
-    rows = [(exps, coef) for exps, coef in delta(bool_r, bool_ctx).terms.items() if exps[1]]
+    defect = delta(ChernSeries(boolean.gens(), boolean), bool_ctx)
+    rows = [(exps, coef) for exps, coef in defect.terms.items() if exps[1]]
     rows.sort(key=lambda row: (row[0][1], row[0][0]))
     return rows
 
 
 def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
-    """Relations on the a_i from z-positive coefficients of the defect.
+    """Relations on the a_i, computed over Z[a1..aD] and reduced at the end.
 
-    The polynomial view of :func:`boolean_relations`: on z-positive
-    monomials the Boolean defect is :func:`multilinear_mod2` of the integer
-    defect.  Returns (monomial exponents, multilinear F2 polynomial) pairs
-    ordered by (z-degree, t-degree), in PolynomialRing(Z/2, names).
+    The reference for :func:`boolean_relations`, independent of
+    :class:`BooleanRing`: the defect of the generic symbolic candidate over
+    its context (:func:`symbolic_twin`), then :func:`multilinear_mod2` of
+    each z-positive coefficient.  Returns the same rows in the same order,
+    (monomial exponents, multilinear F2 polynomial) pairs in
+    PolynomialRing(Z/2, names).
     """
-    return [(exps, coef.ring.polynomial(coef)) for exps, coef in boolean_relations(r, ctx)]
+    if not r.is_generic_symbolic:
+        raise ValueError("relation extraction needs the generic symbolic candidate")
+    if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
+        raise ValueError("relations are read mod 2, which needs even torsion orders")
+    rows = []
+    for exps, coef in delta(r, ctx).items():
+        if exps[1] and (reduced := multilinear_mod2(coef)):
+            rows.append((exps, reduced))
+    rows.sort(key=lambda row: (row[0][1], row[0][0]))
+    return rows
 
 
 def symbolic_twin(ctx: PowerOpContext, degree: int):
@@ -156,7 +166,7 @@ def relation_table(ring: SeriesRing, relations) -> dict:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Search certificate: symbolic relations plus a per-candidate verdict."""
+    """Search certificate: the relation table, in B_D, plus a per-candidate verdict."""
 
     ring: SeriesRing
     relations: tuple
@@ -197,8 +207,6 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     share a verdict, and the first candidate of a prefix at which no row is
     1 is that prefix followed by zeros.
     """
-    if not isinstance(degree, int) or degree < 1:
-        raise ValueError(f"candidate degree must be a positive integer, got {degree}")
     ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):
         raise ValueError("the exhaustive search runs over integer coefficients")
@@ -212,7 +220,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     if {e: c for e, c in ctx.tensor_root.terms.items() if not e[1]} != ctx.t.terms:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
-    relations = boolean_relations(*symbolic_twin(ctx, degree))
+    relations = boolean_relations(degree, ctx)
     rows = [(exps, coef.value) for exps, coef in relations]
 
     width = max([1] + [m.bit_length() for _, masks in rows for m in masks])
@@ -232,7 +240,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     return ObstructionReport(
         ring=ring,
-        relations=tuple((exps, coef.ring.polynomial(coef)) for exps, coef in relations),
+        relations=tuple(relations),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
         failures=None if witness is not None else tuple(failures),

@@ -2,20 +2,19 @@
 
 A context fixes a two-variable series ring (line variable t first, the
 auxiliary torsion variable z second), a formal group law F and a transfer
-scalar tau.  The operation is generated by its value on the line generator,
-
-    P(t) = t * F(t, z),
-
-and extends to an arbitrary univariate series by multiplicativity together
-with a transfer-corrected sum rule.  Both halves are power sums
-(:meth:`Series.power_sum`) on the context's cached roots P(t) and t:
+scalar tau.  The operation is defined on a univariate series by its
+formula, with the value P(t) = t * F(t, z) on the line generator:
 
     P(sum_i a_i t^i) = sum_i a_i^2 P(t)^i + sum_k c_k t^k,
     c_k = tau * sum_{i<j, i+j=k} a_i a_j.
 
-Constants obey P(a) = a^2.  When F is additive and z carries 2-torsion the
-transfer scalar is pinned to 2; restricted to z = 0 the operation is then
-exactly the squaring map f |-> f^2.
+Both halves are power sums (:meth:`Series.power_sum`) on the context's
+cached roots P(t) and t.  Constants obey P(a) = a^2.  The transfer-corrected
+sum rule P(f + g) = P(f) + P(g) + tau*f*g holds when tau = 2 and 2z = 0;
+for any other tau it fails already at f = g = 1, where P(2) = 4 but
+P(1) + P(1) + tau = 2 + tau.  When F is additive and z carries 2-torsion
+the transfer scalar is pinned to 2; restricted to z = 0 the operation is
+then exactly the squaring map f |-> f^2.
 """
 
 from __future__ import annotations

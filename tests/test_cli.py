@@ -128,6 +128,29 @@ def test_powerop_law_file_truncation(tmp_path, capsys):
         assert "truncation degree 5" in captured.err
 
 
+def test_law_file_truncation_is_capped(tmp_path, monkeypatch, capsys):
+    # without --degree a law file is worked to its own truncation, so that
+    # truncation is held to FGLOPS_TRUNC_MAX like any requested degree
+    path = _law_file(tmp_path, MULTIPLICATIVE, trunc=100)
+    for argv in (["fgl", "check", path], ["fgl", "check", path, "--json"],
+                 ["fgl", "nseries", path, "1000"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree 100 exceeds FGLOPS_TRUNC_MAX=64\n"
+    monkeypatch.setenv("FGLOPS_TRUNC_MAX", "8")
+    path = _law_file(tmp_path, MULTIPLICATIVE, trunc=10)
+    assert main(["fgl", "nseries", path, "3"]) == 2
+    assert "degree 10 exceeds FGLOPS_TRUNC_MAX=8" in capsys.readouterr().err
+    # with --degree under the cap the file is truncated first and the command runs
+    assert main(["fgl", "check", path, "--degree", "8"]) == 0
+    assert _out(capsys) == "valid to degree 8"
+    assert main(["fgl", "nseries", path, "3", "--degree", "4"]) == 0
+    assert _out(capsys) == "3*x + 3*x^2 + x^3"
+    assert main(["fgl", "nseries", path, "3", "--degree", "9"]) == 2
+    assert "degree 9 exceeds FGLOPS_TRUNC_MAX=8" in capsys.readouterr().err
+
+
 def test_nseries(capsys):
     assert main(["fgl", "nseries", "additive", "2"]) == 0
     assert capsys.readouterr().out.strip() == "2*x"

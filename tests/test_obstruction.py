@@ -14,6 +14,7 @@ from fglops import (
     RingMismatch,
     SeriesRing,
     SeriesVar,
+    boolean_relations,
     builtin_law,
     delta,
     exhaustive_search,
@@ -24,7 +25,7 @@ from fglops import (
     symbolic_twin,
 )
 from conftest import to_plain
-from longhand import delta_longhand
+from longhand import boolean_polynomial, delta_longhand
 
 Z = IntegerRing()
 F2 = IntegerModRing(2)
@@ -153,23 +154,17 @@ def test_relations_predict_numeric_failures(default_context):
                 assert actual_val == expected, (exps, values)
 
 
-def _relations_by_reduction(r, ctx):
-    """The integer pipeline: the defect over Z[a1..aD], multilinear_mod2 at the end."""
-    out = []
-    for exps, coef in delta(r, ctx).items():
-        reduced = multilinear_mod2(coef)
-        if exps[1] and reduced:
-            out.append((exps, reduced))
-    out.sort(key=lambda item: (item[0][1], item[0][0]))
-    return out
+def _as_polynomials(relations):
+    """Boolean relation rows with each coefficient read into PolynomialRing(Z/2)."""
+    return [(exps, boolean_polynomial(coef.ring, coef)) for exps, coef in relations]
 
 
 @pytest.mark.parametrize("law, tau", [
     ("additive", 2), ("multiplicative", 1), ("multiplicative", 2), ("multiplicative", 3),
 ])
 def test_boolean_relations_match_integer_reduction(law, tau):
-    # extract_relations computes over F2[a]/(a_i^2 + a_i) from the start; it must
-    # give the rows, polynomials and order of the reduction at the end
+    # boolean_relations computes over F2[a]/(a_i^2 + a_i) from the start; it must
+    # give the rows, polynomials and order of the defect over Z[a] reduced at the end
     rng = random.Random(f"{law}-{tau}")
     points = [(rng.randint(2, 12), rng.randint(1, 7), rng.randint(1, 10)) for _ in range(8)]
     points += [(5, 3, 9), (4, 2, 7), (33, 17, 32)]  # D > t, then the largest point
@@ -177,7 +172,7 @@ def test_boolean_relations_match_integer_reduction(law, tau):
         ctx = standard_context(Z, t_max, z_max, law=builtin_law(law, Z), tau=tau)
         sym, sym_ctx = symbolic_twin(ctx, degree)
         relations = extract_relations(sym, sym_ctx)
-        assert relations == _relations_by_reduction(sym, sym_ctx), (t_max, z_max, degree)
+        assert _as_polynomials(boolean_relations(degree, ctx)) == relations, (t_max, z_max, degree)
         assert all(poly.ring == PolynomialRing(F2, sym.coeff_ring.names) for _, poly in relations)
         if (t_max, z_max, degree) == (33, 17, 32):
             assert len(relations) > 400
@@ -187,15 +182,25 @@ def test_extract_relations_checks_its_context(default_context):
     sym, _ = symbolic_twin(default_context, 3)
     with pytest.raises(RingMismatch):
         extract_relations(sym, default_context)
+    for degree in (0, "3"):
+        with pytest.raises(ValueError, match="positive integer"):
+            boolean_relations(degree, default_context)
     # mod 2 is a homomorphism from Z/4 but not from Z/3
     for torsion, ok in ((4, True), (None, True), (3, False)):
         ring = standard_ring(Z, 5, 3, z_torsion=torsion)
-        sym, sym_ctx = symbolic_twin(PowerOpContext(ring, builtin_law("additive", Z), 2), 3)
+        ctx = PowerOpContext(ring, builtin_law("additive", Z), 2)
+        sym, sym_ctx = symbolic_twin(ctx, 3)
         if ok:
-            assert extract_relations(sym, sym_ctx) == _relations_by_reduction(sym, sym_ctx)
+            assert _as_polynomials(boolean_relations(3, ctx)) == extract_relations(sym, sym_ctx)
         else:
             with pytest.raises(ValueError, match="even torsion"):
                 extract_relations(sym, sym_ctx)
+            with pytest.raises(ValueError, match="even torsion"):
+                boolean_relations(3, ctx)
+    Z3 = IntegerModRing(3)
+    ctx = PowerOpContext(standard_ring(Z3, 5, 3), builtin_law("additive", Z3), 2)
+    with pytest.raises(RingMismatch, match="no reduction mod 2"):
+        boolean_relations(3, ctx)
 
 
 def test_multilinear_mod2():

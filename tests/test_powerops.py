@@ -124,6 +124,23 @@ def test_sum_rule(default_context):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("tau", [1, 2, 3, 4])
+def test_sum_rule_holds_exactly_at_tau_2(tau):
+    # P is defined by its formula; constants obey P(a) = a^2, so at f = g = 1
+    # the sum rule reads 4 = 2 + tau, and tau = 4 fails although tau*z = 0
+    ctx = standard_context(Z, 6, 4, law=multiplicative_law(Z), tau=tau)
+    ring = ctx.ring
+    one = ring.one
+    assert ctx.power_op(one + one) == ring.constant(4)
+    assert ctx.power_op(one) + ctx.power_op(one) + ctx.transfer(one) == ring.constant(2 + tau)
+    rng = random.Random(37)
+    pairs = [(one, one)] + [(_random_univariate(ring, rng), _random_univariate(ring, rng))
+                            for _ in range(30)]
+    holds = [ctx.power_op(f + g) == ctx.power_op(f) + ctx.power_op(g) + ctx.transfer(f * g)
+             for f, g in pairs]
+    assert all(holds) if tau == 2 else not holds[0]
+
+
 def test_restriction_to_z_zero_is_squaring(default_context):
     ring = default_context.ring
     rng = random.Random(31)
