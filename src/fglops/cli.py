@@ -26,7 +26,14 @@ _SEARCH_DEGREE_MAX = 16
 
 
 def _trunc_cap() -> int:
-    return int(os.environ.get("FGLOPS_TRUNC_MAX", "64"))
+    text = os.environ.get("FGLOPS_TRUNC_MAX", "64")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"FGLOPS_TRUNC_MAX must be a positive integer, got {text!r}")
+    return cap
 
 
 def _check_trunc(*degrees: int) -> None:
@@ -60,7 +67,27 @@ def _load_law(name_or_path: str, degree, coeff_ring):
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print ``json.dumps(obj, indent=2)``.
+
+    With ``indent`` the encoder runs in pure Python, which is slow on the
+    2^(D-1) failure rows of a search report, its last key.  Those rows are
+    filled into a fixed template of the same layout instead.
+    """
+    rows = obj.get("failures")
+    if not rows:
+        print(json.dumps(obj, indent=2))
+        return
+    head = json.dumps({key: obj[key] for key in obj if key != "failures"}, indent=2)
+    labels = {mono: json.dumps(mono) for mono in {row["monomial"] for row in rows}}
+    body = ",\n".join(
+        '    {\n      "candidate": [\n        '
+        + ",\n        ".join(map(str, row["candidate"]))
+        + '\n      ],\n      "monomial": '
+        + labels[row["monomial"]]
+        + "\n    }"
+        for row in rows
+    )
+    print(f'{head[:-2]},\n  "failures": [\n{body}\n  ]\n}}')
 
 
 def cmd_fgl_check(args) -> int:

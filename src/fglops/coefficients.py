@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 
@@ -33,13 +32,58 @@ class NotAUnit(ValueError):
     """The element has no multiplicative inverse in its ring."""
 
 
-class Ring:
+class Immutable:
+    """Base of the engine's immutable value classes.
+
+    A subclass names the attributes that make up its value in ``fields``, in
+    constructor order, and sets each once in ``__init__`` with
+    ``object.__setattr__``.  Instances of exactly the same class are equal
+    when those attributes are, the hash agrees with that equality, and the
+    repr shows the attributes as keyword arguments.  Anything else an
+    instance keeps, such as a memo or a cached property, is no part of its
+    value.  Assignment raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    fields: tuple = ()
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self):
+        return hash((self.__class__, *self._field_values()))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        # the constructor takes the fields in order; copy and pickle rebuild through it
+        return type(self), self._field_values()
+
+
+class Ring(Immutable):
     """Base class for exact coefficient rings.
 
     Subclasses implement the raw-value protocol below; user code works with
     :class:`Coefficient` wrappers obtained from :meth:`coefficient`,
     :attr:`zero` and :attr:`one`.
     """
+
+    __slots__ = ()
 
     def coefficient(self, value) -> "Coefficient":
         return Coefficient(self, value)
@@ -104,9 +148,10 @@ def _check_int(value):
     return value
 
 
-@dataclass(frozen=True)
 class IntegerRing(Ring):
     """The ring of arbitrary-precision integers."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "Z"
@@ -150,15 +195,15 @@ class IntegerRing(Ring):
         return int(text.strip())
 
 
-@dataclass(frozen=True)
 class IntegerModRing(Ring):
     """The ring of integers modulo ``modulus`` (residues stored in [0, n))."""
 
-    modulus: int
+    __slots__ = fields = ("modulus",)
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 2:
+    def __init__(self, modulus: int):
+        if not isinstance(modulus, int) or modulus < 2:
             raise ValueError("modulus must be an integer >= 2")
+        object.__setattr__(self, "modulus", modulus)
 
     def __str__(self) -> str:
         return f"Z/{self.modulus}"
@@ -221,7 +266,6 @@ def monomial_text(names, exps) -> str:
 _FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
 
 
-@dataclass(frozen=True)
 class PolynomialRing(Ring):
     """Sparse multivariate polynomials over an integer or modular base ring.
 
@@ -230,21 +274,22 @@ class PolynomialRing(Ring):
     ascending, so e.g. ``a1*a2+a3+a1`` always prints that way.
     """
 
-    base: Ring
-    names: tuple
+    __slots__ = fields = ("base", "names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if isinstance(self.base, PolynomialRing):
+    def __init__(self, base: Ring, names):
+        names = tuple(names)
+        if isinstance(base, PolynomialRing):
             raise ValueError("polynomial rings do not nest")
-        if not isinstance(self.base, (IntegerRing, IntegerModRing)):
+        if not isinstance(base, (IntegerRing, IntegerModRing)):
             raise ValueError("polynomial base must be Z or Z/n")
-        if not self.names:
+        if not names:
             raise ValueError("at least one indeterminate is required")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("indeterminate names must be unique")
-        if any(not n for n in self.names):
+        if any(not n for n in names):
             raise ValueError("indeterminate names must be non-empty")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "names", names)
 
     def __str__(self) -> str:
         return f"{self.base}[{','.join(self.names)}]"
@@ -463,26 +508,13 @@ class BooleanRing(Ring):
     memo changes no value.
     """
 
-    # immutable like the dataclass rings, but a plain class: building a
-    # dataclass costs about 0.4 ms at import, which every CLI start would pay
     __slots__ = ("names", "_masks")
+    fields = ("names",)
 
     def __init__(self, names):
         names = PolynomialRing(IntegerModRing(2), names).names  # checks the names
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_masks", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, BooleanRing) and other.names == self.names
-
-    def __hash__(self):
-        return hash((BooleanRing, self.names))
-
-    def __repr__(self) -> str:
-        return f"BooleanRing(names={self.names!r})"
 
     def __str__(self) -> str:
         return f"F2[{','.join(self.names)}]/(x^2+x)"

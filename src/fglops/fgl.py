@@ -7,10 +7,9 @@ reports the first violated axiom together with a witness monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .coefficients import Ring, RingMismatch, monomial_text
+from .coefficients import Immutable, Ring, RingMismatch, monomial_text
 from .series import Series, SeriesRing, SeriesVar
 
 _AXIOM_LABELS = {
@@ -34,14 +33,16 @@ def _witness(diff: Series) -> str:
     return monomial_text(diff.ring.names(), exps) or "1"
 
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+class FormalGroupLaw(Immutable):
     """A validated formal group law over an exact coefficient ring."""
 
-    coeff_ring: Ring
-    degree: int
-    series: Series
-    name: Optional[str] = None
+    __slots__ = fields = ("coeff_ring", "degree", "series", "name")
+
+    def __init__(self, coeff_ring: Ring, degree: int, series: Series, name: Optional[str] = None):
+        object.__setattr__(self, "coeff_ring", coeff_ring)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "name", name)
 
     @property
     def x_name(self) -> str:

@@ -41,12 +41,12 @@ per candidate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .coefficients import (
     BooleanRing,
     Coefficient,
+    Immutable,
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
@@ -164,15 +164,24 @@ def relation_table(ring: SeriesRing, relations) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Immutable):
     """Search certificate: the relation table, in B_D, plus a per-candidate verdict."""
 
-    ring: SeriesRing
-    relations: tuple
-    verdict: str
-    witness: Optional[tuple] = None
-    failures: Optional[tuple] = None
+    __slots__ = fields = ("ring", "relations", "verdict", "witness", "failures")
+
+    def __init__(
+        self,
+        ring: SeriesRing,
+        relations: tuple,
+        verdict: str,
+        witness: Optional[tuple] = None,
+        failures: Optional[tuple] = None,
+    ):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "failures", failures)
 
     def to_json(self) -> dict:
         obj = {"verdict": self.verdict, **relation_table(self.ring, self.relations)}

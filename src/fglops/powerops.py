@@ -19,39 +19,36 @@ then exactly the squaring map f |-> f^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
-from .coefficients import Coefficient, IntegerRing, Ring, RingMismatch
+from .coefficients import Coefficient, Immutable, IntegerRing, Ring, RingMismatch
 from .fgl import FormalGroupLaw, additive_law
 from .series import Series, SeriesRing, SeriesVar
 
 
-@dataclass(frozen=True)
-class PowerOpContext:
+class PowerOpContext(Immutable):
     """Everything needed to evaluate the quadratic power operation."""
 
-    ring: SeriesRing
-    law: FormalGroupLaw
-    tau: Coefficient
+    fields = ("ring", "law", "tau")  # no __slots__: cached_property needs __dict__
 
-    def __post_init__(self):
-        if self.ring.nvars != 2:
+    def __init__(self, ring: SeriesRing, law: FormalGroupLaw, tau: Union[Coefficient, int]):
+        if ring.nvars != 2:
             raise ValueError("a power operation context needs exactly two variables")
-        if self.law.coeff_ring != self.ring.coeff_ring:
+        if law.coeff_ring != ring.coeff_ring:
             raise RingMismatch("law and series ring must share a coefficient ring")
-        tau = self.tau
         if isinstance(tau, int):
-            tau = self.ring.coeff_ring.coefficient(tau)
-            object.__setattr__(self, "tau", tau)
-        if tau.ring != self.ring.coeff_ring:
+            tau = ring.coeff_ring.coefficient(tau)
+        if tau.ring != ring.coeff_ring:
             raise RingMismatch("transfer scalar must live in the coefficient ring")
-        z_var = self.ring.variables[1]
-        if self.law.is_additive and z_var.torsion == 2 and tau != 2:
+        z_var = ring.variables[1]
+        if law.is_additive and z_var.torsion == 2 and tau != 2:
             raise ValueError(
                 "the transfer scalar is forced to 2 for the additive law with 2-torsion"
             )
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "tau", tau)
 
     @cached_property
     def t(self) -> Series:

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .coefficients import (
     Coefficient,
+    Immutable,
     Ring,
     RingMismatch,
     coeff_ring_from_json,
@@ -52,37 +52,37 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SeriesVar:
+class SeriesVar(Immutable):
     """One series variable: name, truncation degree, optional torsion order."""
 
-    name: str
-    trunc: int
-    torsion: Optional[int] = None
+    __slots__ = fields = ("name", "trunc", "torsion")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise ValueError(f"variable names must be non-empty strings, got {self.name!r}")
-        if not _is_int(self.trunc) or self.trunc < 1:
-            raise ValueError(f"truncation degree must be a positive integer, got {self.trunc}")
-        if self.torsion is not None and (not _is_int(self.torsion) or self.torsion < 1):
-            raise ValueError(f"torsion order must be a positive integer, got {self.torsion}")
+    def __init__(self, name: str, trunc: int, torsion: Optional[int] = None):
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"variable names must be non-empty strings, got {name!r}")
+        if not _is_int(trunc) or trunc < 1:
+            raise ValueError(f"truncation degree must be a positive integer, got {trunc}")
+        if torsion is not None and (not _is_int(torsion) or torsion < 1):
+            raise ValueError(f"torsion order must be a positive integer, got {torsion}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "torsion", torsion)
 
 
-@dataclass(frozen=True)
-class SeriesRing:
+class SeriesRing(Immutable):
     """A truncated power-series ring over an exact coefficient ring."""
 
-    coeff_ring: Ring
-    variables: tuple
+    fields = ("coeff_ring", "variables")  # no __slots__: cached_property needs __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.variables:
+    def __init__(self, coeff_ring: Ring, variables):
+        variables = tuple(variables)
+        if not variables:
             raise ValueError("a series ring needs at least one variable")
-        names = [v.name for v in self.variables]
+        names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
+        object.__setattr__(self, "coeff_ring", coeff_ring)
+        object.__setattr__(self, "variables", variables)
 
     def __str__(self) -> str:
         names = ",".join(v.name for v in self.variables)

@@ -2,13 +2,20 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fglops import series_from_json, series_to_json
+from fglops import (
+    IntegerRing,
+    exhaustive_search,
+    series_from_json,
+    series_to_json,
+    standard_context,
+)
 from fglops.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -362,6 +369,33 @@ def test_trunc_cap(monkeypatch, capsys):
     assert main(["obstruct", "--degree", "3", "--search"]) == 0
     for argv in degree_over_cap:
         assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-3"])
+def test_trunc_cap_must_parse(monkeypatch, capsys, value):
+    monkeypatch.setenv("FGLOPS_TRUNC_MAX", value)
+    assert main(["fgl", "check", "additive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: FGLOPS_TRUNC_MAX must be a positive integer, got {value!r}\n"
+
+
+def test_search_json_matches_json_dumps(capsys):
+    # the writer fills the failure rows from a template; it must give the
+    # bytes of json.dumps(indent=2) on unsatisfiable and satisfiable points
+    rng = random.Random(12)
+    points = [(5, 3, 1), (5, 3, 12), (2, 3, 8), (5, 1, 4), (1, 1, 3)]
+    points += [(rng.randint(1, 9), rng.randint(1, 5), rng.randint(1, 12)) for _ in range(10)]
+    verdicts = set()
+    for t, z, degree in points:
+        argv = ["obstruct", "--search", "--json", "--t-trunc", str(t), "--z-trunc", str(z),
+                "--degree", str(degree)]
+        code = main(argv)
+        report = exhaustive_search(degree, standard_context(IntegerRing(), t, z)).to_json()
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n", argv
+        assert code == (1 if report["verdict"] == "satisfiable" else 0)
+        verdicts.add(report["verdict"])
+    assert verdicts == {"satisfiable", "unsatisfiable"}
 
 
 def test_outputs_deterministic(capsys):
