@@ -12,6 +12,7 @@ from .coefficients import (
     PolynomialRing,
     Ring,
     RingMismatch,
+    is_int,
 )
 from .fgl import FormalGroupLaw, additive_law
 from .series import Series, SeriesRing
@@ -19,6 +20,11 @@ from .series import Series, SeriesRing
 
 class UnitViolation(ValueError):
     """The leading candidate coefficient is not a unit of the expected shape."""
+
+
+def coefficient_names(degree: int) -> tuple:
+    """a1..aD, the indeterminates of the generic candidate of degree D."""
+    return tuple(f"a{i}" for i in range(1, degree + 1))
 
 
 def _is_single_indeterminate(coef: Coefficient) -> bool:
@@ -90,16 +96,12 @@ class ChernSeries:
         self.coeffs = tuple(normalized)
 
     @classmethod
-    def symbolic(
-        cls, degree: int, base: Optional[Ring] = None, prefix: str = "a"
-    ) -> "ChernSeries":
-        """The generic candidate with indeterminate coefficients a1..aD."""
-        if not isinstance(degree, int) or degree < 1:
+    def symbolic(cls, degree: int) -> "ChernSeries":
+        """The generic candidate over Z[a1..aD]."""
+        if not is_int(degree) or degree < 1:
             raise ValueError("symbolic degree must be a positive integer")
-        if base is None:
-            base = IntegerRing()
-        ring = PolynomialRing(base, tuple(f"{prefix}{i}" for i in range(1, degree + 1)))
-        return cls(list(ring.gens()), ring)
+        ring = PolynomialRing(IntegerRing(), coefficient_names(degree))
+        return cls(ring.gens(), ring)
 
     @property
     def degree(self) -> int:
@@ -111,12 +113,6 @@ class ChernSeries:
         if not isinstance(ring, PolynomialRing) or ring.nvars != self.degree:
             return False
         return all(self.coeffs[i] == ring.gen(ring.names[i]) for i in range(self.degree))
-
-    def coefficient(self, i: int) -> Coefficient:
-        """The coefficient a_i, 1-based."""
-        if not 1 <= i <= self.degree:
-            raise ValueError(f"coefficient index {i} out of range 1..{self.degree}")
-        return self.coeffs[i - 1]
 
     def value_at(self, root: Series) -> Series:
         """Evaluate 1 + a1*root + ... + aD*root^D in the root's ring."""

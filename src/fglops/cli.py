@@ -90,6 +90,13 @@ def _emit_json(obj) -> None:
     print(f'{head[:-2]},\n  "failures": [\n{body}\n  ]\n}}')
 
 
+def _print_series(result, as_json: bool) -> None:
+    if as_json:
+        _emit_json(series_to_json(result))
+    else:
+        print(result)
+
+
 def cmd_fgl_check(args) -> int:
     _check_trunc(args.degree)
     try:
@@ -112,11 +119,7 @@ def cmd_fgl_nseries(args) -> int:
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
     law = _load_law(args.law, args.degree, IntegerRing())
-    result = law.n_series(args.n)
-    if args.json:
-        _emit_json(series_to_json(result))
-    else:
-        print(str(result))
+    _print_series(law.n_series(args.n), args.json)
     return 0
 
 
@@ -131,12 +134,8 @@ def cmd_powerop(args) -> int:
     lifted = ring.from_terms({(exps[pos], 0): c for exps, c in f.terms.items()})
     # F(t, z) reads the law's terms x^i y^j with i < t-trunc and j < z-trunc
     law = _load_law(args.fgl, max(args.t_trunc, args.z_trunc), ring.coeff_ring)
-    ctx = PowerOpContext(ring, law, ring.coeff_ring.coefficient(args.tau))
-    result = ctx.power_op(lifted)
-    if args.json:
-        _emit_json(series_to_json(result))
-    else:
-        print(str(result))
+    ctx = PowerOpContext(ring, law, args.tau)
+    _print_series(ctx.power_op(lifted), args.json)
     return 0
 
 
@@ -153,11 +152,7 @@ def cmd_chern(args) -> int:
         coeff_ring = IntegerRing()
         candidate = ChernSeries(values, coeff_ring)
     ring = standard_ring(coeff_ring, args.t_trunc, args.z_trunc)
-    result = computation_one(candidate, ring)
-    if args.json:
-        _emit_json(series_to_json(result))
-    else:
-        print(str(result))
+    _print_series(computation_one(candidate, ring), args.json)
     return 0
 
 

@@ -36,16 +36,25 @@ class Immutable:
     """Base of the engine's immutable value classes.
 
     A subclass names the attributes that make up its value in ``fields``, in
-    constructor order, and sets each once in ``__init__`` with
-    ``object.__setattr__``.  Instances of exactly the same class are equal
-    when those attributes are, the hash agrees with that equality, and the
-    repr shows the attributes as keyword arguments.  Anything else an
-    instance keeps, such as a memo or a cached property, is no part of its
-    value.  Assignment raises ``AttributeError``.
+    constructor order; its ``__init__`` checks its arguments and passes their
+    values, in that order, to ``Immutable.__init__``, which sets each once.
+    Instances of exactly the same class are equal when those attributes are,
+    the hash agrees with that equality, and the repr shows the attributes as
+    keyword arguments.  Anything else an instance keeps, such as a memo or a
+    cached property, is no part of its value.  Assignment raises
+    ``AttributeError``.
     """
 
     __slots__ = ()
     fields: tuple = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.fields)} field values, got {len(values)}"
+            )
+        for name, value in zip(self.fields, values):
+            object.__setattr__(self, name, value)
 
     def _field_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.fields)
@@ -142,10 +151,17 @@ class Ring(Immutable):
         raise NotImplementedError
 
 
-def _check_int(value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer to the engine: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, with surrounding whitespace."""
+    s = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", s):
+        raise ValueError(f"bad integer literal {text!r}")
+    return int(s)
 
 
 class IntegerRing(Ring):
@@ -157,10 +173,11 @@ class IntegerRing(Ring):
         return "Z"
 
     def normalize(self, value):
-        return _check_int(value)
+        if not is_int(value):
+            raise TypeError(f"expected an integer, got {value!r}")
+        return value
 
-    def from_int(self, n: int):
-        return _check_int(n)
+    from_int = normalize
 
     def add(self, a, b):
         return a + b
@@ -192,7 +209,10 @@ class IntegerRing(Ring):
         return str(a)
 
     def parse_value(self, text: str):
-        return int(text.strip())
+        return _parse_int(text)
+
+
+_Z = IntegerRing()
 
 
 class IntegerModRing(Ring):
@@ -201,18 +221,17 @@ class IntegerModRing(Ring):
     __slots__ = fields = ("modulus",)
 
     def __init__(self, modulus: int):
-        if not isinstance(modulus, int) or modulus < 2:
+        if not is_int(modulus) or modulus < 2:
             raise ValueError("modulus must be an integer >= 2")
-        object.__setattr__(self, "modulus", modulus)
+        super().__init__(modulus)
 
     def __str__(self) -> str:
         return f"Z/{self.modulus}"
 
     def normalize(self, value):
-        return _check_int(value) % self.modulus
+        return _Z.normalize(value) % self.modulus
 
-    def from_int(self, n: int):
-        return _check_int(n) % self.modulus
+    from_int = normalize
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -250,7 +269,7 @@ class IntegerModRing(Ring):
         return str(a)
 
     def parse_value(self, text: str):
-        return int(text.strip()) % self.modulus
+        return _parse_int(text) % self.modulus
 
 
 def _poly_term_key(item):
@@ -263,7 +282,9 @@ def monomial_text(names, exps) -> str:
     return "*".join(f"{name}^{e}" if e > 1 else name for name, e in zip(names, exps) if e)
 
 
-_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
+_FACTOR = r"(?:[0-9]+|[A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+)?)"
+_TERM = rf"{_FACTOR}(?:\*{_FACTOR})*"
+_POLY_LITERAL = rf"[+-]?{_TERM}(?:[+-]{_TERM})*"  # compiled on first use, not at import
 
 
 class PolynomialRing(Ring):
@@ -288,8 +309,7 @@ class PolynomialRing(Ring):
             raise ValueError("indeterminate names must be unique")
         if any(not n for n in names):
             raise ValueError("indeterminate names must be non-empty")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "names", names)
+        super().__init__(base, names)
 
     def __str__(self) -> str:
         return f"{self.base}[{','.join(self.names)}]"
@@ -313,7 +333,7 @@ class PolynomialRing(Ring):
                 f"exponent vector {exps} does not match indeterminates {self.names}"
             )
         for e in exps:
-            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            if not is_int(e) or e < 0:
                 raise ValueError(f"exponents must be non-negative integers, got {exps}")
         return exps
 
@@ -460,27 +480,22 @@ class PolynomialRing(Ring):
         return "".join(out)
 
     def parse_value(self, text: str):
+        """Sign-joined terms, each a ``*``-product of integers and ``name^e`` factors.
+
+        One leading sign is allowed; whitespace anywhere is ignored.
+        """
         s = "".join(text.split())
-        if not s:
-            raise ValueError("empty polynomial literal")
+        if not re.fullmatch(_POLY_LITERAL, s):
+            raise ValueError(f"bad polynomial literal {text!r}")
         acc: dict = {}
-        for token in re.findall(r"[+-]?[^+-]+", s):
-            sign = 1
-            if token[0] in "+-":
-                sign = -1 if token[0] == "-" else 1
-                token = token[1:]
-            if not token:
-                raise ValueError(f"dangling sign in polynomial literal {text!r}")
-            coef = sign
+        for sign, token in re.findall(r"([+-]?)([^+-]+)", s):
+            coef = -1 if sign == "-" else 1
             exps = [0] * self.nvars
             for factor in token.split("*"):
-                if re.fullmatch(r"\d+", factor):
+                if factor.isdigit():
                     coef *= int(factor)
                     continue
-                m = _FACTOR_RE.match(factor)
-                if m is None:
-                    raise ValueError(f"bad factor {factor!r} in polynomial literal")
-                name, exp = m.group(1), m.group(2)
+                name, _, exp = factor.partition("^")
                 if name not in self.names:
                     raise ValueError(f"unknown indeterminate {name!r}")
                 exps[self.names.index(name)] += int(exp) if exp else 1
@@ -512,8 +527,7 @@ class BooleanRing(Ring):
     fields = ("names",)
 
     def __init__(self, names):
-        names = PolynomialRing(IntegerModRing(2), names).names  # checks the names
-        object.__setattr__(self, "names", names)
+        super().__init__(PolynomialRing(IntegerModRing(2), names).names)  # checks the names
         object.__setattr__(self, "_masks", {})
 
     def __str__(self) -> str:
@@ -573,13 +587,13 @@ class BooleanRing(Ring):
         n = len(self.names)
         acc: set = set()
         for m in value:
-            if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < 1 << n:
+            if not is_int(m) or not 0 <= m < 1 << n:
                 raise ValueError(f"monomial masks must be integers in [0, 2^{n}), got {m!r}")
             acc ^= {m}
         return frozenset(acc)
 
     def from_int(self, n: int):
-        return frozenset((0,)) if _check_int(n) % 2 else frozenset()
+        return frozenset((0,)) if _Z.normalize(n) % 2 else frozenset()
 
     def add(self, a, b):
         return a ^ b
@@ -649,7 +663,7 @@ class Coefficient:
             if other.ring != self.ring:
                 raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if is_int(other):
             return self.ring.wrap(self.ring.from_int(other))
         return None
 
@@ -685,7 +699,7 @@ class Coefficient:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not is_int(exponent) or exponent < 0:
             raise ValueError("coefficient powers must be non-negative integers")
         result = self.ring.wrap(self.ring.from_int(1))
         for _ in range(exponent):
@@ -710,7 +724,7 @@ class Coefficient:
     def __eq__(self, other):
         if isinstance(other, Coefficient):
             return self.ring == other.ring and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
+        if is_int(other):
             return self.value == self.ring.from_int(other)
         return NotImplemented
 

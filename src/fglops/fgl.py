@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .coefficients import Immutable, Ring, RingMismatch, monomial_text
+from .coefficients import Immutable, Ring, RingMismatch, is_int, monomial_text
 from .series import Series, SeriesRing, SeriesVar
 
 _AXIOM_LABELS = {
@@ -39,10 +39,7 @@ class FormalGroupLaw(Immutable):
     __slots__ = fields = ("coeff_ring", "degree", "series", "name")
 
     def __init__(self, coeff_ring: Ring, degree: int, series: Series, name: Optional[str] = None):
-        object.__setattr__(self, "coeff_ring", coeff_ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "name", name)
+        super().__init__(coeff_ring, degree, series, name)
 
     @property
     def x_name(self) -> str:
@@ -56,12 +53,6 @@ class FormalGroupLaw(Immutable):
     def is_additive(self) -> bool:
         ring = self.series.ring
         return self.series == ring.gen(self.x_name) + ring.gen(self.y_name)
-
-    @property
-    def is_multiplicative(self) -> bool:
-        ring = self.series.ring
-        x, y = ring.gen(self.x_name), ring.gen(self.y_name)
-        return self.series == x + y + x * y
 
     def formal_sum(self, f: Series, g: Series) -> Series:
         """F(f, g) for two series with zero constant term in a common ring."""
@@ -78,7 +69,7 @@ class FormalGroupLaw(Immutable):
         [k+1] = F(x, [k]), exact in the truncated ring since the law is
         associative there.
         """
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValueError(f"n-series index must be a non-negative integer, got {n}")
         ring = SeriesRing(self.coeff_ring, (SeriesVar(self.x_name, self.degree),))
         x = ring.gen(self.x_name)
@@ -95,10 +86,6 @@ class FormalGroupLaw(Immutable):
         return FormalGroupLaw(
             coeff_ring, self.degree, self.series.map_coefficients(ring, fn), self.name
         )
-
-    def __str__(self):
-        label = self.name or "fgl"
-        return f"{label}: F({self.x_name},{self.y_name}) = {self.series}"
 
 
 def validate_law(
@@ -157,20 +144,16 @@ def validate_law(
     return FormalGroupLaw(ring.coeff_ring, degree, F, name)
 
 
-def additive_law(coeff_ring: Ring, degree: int = 20, names=("x", "y")) -> FormalGroupLaw:
+def additive_law(coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
     """F(x, y) = x + y."""
-    ring = SeriesRing(
-        coeff_ring, (SeriesVar(names[0], degree), SeriesVar(names[1], degree))
-    )
-    return validate_law(ring.gen(names[0]) + ring.gen(names[1]), name="additive")
+    ring = SeriesRing(coeff_ring, (SeriesVar("x", degree), SeriesVar("y", degree)))
+    return validate_law(ring.gen("x") + ring.gen("y"), name="additive")
 
 
-def multiplicative_law(coeff_ring: Ring, degree: int = 20, names=("x", "y")) -> FormalGroupLaw:
+def multiplicative_law(coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
     """F(x, y) = x + y + xy, the unit-normalized multiplicative law."""
-    ring = SeriesRing(
-        coeff_ring, (SeriesVar(names[0], degree), SeriesVar(names[1], degree))
-    )
-    x, y = ring.gen(names[0]), ring.gen(names[1])
+    ring = SeriesRing(coeff_ring, (SeriesVar("x", degree), SeriesVar("y", degree)))
+    x, y = ring.gen("x"), ring.gen("y")
     return validate_law(x + y + x * y, name="multiplicative")
 
 

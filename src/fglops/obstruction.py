@@ -50,9 +50,10 @@ from .coefficients import (
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
+    is_int,
     monomial_text,
 )
-from .chern import ChernSeries
+from .chern import ChernSeries, coefficient_names
 from .powerops import PowerOpContext
 from .series import Series, SeriesRing
 
@@ -94,16 +95,12 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     coefficients share one fresh ring, so printing the table formats each
     distinct monomial mask once.
     """
-    if not isinstance(degree, int) or degree < 1:
+    if not is_int(degree) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
     if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
         raise ValueError("relations are read mod 2, which needs even torsion orders")
-    boolean = BooleanRing(tuple(f"a{i}" for i in range(1, degree + 1)))
-    bool_ctx = PowerOpContext(
-        SeriesRing(boolean, ctx.ring.variables),
-        ctx.law.map_coefficients(boolean, boolean.image),
-        boolean.image(ctx.tau),
-    )
+    boolean = BooleanRing(coefficient_names(degree))
+    bool_ctx = ctx.map_coefficients(boolean, boolean.image)
     defect = delta(ChernSeries(boolean.gens(), boolean), bool_ctx)
     rows = [(exps, coef) for exps, coef in defect.terms.items() if exps[1]]
     rows.sort(key=lambda row: (row[0][1], row[0][0]))
@@ -134,13 +131,9 @@ def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
 
 def symbolic_twin(ctx: PowerOpContext, degree: int):
     """The generic candidate of this degree and the context rebuilt over Z[a1..aD]."""
-    candidate = ChernSeries.symbolic(degree, IntegerRing())
+    candidate = ChernSeries.symbolic(degree)
     poly_ring = candidate.coeff_ring
-    sym_series_ring = SeriesRing(poly_ring, ctx.ring.variables)
-    lift = lambda c: poly_ring.coefficient(int(c.value))
-    sym_law = ctx.law.map_coefficients(poly_ring, lift)
-    sym_tau = poly_ring.coefficient(int(ctx.tau.value))
-    return candidate, PowerOpContext(sym_series_ring, sym_law, sym_tau)
+    return candidate, ctx.map_coefficients(poly_ring, lambda c: poly_ring.coefficient(c.value))
 
 
 def _monomial_label(ring: SeriesRing, exps) -> str:
@@ -177,11 +170,7 @@ class ObstructionReport(Immutable):
         witness: Optional[tuple] = None,
         failures: Optional[tuple] = None,
     ):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "failures", failures)
+        super().__init__(ring, relations, verdict, witness, failures)
 
     def to_json(self) -> dict:
         obj = {"verdict": self.verdict, **relation_table(self.ring, self.relations)}
@@ -212,9 +201,9 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     its rows are evaluated on candidate bitmasks (bit i for a_(i+1)): a row
     is 1 at c when an odd number of its monomial masks m divide c, that is
     m & ~c == 0.  The rows read only a1..a_w, w the highest bit of any of
-    their masks (at most ``ctx.reach``), so candidates that agree up to w
-    share a verdict, and the first candidate of a prefix at which no row is
-    1 is that prefix followed by zeros.
+    their masks (w <= D), so candidates that agree up to w share a verdict,
+    and the first candidate of a prefix at which no row is 1 is that prefix
+    followed by zeros.
     """
     ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):

@@ -37,7 +37,7 @@ class PowerOpContext(Immutable):
             raise ValueError("a power operation context needs exactly two variables")
         if law.coeff_ring != ring.coeff_ring:
             raise RingMismatch("law and series ring must share a coefficient ring")
-        if isinstance(tau, int):
+        if not isinstance(tau, Coefficient):
             tau = ring.coeff_ring.coefficient(tau)
         if tau.ring != ring.coeff_ring:
             raise RingMismatch("transfer scalar must live in the coefficient ring")
@@ -46,9 +46,7 @@ class PowerOpContext(Immutable):
             raise ValueError(
                 "the transfer scalar is forced to 2 for the additive law with 2-torsion"
             )
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "tau", tau)
+        super().__init__(ring, law, tau)
 
     @cached_property
     def t(self) -> Series:
@@ -62,15 +60,6 @@ class PowerOpContext(Immutable):
     def tensor_root(self) -> Series:
         """F(t, z), the root of the tensor product of the two lines."""
         return self.law.formal_sum(self.t, self.z)
-
-    @cached_property
-    def reach(self) -> int:
-        """The largest i with t^i, z^i or F(t, z)^i nonzero.
-
-        A candidate coefficient a_i with i past the reach multiplies only
-        zero powers, so it cannot change the defect.
-        """
-        return max(root.top_power() for root in (self.t, self.z, self.tensor_root))
 
     @cached_property
     def _generator_image(self) -> Series:
@@ -99,11 +88,13 @@ class PowerOpContext(Immutable):
         ]
         return self.generator_image().power_sum(squares) + self.t.power_sum(cross)
 
-    def transfer(self, a: Series) -> Series:
-        """The transfer map, multiplication by the scalar tau."""
-        if a.ring != self.ring:
-            raise RingMismatch("transfer input must live in the context ring")
-        return a * self.tau
+    def map_coefficients(self, coeff_ring: Ring, fn) -> "PowerOpContext":
+        """The image context under a coefficient-ring homomorphism."""
+        return PowerOpContext(
+            SeriesRing(coeff_ring, self.ring.variables),
+            self.law.map_coefficients(coeff_ring, fn),
+            fn(self.tau),
+        )
 
 
 def standard_ring(
@@ -111,15 +102,11 @@ def standard_ring(
     t_trunc: int = 5,
     z_trunc: int = 3,
     z_torsion: Optional[int] = 2,
-    names=("t", "z"),
 ) -> SeriesRing:
     """The default two-variable quotient ring, C[[t,z]]/(2z, z^k, t^m)."""
     if coeff_ring is None:
         coeff_ring = IntegerRing()
-    return SeriesRing(
-        coeff_ring,
-        (SeriesVar(names[0], t_trunc), SeriesVar(names[1], z_trunc, z_torsion)),
-    )
+    return SeriesRing(coeff_ring, (SeriesVar("t", t_trunc), SeriesVar("z", z_trunc, z_torsion)))
 
 
 def standard_context(

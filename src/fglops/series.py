@@ -39,6 +39,7 @@ from .coefficients import (
     RingMismatch,
     coeff_ring_from_json,
     coeff_ring_to_json,
+    is_int,
     monomial_text,
     parse_coefficient,
 )
@@ -46,10 +47,6 @@ from .coefficients import (
 
 class NonConvergent(ValueError):
     """A substitution image has a constant term that is not nilpotent."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SeriesVar(Immutable):
@@ -60,13 +57,11 @@ class SeriesVar(Immutable):
     def __init__(self, name: str, trunc: int, torsion: Optional[int] = None):
         if not isinstance(name, str) or not name:
             raise ValueError(f"variable names must be non-empty strings, got {name!r}")
-        if not _is_int(trunc) or trunc < 1:
+        if not is_int(trunc) or trunc < 1:
             raise ValueError(f"truncation degree must be a positive integer, got {trunc}")
-        if torsion is not None and (not _is_int(torsion) or torsion < 1):
+        if torsion is not None and (not is_int(torsion) or torsion < 1):
             raise ValueError(f"torsion order must be a positive integer, got {torsion}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "torsion", torsion)
+        super().__init__(name, trunc, torsion)
 
 
 class SeriesRing(Immutable):
@@ -81,8 +76,7 @@ class SeriesRing(Immutable):
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        object.__setattr__(self, "coeff_ring", coeff_ring)
-        object.__setattr__(self, "variables", variables)
+        super().__init__(coeff_ring, variables)
 
     def __str__(self) -> str:
         names = ",".join(v.name for v in self.variables)
@@ -193,7 +187,7 @@ def _raw_value(cr: Ring, coef):
 
 def _is_scalar(value) -> bool:
     """An int (not a bool) or a Coefficient: what series arithmetic accepts besides series."""
-    return isinstance(value, Coefficient) or _is_int(value)
+    return isinstance(value, Coefficient) or is_int(value)
 
 
 def _term_order(exps) -> tuple:
@@ -225,7 +219,7 @@ class Series:
                     f"exponent vector {exps} does not match variables {ring.names()}"
                 )
             for e in exps:
-                if not _is_int(e) or e < 0:
+                if not is_int(e) or e < 0:
                     raise ValueError(f"exponents must be non-negative integers, got {exps}")
             coef = _raw_value(cr, coef)
             if any(e >= v.trunc for e, v in zip(exps, ring.variables)):
@@ -337,7 +331,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not is_int(exponent) or exponent < 0:
             raise ValueError("series powers must be non-negative integers")
         result = self.ring.one
         for _ in range(exponent):
@@ -426,15 +420,6 @@ class Series:
             powers = powers + (powers[-1] * self,)
             self._powers = powers
         return powers[min(i, len(powers) - 1)]
-
-    def top_power(self) -> int:
-        """The largest i with self**i nonzero; needs a nilpotent series."""
-        if not self.constant_term().is_nilpotent():
-            raise ValueError("a series with a non-nilpotent constant term has no top power")
-        i = 0
-        while self._power(i + 1):
-            i += 1
-        return i
 
     def invert(self) -> "Series":
         """Exact inverse via the geometric series; needs a unit constant term."""

@@ -33,7 +33,7 @@ def test_symbolic_candidate():
     r = ChernSeries.symbolic(3)
     assert r.degree == 3
     assert r.is_generic_symbolic
-    assert r.coefficient(2) == r.coeff_ring.gen("a2")
+    assert r.coeffs[1] == r.coeff_ring.gen("a2")
     numeric = ChernSeries([1, 0, 0])
     assert not numeric.is_generic_symbolic
     with pytest.raises(UnitViolation):

@@ -203,6 +203,17 @@ def test_nseries_json(capsys):
     assert obj["terms"] == [{"exp": [1], "coef": "2"}, {"exp": [2], "coef": "1"}]
 
 
+@pytest.mark.parametrize("coef", ["a+", "-", "+", "a+-b", "1_0", "--1"])
+def test_malformed_coefficient_literal_exits_2(tmp_path, capsys, coef):
+    obj = _univariate([(1, 1)])
+    if "a" in coef:
+        obj["ring"]["coeff"] = {"poly": {"base": "Z", "vars": ["a", "b"]}}
+    obj["terms"].append({"exp": [2], "coef": coef})
+    assert main(["powerop", _series_file(tmp_path, "f.json", obj)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad ")
+
+
 def test_malformed_series_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"ring": {"coeff": "Z"}, "terms": []}')

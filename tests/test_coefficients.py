@@ -160,6 +160,31 @@ def test_parse_rejects_unknown_names():
         parse_coefficient(P2, "a1*c9")
 
 
+BAD_INTEGERS = ("", " ", "+", "-", "1_0", "٣", "- 5", "1.0", "0x1", "1 2")
+BAD_POLYNOMIALS = (
+    "", "+", "-", "a+", "a*", "*a", "a+-b", "a++b", "--a", "+-1", "a^", "a^-1", "2a", "a^٣", "1_0", "(a)",
+)
+
+
+@pytest.mark.parametrize("ring, text", [
+    *[(ring, text) for ring in (Z, Z6) for text in BAD_INTEGERS],
+    *[(ring, text) for ring in (PZ, P2, B3) for text in BAD_POLYNOMIALS],
+], ids=str)
+def test_parse_rejects_malformed_literals(ring, text):
+    # a literal is sign-joined terms with at most one leading sign; integers are ASCII digits
+    if ring in (PZ, P2, B3):
+        text = text.replace("a", ring.names[0]).replace("b", ring.names[1])
+    with pytest.raises(ValueError):
+        parse_coefficient(ring, text)
+
+
+def test_parse_accepts_one_leading_sign():
+    assert parse_coefficient(Z, "+7") == 7 and parse_coefficient(Z6, " -1\n") == 5
+    assert parse_coefficient(PZ, "+a-b") == PZ.gen("a") - PZ.gen("b")
+    assert parse_coefficient(PZ, "-2*a^2*3") == -6 * PZ.gen("a") ** 2
+    assert parse_coefficient(B3, "a1*a1+1") == B3.gen("a1") + 1
+
+
 def test_descriptor_invariants():
     with pytest.raises(ValueError):
         IntegerModRing(1)

@@ -27,8 +27,10 @@ def _law_ring(degree=20, coeff=Z):
 def test_builtins_validate():
     add = additive_law(Z)
     mult = multiplicative_law(Z)
-    assert add.is_additive and not add.is_multiplicative
-    assert mult.is_multiplicative and not mult.is_additive
+    ring = _law_ring()
+    x, y = ring.gen("x"), ring.gen("y")
+    assert add.is_additive and add.series == x + y
+    assert mult.series == x + y + x * y and not mult.is_additive
     assert builtin_law("additive", Z).series == add.series
 
 

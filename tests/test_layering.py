@@ -1,4 +1,5 @@
-"""No module of the package reaches into another module's private names.
+"""No module of the package reaches into another module's private names,
+and none imports a name it never uses.
 
 A name starting with one underscore belongs to the module that defines it.
 The check is syntactic: it reads each module with ``ast`` and fails on
@@ -10,12 +11,20 @@ The check is syntactic: it reads each module with ``ast`` and fails on
 
 Dunder names (``__init__``, ``__setattr__``, ...) are public protocol and
 exempt.
+
+An imported name is used when the module reads it as a name, or when the
+benchmark's traced pass looks it up in that module: ``bench/tracing.py``
+wraps some names where a caller finds them, and its ``LAYERS`` table, read
+from source, lists them.  ``__init__.py`` imports to re-export and is
+exempt.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from test_bench_names import LAYERS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fglops"
 
@@ -72,3 +81,42 @@ def test_checker_flags_foreign_private_names():
         "    def _g(self):\n        return 0\n"
     )
     assert foreign_private_uses(owned) == []
+
+
+def unused_imports(source: str, looked_up=()) -> list:
+    """(line, name) for each name the module imports and never reads."""
+    tree = ast.parse(source)
+    read = set(looked_up)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    module = f"fglops.{path.stem}"
+    looked_up = {attr.split(".")[0] for _, owner, attr, _ in LAYERS if owner == module}
+    assert unused_imports(path.read_text(encoding="utf-8"), looked_up) == []
+
+
+def test_checker_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, re\n"
+        "from .series import Series, SeriesRing\n"
+        "def f(x) -> Series:\n    \"\"\"Not a SeriesRing.\"\"\"\n    return re.sub('a', 'b', x)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (3, "SeriesRing")]
+    assert unused_imports(source, looked_up={"os", "SeriesRing"}) == []

@@ -258,11 +258,11 @@ def _top_power(root):
 @pytest.mark.parametrize("law", ["additive", "multiplicative"])
 @pytest.mark.parametrize("t_max, z_max", [(3, 2), (4, 2), (5, 3), (5, 1)])
 def test_search_matches_brute_force(t_max, z_max, law):
-    # the search computes one defect per prefix a1..a_reach; every candidate's
-    # verdict must still equal the one from its own defect, past the reach too
+    # the search gives one verdict per prefix a1..a_w of the relation masks; every
+    # candidate's verdict must still equal the one from its own defect, past the reach too
     ctx = standard_context(Z, t_max, z_max, law=builtin_law(law, Z))
-    assert ctx.reach == max(_top_power(root) for root in (ctx.t, ctx.z, ctx.tensor_root))
-    for degree in range(1, ctx.reach + 5):
+    reach = max(_top_power(root) for root in (ctx.t, ctx.z, ctx.tensor_root))
+    for degree in range(1, reach + 5):
         report = exhaustive_search(degree, ctx)
         witness, failures = _brute_force_search(degree, ctx)
         assert report.witness == witness, (degree, report.witness)
@@ -276,10 +276,11 @@ def test_search_witness_is_first_zero_defect():
     ctx = standard_context(Z, z_trunc=1)
     assert exhaustive_search(7, ctx).witness == (1, 0, 0, 0, 0, 0, 0)
     ctx = standard_context(Z, 3, 2)
-    report = exhaustive_search(ctx.reach + 3, ctx)
-    assert report.witness == _brute_force_search(ctx.reach + 3, ctx)[0]
-    assert report.witness[1:ctx.reach] != (0,) * (ctx.reach - 1)
-    assert report.witness[ctx.reach:] == (0, 0, 0)
+    reach = max(_top_power(root) for root in (ctx.t, ctx.z, ctx.tensor_root))
+    report = exhaustive_search(reach + 3, ctx)
+    assert report.witness == _brute_force_search(reach + 3, ctx)[0]
+    assert report.witness[1:reach] != (0,) * (reach - 1)
+    assert report.witness[reach:] == (0, 0, 0)
 
 
 @pytest.mark.parametrize("tau", [1, 3])
@@ -354,6 +355,20 @@ def test_search_computes_one_defect(monkeypatch):
 def test_search_bad_degree(default_context):
     with pytest.raises(ValueError):
         exhaustive_search(0, default_context)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: boolean_relations(True, ctx),
+    lambda ctx: exhaustive_search(True, ctx),
+    lambda ctx: ChernSeries.symbolic(True),
+    lambda ctx: ctx.law.n_series(True),
+    lambda ctx: ctx.t ** True,
+    lambda ctx: ctx.tau ** True,
+], ids=["boolean_relations", "exhaustive_search", "symbolic", "n_series", "series_pow",
+        "coefficient_pow"])
+def test_bool_is_not_an_integer(call, default_context):
+    with pytest.raises(ValueError, match="integer"):
+        call(default_context)
 
 
 def test_negative_unit_spot_check(default_context):

@@ -75,13 +75,6 @@ def test_power_op_rejects_multivariate(default_context):
         default_context.power_op(standard_ring(Z, t_trunc=7).gen("t"))
 
 
-def test_transfer(default_context):
-    ring = default_context.ring
-    assert default_context.transfer(ring.gen("t")) == ring.gen("t") * 2
-    assert default_context.transfer(ring.gen("z")) == ring.zero
-    assert default_context.transfer(ring.zero) == ring.zero
-
-
 def test_transfer_scalar_pinned_for_additive_two_torsion():
     with pytest.raises(ValueError):
         standard_context(Z, tau=3)
@@ -119,7 +112,7 @@ def test_sum_rule(default_context):
         rhs = (
             default_context.power_op(f)
             + default_context.power_op(g)
-            + default_context.transfer(f * g)
+            + f * g * default_context.tau
         )
         assert lhs == rhs
 
@@ -132,11 +125,11 @@ def test_sum_rule_holds_exactly_at_tau_2(tau):
     ring = ctx.ring
     one = ring.one
     assert ctx.power_op(one + one) == ring.constant(4)
-    assert ctx.power_op(one) + ctx.power_op(one) + ctx.transfer(one) == ring.constant(2 + tau)
+    assert ctx.power_op(one) + ctx.power_op(one) + one * ctx.tau == ring.constant(2 + tau)
     rng = random.Random(37)
     pairs = [(one, one)] + [(_random_univariate(ring, rng), _random_univariate(ring, rng))
                             for _ in range(30)]
-    holds = [ctx.power_op(f + g) == ctx.power_op(f) + ctx.power_op(g) + ctx.transfer(f * g)
+    holds = [ctx.power_op(f + g) == ctx.power_op(f) + ctx.power_op(g) + f * g * ctx.tau
              for f, g in pairs]
     assert all(holds) if tau == 2 else not holds[0]
 

@@ -339,15 +339,6 @@ def test_power_sum_checks_coefficients():
     assert t.power_sum([Coefficient(Z, 3), 0, -1]) == TZ.one * 3 - t * t
 
 
-def test_top_power():
-    t, z = TZ.gen("t"), TZ.gen("z")
-    assert TZ.zero.top_power() == 0
-    assert t.top_power() == 4 and z.top_power() == 2
-    assert (t + z).top_power() == 6  # 15*t^4*z^2 survives the 2-torsion of z
-    with pytest.raises(ValueError):
-        (TZ.one + t).top_power()
-
-
 def test_scalar_mul_matches_constant_series():
     rng = random.Random(17)
     poly = PolynomialRing(Z, ("a1", "a2"))

@@ -107,7 +107,7 @@ def test_assignment_and_deletion_raise():
 def test_cached_properties_take_no_part_in_the_value():
     ctx, fresh = standard_context(IntegerRing(), 3, 2), standard_context(IntegerRing(), 3, 2)
     ring, fresh_ring = _ring(), _ring()
-    assert ctx.reach and ring.layout  # fill the caches of one side only
+    assert ctx.tensor_root and ring.layout  # fill the caches of one side only
     assert ctx == fresh and hash(ctx) == hash(fresh)
     assert ring == fresh_ring and hash(ring) == hash(fresh_ring)
 
