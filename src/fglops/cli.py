@@ -7,9 +7,10 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .chern import ChernSeries, computation_one
-from .coefficients import IntegerRing
+from .coefficients import IntegerRing, parse_int
 from .fgl import ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
     boolean_relations,
@@ -28,7 +29,7 @@ _SEARCH_DEGREE_MAX = 16
 def _trunc_cap() -> int:
     text = os.environ.get("FGLOPS_TRUNC_MAX", "64")
     try:
-        cap = int(text)
+        cap = parse_int(text)
     except ValueError:
         cap = 0
     if cap < 1:
@@ -66,28 +67,43 @@ def _load_law(name_or_path: str, degree, coeff_ring):
     return validate_law(law, degree=degree)
 
 
-def _emit_json(obj) -> None:
-    """Print ``json.dumps(obj, indent=2)``.
+def _relation_row(row) -> str:
+    monomial, poly = _json_string(row["monomial"]), _json_string(row["poly"])
+    return f'    {{\n      "monomial": {monomial},\n      "poly": {poly}\n    }}'
+
+
+def _failure_row(row) -> str:
+    candidate = ",\n        ".join(map(str, row["candidate"]))
+    monomial = _json_string(row["monomial"])
+    return (
+        f'    {{\n      "candidate": [\n        {candidate}\n      ],'
+        f'\n      "monomial": {monomial}\n    }}'
+    )
+
+
+# the row lists of relation tables and search reports, by top-level key
+_ROW_WRITERS = {"relations": _relation_row, "failures": _failure_row}
+
+
+def _emit_json(obj: dict) -> None:
+    """Print ``json.dumps(obj, indent=2)`` for a non-empty dict ``obj``.
 
     With ``indent`` the encoder runs in pure Python, which is slow on the
-    2^(D-1) failure rows of a search report, its last key.  Those rows are
-    filled into a fixed template of the same layout instead.
+    rows of a relation table and on the 2^(D-1) failure rows of a search
+    report.  A non-empty row list under one of those keys is filled into a
+    fixed template of the same layout; every other value goes through
+    ``json.dumps``.
     """
-    rows = obj.get("failures")
-    if not rows:
-        print(json.dumps(obj, indent=2))
-        return
-    head = json.dumps({key: obj[key] for key in obj if key != "failures"}, indent=2)
-    labels = {mono: json.dumps(mono) for mono in {row["monomial"] for row in rows}}
-    body = ",\n".join(
-        '    {\n      "candidate": [\n        '
-        + ",\n        ".join(map(str, row["candidate"]))
-        + '\n      ],\n      "monomial": '
-        + labels[row["monomial"]]
-        + "\n    }"
-        for row in rows
-    )
-    print(f'{head[:-2]},\n  "failures": [\n{body}\n  ]\n}}')
+    pieces = []
+    for key, value in obj.items():
+        pieces += (",\n" if pieces else "{\n", f"  {_json_string(key)}: ")
+        row = _ROW_WRITERS.get(key) if value else None
+        if row is None:
+            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        else:
+            pieces += ("[\n", ",\n".join(map(row, value)), "\n  ]")
+    # written piece by piece: joining them would copy the whole document again
+    print(*pieces, "\n}", sep="")
 
 
 def _print_series(result, as_json: bool) -> None:
@@ -148,7 +164,7 @@ def cmd_chern(args) -> int:
         candidate = ChernSeries.symbolic(args.symbolic)
         coeff_ring = candidate.coeff_ring
     else:
-        values = [int(part) for part in args.coeffs.split(",")]
+        values = [parse_int(part) for part in args.coeffs.split(",")]
         coeff_ring = IntegerRing()
         candidate = ChernSeries(values, coeff_ring)
     ring = standard_ring(coeff_ring, args.t_trunc, args.z_trunc)
@@ -182,6 +198,14 @@ def cmd_obstruct(args) -> int:
     return 1 if obj.get("verdict") == "satisfiable" else 0
 
 
+def _int_arg(text: str) -> int:
+    """An integer option value, in the grammar of :func:`parse_int`."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fglops",
@@ -196,16 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
     check = fgl_sub.add_parser("check", help="validate the law axioms")
     check.add_argument("law", help="built-in name (additive, multiplicative) or JSON file")
     check.add_argument(
-        "--degree", type=int, help="truncation degree (default: a law file's own, else 20)"
+        "--degree", type=_int_arg, help="truncation degree (default: a law file's own, else 20)"
     )
     check.add_argument("--json", action="store_true")
     check.set_defaults(func=cmd_fgl_check)
 
     nseries = fgl_sub.add_parser("nseries", help="print the n-fold formal sum [n](x)")
     nseries.add_argument("law")
-    nseries.add_argument("n", type=int)
+    nseries.add_argument("n", type=_int_arg)
     nseries.add_argument(
-        "--degree", type=int, help="truncation degree (default: a law file's own, else 20)"
+        "--degree", type=_int_arg, help="truncation degree (default: a law file's own, else 20)"
     )
     nseries.add_argument("--json", action="store_true")
     nseries.set_defaults(func=cmd_fgl_nseries)
@@ -213,24 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
     powerop = sub.add_parser("powerop", help="apply the quadratic power operation")
     powerop.add_argument("series", help="JSON file with a univariate series")
     powerop.add_argument("--fgl", default="additive")
-    powerop.add_argument("--tau", type=int, default=2)
-    powerop.add_argument("--t-trunc", type=int, default=5)
-    powerop.add_argument("--z-trunc", type=int, default=3)
+    powerop.add_argument("--tau", type=_int_arg, default=2)
+    powerop.add_argument("--t-trunc", type=_int_arg, default=5)
+    powerop.add_argument("--z-trunc", type=_int_arg, default=3)
     powerop.add_argument("--json", action="store_true")
     powerop.set_defaults(func=cmd_powerop)
 
     chern = sub.add_parser("chern", help="evaluate r(t+z)r(t)/r(z) for a candidate r")
     chern.add_argument("--coeffs", help="comma-separated integers a1,a2,...")
-    chern.add_argument("--symbolic", type=int, help="generic candidate of this degree")
-    chern.add_argument("--t-trunc", type=int, default=5)
-    chern.add_argument("--z-trunc", type=int, default=3)
+    chern.add_argument("--symbolic", type=_int_arg, help="generic candidate of this degree")
+    chern.add_argument("--t-trunc", type=_int_arg, default=5)
+    chern.add_argument("--z-trunc", type=_int_arg, default=3)
     chern.add_argument("--json", action="store_true")
     chern.set_defaults(func=cmd_chern)
 
     obstruct = sub.add_parser("obstruct", help="relation table or exhaustive certificate")
-    obstruct.add_argument("--degree", type=int, default=3)
-    obstruct.add_argument("--t-trunc", type=int, default=5)
-    obstruct.add_argument("--z-trunc", type=int, default=3)
+    obstruct.add_argument("--degree", type=_int_arg, default=3)
+    obstruct.add_argument("--t-trunc", type=_int_arg, default=5)
+    obstruct.add_argument("--z-trunc", type=_int_arg, default=3)
     obstruct.add_argument("--symbolic", action="store_true")
     obstruct.add_argument("--search", action="store_true")
     obstruct.add_argument("--json", action="store_true")
@@ -249,7 +273,7 @@ def _join_negative_coeffs(argv: list) -> list:
     out = []
     for token in argv:
         flag = out[-1] if out else ""
-        if len(flag) > 2 and "--coeffs".startswith(flag) and re.match(r"-\d", token):
+        if len(flag) > 2 and "--coeffs".startswith(flag) and re.match(r"-[0-9]", token):
             out[-1] = f"{flag}={token}"
         else:
             out.append(token)

@@ -14,7 +14,11 @@ canonical normal form.  Raw encodings per ring:
   BooleanRing     frozenset of monomial bitmasks (multilinear, over F2)
 
 Because values are always normal forms, structural equality decides ring
-equality questions and every value is hashable and freely shareable.
+equality questions and every value is hashable and freely shareable.  The
+one exception is a sum being accumulated: :meth:`Ring.mul_add` adds a
+product to a *working value* (an unreduced int over Z/n, a mutable set of
+masks over a Boolean ring), and :meth:`Ring.settle` turns it into the normal
+form once the sum is complete.
 """
 
 from __future__ import annotations
@@ -128,6 +132,21 @@ class Ring(Immutable):
     def mul(self, a, b):
         raise NotImplementedError
 
+    def mul_add(self, acc, a, b):
+        """acc + a*b as a working value, ``acc`` None standing for the empty sum.
+
+        A working value is a raw value that ring arithmetic may not yet have
+        put in normal form; :meth:`settle` puts it there.  ``acc`` is either
+        a canonical raw value or a working value this method returned, which
+        it may update in place.
+        """
+        product = self.mul(a, b)
+        return product if acc is None else self.add(acc, product)
+
+    def settle(self, acc):
+        """The canonical raw value of a working value; a canonical value comes back unchanged."""
+        return acc
+
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
@@ -156,10 +175,15 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_int(text: str) -> int:
-    """An optional sign and ASCII digits, with surrounding whitespace."""
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, with surrounding whitespace.
+
+    The one integer grammar of every text boundary: no ``_`` separators, no
+    other digits than 0-9.
+    """
     s = text.strip()
-    if not re.fullmatch(r"[+-]?[0-9]+", s):
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad integer literal {text!r}")
     return int(s)
 
@@ -188,6 +212,9 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    def mul_add(self, acc, a, b):
+        return a * b if acc is None else acc + a * b
+
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -209,7 +236,7 @@ class IntegerRing(Ring):
         return str(a)
 
     def parse_value(self, text: str):
-        return _parse_int(text)
+        return parse_int(text)
 
 
 _Z = IntegerRing()
@@ -242,6 +269,12 @@ class IntegerModRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.modulus
 
+    # a working value is any int, reduced once by settle
+    mul_add = IntegerRing.mul_add
+
+    def settle(self, acc):
+        return acc % self.modulus
+
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -269,7 +302,7 @@ class IntegerModRing(Ring):
         return str(a)
 
     def parse_value(self, text: str):
-        return _parse_int(text) % self.modulus
+        return parse_int(text) % self.modulus
 
 
 def _poly_term_key(item):
@@ -512,9 +545,11 @@ class BooleanRing(Ring):
     indeterminate ``names[i]``: multilinear polynomials over F2, the
     functions on {0, 1}^n.  Sums are symmetric differences; a product ORs
     each pair of masks (x_i^2 = x_i) and keeps the masks that occur an odd
-    number of times.  Reducing integer polynomials mod 2 with x_i^2 = x_i is
-    a ring homomorphism into this ring (:meth:`image`), so a computation can
-    run here from the start instead of being reduced at the end.
+    number of times, toggling each in a mutable set (:meth:`mul_add`) that
+    :meth:`settle` freezes.  Reducing integer polynomials mod 2 with
+    x_i^2 = x_i is a ring homomorphism into this ring (:meth:`image`), so a
+    computation can run here from the start instead of being reduced at the
+    end.
 
     Values print straight from their masks, in the order and text of
     PolynomialRing(Z/2, names): popcount descending, then set-bit indices
@@ -569,16 +604,19 @@ class BooleanRing(Ring):
         return sorted(known.get(m) or self._new_entry(m) for m in value)
 
     def _new_entry(self, m: int) -> tuple:
-        # the exponent of names[i] is bit i: the binary digits of the mask, reversed;
-        # ascending strings of equal length are ascending exponent vectors
-        bits = format(m, f"0{len(self.names)}b")[::-1]
+        # the exponent of names[i] is bit i, so the n-bit reversal of the mask
+        # orders exponent vectors ascending; above it, n - popcount orders
+        # popcount descending
+        n = len(self.names)
+        reversed_mask = int(format(m, f"0{n}b")[::-1], 2)
         factors = []
         rest = m
         while rest:
             low = rest & -rest
             factors.append(self.names[low.bit_length() - 1])
             rest ^= low
-        entry = self._masks[m] = ((-m.bit_count(), bits), "*".join(factors) or "1")
+        key = ((n - m.bit_count()) << n) | reversed_mask
+        entry = self._masks[m] = (key, "*".join(factors) or "1")
         return entry
 
     def normalize(self, value):
@@ -602,7 +640,15 @@ class BooleanRing(Ring):
         return a
 
     def mul(self, a, b):
-        acc: set = set()
+        return self.settle(self.mul_add(None, a, b))
+
+    def mul_add(self, acc, a, b):
+        # a working value is a mutable set, toggled in place; a canonical
+        # frozenset is copied first
+        if acc is None:
+            acc = set()
+        elif type(acc) is not set:
+            acc = set(acc)
         for x in a:
             for y in b:
                 m = x | y
@@ -610,7 +656,10 @@ class BooleanRing(Ring):
                     acc.remove(m)
                 else:
                     acc.add(m)
-        return frozenset(acc)
+        return acc
+
+    # frozenset() of a frozenset is that same object
+    settle = staticmethod(frozenset)
 
     def is_zero(self, a) -> bool:
         return not a
@@ -760,7 +809,7 @@ def coeff_ring_to_json(ring: Ring):
 def coeff_ring_from_json(obj) -> Ring:
     if obj == "Z":
         return IntegerRing()
-    if isinstance(obj, str) and obj.startswith("Z/"):
+    if isinstance(obj, str) and obj[:2] == "Z/" and obj[2:].isascii() and obj[2:].isdigit():
         return IntegerModRing(int(obj[2:]))
     if isinstance(obj, Mapping) and "poly" in obj:
         spec = obj["poly"]

@@ -81,12 +81,14 @@ class PowerOpContext(Immutable):
                 )
             coeffs[exps[0]] = coef
         a = [coeffs.get(e, 0) for e in range(1 + max(coeffs, default=-1))]
-        squares = [a_e ** 2 for a_e in a]
+        squares = self.generator_image().power_sum([a_e ** 2 for a_e in a])
+        if not self.tau:  # as in B_D, where 2 = 0: no cross terms
+            return squares
         cross = [
             self.tau * sum(a[i] * a[k - i] for i in range(max(0, k + 1 - len(a)), (k + 1) // 2))
             for k in range(2 * len(a) - 2)
         ]
-        return self.generator_image().power_sum(squares) + self.t.power_sum(cross)
+        return squares + self.t.power_sum(cross)
 
     def map_coefficients(self, coeff_ring: Ring, fn) -> "PowerOpContext":
         """The image context under a coefficient-ring homomorphism."""

@@ -159,19 +159,25 @@ class KeyLayout:
 
 
 def _reduced(ring: SeriesRing, acc: dict) -> dict:
-    """Raw terms with each monomial's torsion modulus applied and zeros dropped."""
+    """Canonical raw terms of working values (:meth:`Ring.mul_add`).
+
+    Each value is settled, reduced by its monomial's torsion modulus and
+    dropped if zero.
+    """
     cr = ring.coeff_ring
+    settle, is_zero = cr.settle, cr.is_zero
     masks = ring.layout.masks
     torsion = [(masks[i], v.torsion) for i, v in enumerate(ring.variables) if v.torsion is not None]
     out: dict = {}
     for key, coef in acc.items():
+        coef = settle(coef)
         modulus = 0
         for mask, order in torsion:
             if key & mask:
                 modulus = math.gcd(modulus, order)
         if modulus:
             coef = cr.reduce_mod(coef, modulus)
-        if not cr.is_zero(coef):
+        if not is_zero(coef):
             out[key] = coef
     return out
 
@@ -232,7 +238,7 @@ class Series:
 
     @classmethod
     def _from_raw(cls, ring: SeriesRing, acc: dict) -> "Series":
-        """Series from raw terms keyed in range; only torsion and zeros are applied."""
+        """Series from working values keyed in range; settling, torsion and zeros are applied."""
         obj = cls.__new__(cls)
         obj.ring = ring
         obj._terms = _reduced(ring, acc)
@@ -311,21 +317,18 @@ class Series:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        add, mul = self.ring.coeff_ring.add, self.ring.coeff_ring.mul
+        mul_add = self.ring.coeff_ring.mul_add
         layout = self.ring.layout
         bias, overflow = layout.bias, layout.overflow
         acc: dict = {}
+        get = acc.get
         for k1, c1 in self._terms.items():
             biased = k1 + bias
             for k2, c2 in other._terms.items():
                 if (biased + k2) & overflow:
                     continue
                 key = k1 + k2
-                v = mul(c1, c2)
-                if key in acc:
-                    acc[key] = add(acc[key], v)
-                else:
-                    acc[key] = v
+                acc[key] = mul_add(get(key), c1, c2)
         return Series._from_raw(self.ring, acc)
 
     __rmul__ = __mul__
@@ -375,7 +378,7 @@ class Series:
             else:
                 img = target.gen(v.name)
             images.append(img)
-        add, mul = target.coeff_ring.add, target.coeff_ring.mul
+        mul_add = target.coeff_ring.mul_add
         unpack = self.ring.layout.unpack
         acc: dict = {}
         for key, coef in self._terms.items():
@@ -384,8 +387,7 @@ class Series:
                 if e:
                     term = term * images[i]._power(e)
             for k, c in term._terms.items():
-                v = mul(coef, c)
-                acc[k] = add(acc[k], v) if k in acc else v
+                acc[k] = mul_add(acc.get(k), coef, c)
         return Series._from_raw(target, acc)
 
     def power_sum(self, coeffs) -> "Series":
@@ -397,7 +399,7 @@ class Series:
         only scale and add them.
         """
         cr = self.ring.coeff_ring
-        add, mul = cr.add, cr.mul
+        mul_add = cr.mul_add
         acc: dict = {}
         for i, c in enumerate(coeffs):
             power = self._power(i)
@@ -409,8 +411,7 @@ class Series:
             if cr.is_zero(raw):
                 continue
             for key, coef in power._terms.items():
-                v = mul(coef, raw)
-                acc[key] = add(acc[key], v) if key in acc else v
+                acc[key] = mul_add(acc.get(key), coef, raw)
         return Series._from_raw(self.ring, acc)
 
     def _power(self, i: int) -> "Series":

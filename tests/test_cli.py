@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from fglops import (
     IntegerRing,
+    boolean_relations,
     exhaustive_search,
     series_from_json,
     series_to_json,
     standard_context,
 )
 from fglops.cli import main
+from fglops.obstruction import relation_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -382,7 +384,7 @@ def test_trunc_cap(monkeypatch, capsys):
         assert main(argv) == 0, argv
 
 
-@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-3"])
+@pytest.mark.parametrize("value", ["abc", "1e3", "0", "-3", " 1_0", "1_0", "\uff18", "\u0668"])
 def test_trunc_cap_must_parse(monkeypatch, capsys, value):
     monkeypatch.setenv("FGLOPS_TRUNC_MAX", value)
     assert main(["fgl", "check", "additive"]) == 2
@@ -392,12 +394,13 @@ def test_trunc_cap_must_parse(monkeypatch, capsys, value):
 
 
 def test_search_json_matches_json_dumps(capsys):
-    # the writer fills the failure rows from a template; it must give the
-    # bytes of json.dumps(indent=2) on unsatisfiable and satisfiable points
+    # the writer fills the relation and failure rows from templates; it must
+    # give the bytes of json.dumps(indent=2) on unsatisfiable points and on
+    # satisfiable ones, where the witness follows the relation rows
     rng = random.Random(12)
-    points = [(5, 3, 1), (5, 3, 12), (2, 3, 8), (5, 1, 4), (1, 1, 3)]
+    points = [(5, 3, 1), (5, 3, 12), (2, 3, 8), (2, 3, 6), (5, 1, 4), (1, 1, 3)]
     points += [(rng.randint(1, 9), rng.randint(1, 5), rng.randint(1, 12)) for _ in range(10)]
-    verdicts = set()
+    verdicts, witness_after_rows = set(), False
     for t, z, degree in points:
         argv = ["obstruct", "--search", "--json", "--t-trunc", str(t), "--z-trunc", str(z),
                 "--degree", str(degree)]
@@ -406,7 +409,82 @@ def test_search_json_matches_json_dumps(capsys):
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n", argv
         assert code == (1 if report["verdict"] == "satisfiable" else 0)
         verdicts.add(report["verdict"])
+        if report["verdict"] == "satisfiable" and report["relations"]:
+            assert list(report)[-2:] == ["relations", "witness"]
+            witness_after_rows = True
     assert verdicts == {"satisfiable", "unsatisfiable"}
+    assert witness_after_rows
+
+
+def test_symbolic_json_matches_json_dumps(capsys):
+    # the relation rows come from a template; z-trunc 1 gives the empty table,
+    # and the four points of the benchmark's relations workload are included
+    rng = random.Random(14)
+    points = [(5, 1, 3), (1, 1, 1), (5, 3, 3)]
+    points += [(17, 9, 16), (33, 17, 32), (49, 25, 48), (63, 31, 62)]
+    points += [(rng.randint(1, 12), rng.randint(1, 8), rng.randint(1, 10)) for _ in range(12)]
+    empty = False
+    for t, z, degree in points:
+        argv = ["obstruct", "--symbolic", "--json", "--t-trunc", str(t), "--z-trunc", str(z),
+                "--degree", str(degree)]
+        assert main(argv) == 0, argv
+        ctx = standard_context(IntegerRing(), t, z)
+        table = relation_table(ctx.ring, boolean_relations(degree, ctx))
+        out = capsys.readouterr().out
+        assert out == json.dumps(table, indent=2) + "\n", argv
+        empty = empty or '"relations": []' in out
+    assert empty
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["obstruct", "--symbolic", "--degree", "1_0"],
+        ["obstruct", "--search", "--degree", "\u0663"],
+        ["obstruct", "--search", "--t-trunc", "\uff15"],
+        ["obstruct", "--search", "--z-trunc", "3_0"],
+        ["fgl", "nseries", "additive", "\uff13"],
+        ["fgl", "nseries", "additive", "1_0"],
+        ["fgl", "check", "additive", "--degree", "2_0"],
+        ["powerop", "t.json", "--tau", "0_2"],
+        ["powerop", "t.json", "--t-trunc", "\u0665"],
+        ["chern", "--symbolic", "1_0"],
+        ["chern", "--coeffs=1,1_0"],
+        ["chern", "--coeffs=1,\uff12"],
+        ["chern", "--coeffs", "-\u0661,0"],
+    ],
+)
+def test_integers_take_one_grammar(tmp_path, monkeypatch, capsys, argv):
+    # optional sign and ASCII digits: no "_" separators and no other digits
+    monkeypatch.chdir(tmp_path)
+    _series_file(tmp_path, "t.json", _univariate([(1, 1)]))
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("error:", "usage:")), captured.err
+
+
+@pytest.mark.parametrize(
+    "coeff", ["Z/1_0", "Z/ 7", "Z/7 ", "Z/+7", "Z/\u0667", "Z/\uff17", "Z/"]
+)
+def test_modulus_descriptor_takes_ascii_digits(tmp_path, capsys, coeff):
+    obj = _univariate([(1, 3)])
+    obj["ring"]["coeff"] = coeff
+    assert main(["powerop", _series_file(tmp_path, "f.json", obj)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    obj["ring"]["coeff"] = "Z/10"
+    assert main(["powerop", _series_file(tmp_path, "f.json", obj)]) == 0
+    assert capsys.readouterr().out == "9*t^2 + t*z\n"
+
+
+def test_integers_keep_sign_and_whitespace(capsys):
+    assert main(["obstruct", "--search", "--degree", " +3 "]) == 0
+    assert capsys.readouterr().out.startswith("UNSATISFIABLE: 4/4")
+    assert main(["chern", "--coeffs=1, +2", "--t-trunc", "3", "--z-trunc", "2"]) == 0
+    assert main(["chern", "--coeffs=1,2", "--t-trunc", "3", "--z-trunc", "2"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
 
 
 def test_outputs_deterministic(capsys):
