@@ -553,17 +553,18 @@ class BooleanRing(Ring):
 
     Values print straight from their masks, in the order and text of
     PolynomialRing(Z/2, names): popcount descending, then set-bit indices
-    descending.  The ring keeps each formatted mask's sort key and text, so
-    a table of values over one ring works each distinct mask out once; that
-    memo changes no value.
+    descending.  The ring keeps each formatted mask's int sort key, and the
+    text under that key, so a table of values over one ring works each
+    distinct mask out once and sorts plain ints; that memo changes no value.
     """
 
-    __slots__ = ("names", "_masks")
+    __slots__ = ("names", "_sort_keys", "_texts")
     fields = ("names",)
 
     def __init__(self, names):
         super().__init__(PolynomialRing(IntegerModRing(2), names).names)  # checks the names
-        object.__setattr__(self, "_masks", {})
+        object.__setattr__(self, "_sort_keys", {})  # mask -> sort key
+        object.__setattr__(self, "_texts", {})  # sort key -> text of the mask
 
     def __str__(self) -> str:
         return f"F2[{','.join(self.names)}]/(x^2+x)"
@@ -598,26 +599,25 @@ class BooleanRing(Ring):
                 acc ^= {sum(1 << i for i, e in enumerate(exps) if e)}
         return self.wrap(frozenset(acc))
 
-    def _entries(self, value) -> list:
-        """(sort key, text) of each mask of a value, in print order."""
-        known = self._masks
-        return sorted(known.get(m) or self._new_entry(m) for m in value)
-
-    def _new_entry(self, m: int) -> tuple:
+    def _new_key(self, m: int) -> int:
+        """The sort key of a mask not printed before; its text is kept under that key."""
         # the exponent of names[i] is bit i, so the n-bit reversal of the mask
         # orders exponent vectors ascending; above it, n - popcount orders
         # popcount descending
-        n = len(self.names)
-        reversed_mask = int(format(m, f"0{n}b")[::-1], 2)
+        names = self.names
+        n = len(names)
+        reversed_mask = 0
         factors = []
         rest = m
         while rest:
             low = rest & -rest
-            factors.append(self.names[low.bit_length() - 1])
+            i = low.bit_length() - 1
+            factors.append(names[i])
+            reversed_mask |= 1 << (n - 1 - i)
             rest ^= low
-        key = ((n - m.bit_count()) << n) | reversed_mask
-        entry = self._masks[m] = (key, "*".join(factors) or "1")
-        return entry
+        key = self._sort_keys[m] = ((n - m.bit_count()) << n) | reversed_mask
+        self._texts[key] = "*".join(factors) or "1"
+        return key
 
     def normalize(self, value):
         if isinstance(value, int):
@@ -683,7 +683,10 @@ class BooleanRing(Ring):
     def format_value(self, a) -> str:
         if not a:
             return "0"
-        return "+".join(text for _, text in self._entries(a))
+        known = self._sort_keys
+        keys = [known.get(m) or self._new_key(m) for m in a]
+        keys.sort()
+        return "+".join(map(self._texts.__getitem__, keys))
 
     def parse_value(self, text: str):
         ring = PolynomialRing(IntegerModRing(2), self.names)

@@ -18,9 +18,13 @@ satisfy.  Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
 
 and it commutes with the power operation, so :func:`boolean_relations`
 maps the law and tau of the numeric context into B_D and computes the
-whole defect there; the integer polynomials never form.  The relations are
-B_D values, which print as their F2[a1..aD] polynomials, and they are what
-the CLI prints and the search evaluates.  :func:`extract_relations` is the
+defect's four factors there (:func:`defect_factors`, which :func:`delta`
+multiplies out); the integer polynomials never form.  It does not form the
+two products either: each factor is sliced by monomial mask, and each
+pair of slices writes its share of the z-positive terms straight into the
+rows, so the z^0 terms that no row keeps are never computed.  The
+relations are B_D values, which print as their F2[a1..aD] polynomials, and
+they are what the CLI prints and the search evaluates.  :func:`extract_relations` is the
 independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
 reduced at the end by :func:`multilinear_mod2`, with the same rows as
 PolynomialRing(Z/2, names) values.
@@ -33,9 +37,9 @@ which then covers all integer candidates, and certifies it with one failing
 monomial per candidate; it refuses other values of tau and of the z
 torsion.  A candidate's z-positive coefficients are the Boolean relations
 evaluated at it, so its failing monomial is the first relation, in (z, t)
-order, that evaluates to 1.  The search computes the Boolean defect once
-and evaluates its rows on candidate bitmasks; no series arithmetic is done
-per candidate.
+order, that evaluates to 1.  The search computes the Boolean relation
+rows once and evaluates them on candidate bitmasks; no series arithmetic is
+done per candidate.
 """
 
 from __future__ import annotations
@@ -58,12 +62,19 @@ from .powerops import PowerOpContext
 from .series import Series, SeriesRing
 
 
+def defect_factors(r: ChernSeries, ctx: PowerOpContext) -> tuple:
+    """The factor pairs of the defect, ((r(F(t, z)), r(t)), (P(r(t)), r(z))).
+
+    The defect is the first pair's product minus the second's.
+    """
+    r_t = r.value_at(ctx.t)
+    return (r.value_at(ctx.tensor_root), r_t), (ctx.power_op(r_t), r.value_at(ctx.z))
+
+
 def delta(r: ChernSeries, ctx: PowerOpContext) -> Series:
     """The exact defect series of the candidate r in the context ring."""
-    r_t = r.value_at(ctx.t)
-    lhs = r.value_at(ctx.tensor_root) * r_t
-    rhs = ctx.power_op(r_t) * r.value_at(ctx.z)
-    return lhs - rhs
+    (f, g), (p, q) = defect_factors(r, ctx)
+    return f * g - p * q
 
 
 def multilinear_mod2(coef: Coefficient) -> Coefficient:
@@ -88,12 +99,15 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
 
     ``degree`` is the candidate degree D and ``ctx`` the numeric context.
     The law and tau are mapped into B_D (:meth:`BooleanRing.image`, which
-    refuses coefficients with no reduction mod 2) and the unchanged
-    :func:`delta` runs there on the generic candidate 1 + a1 x + ... + aD x^D.
-    Returns (monomial exponents, B_D coefficient) pairs for the nonzero
-    z-positive coefficients, ordered by (z-degree, t-degree); all
-    coefficients share one fresh ring, so printing the table formats each
-    distinct monomial mask once.
+    refuses coefficients with no reduction mod 2) and the four factors of
+    the defect of the generic candidate 1 + a1 x + ... + aD x^D
+    (:func:`defect_factors`) are computed there.  Their two products are
+    not formed as series: only their z-positive terms are written, straight
+    into the rows (:func:`_toggle_z_positive`), and in B_D the difference
+    of the products is their sum.  Returns (monomial exponents, B_D
+    coefficient) pairs for the nonzero z-positive coefficients, ordered by
+    (z-degree, t-degree); all coefficients share one fresh ring, so
+    printing the table formats each distinct monomial mask once.
     """
     if not is_int(degree) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
@@ -101,10 +115,61 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
         raise ValueError("relations are read mod 2, which needs even torsion orders")
     boolean = BooleanRing(coefficient_names(degree))
     bool_ctx = ctx.map_coefficients(boolean, boolean.image)
-    defect = delta(ChernSeries(boolean.gens(), boolean), bool_ctx)
-    rows = [(exps, coef) for exps, coef in defect.terms.items() if exps[1]]
-    rows.sort(key=lambda row: (row[0][1], row[0][0]))
-    return rows
+    layout = bool_ctx.ring.layout
+    rows: dict = {}
+    for f, g in defect_factors(ChernSeries(boolean.gens(), boolean), bool_ctx):
+        _toggle_z_positive(rows, layout, f, g)
+    # z is the high key field, so key order is (z-degree, t-degree) order; an
+    # even torsion order reduces nothing in B_D, where 2 = 0
+    t_field, z_offset, wrap = layout.masks[0], layout.offsets[1], boolean.wrap
+    return [
+        ((key & t_field, key >> z_offset), wrap(frozenset(rows[key])))
+        for key in sorted(rows) if rows[key]
+    ]
+
+
+def _mask_slices(f: Series, z_field: int) -> list:
+    """(monomial mask, its z-positive keys, all its keys) for each a-monomial of a B_D series."""
+    keys_of: dict = {}
+    for key, masks in f.packed_terms.items():
+        for m in masks:
+            keys_of.setdefault(m, []).append(key)
+    return [(m, [k for k in keys if k & z_field], keys) for m, keys in keys_of.items()]
+
+
+def _toggle_z_positive(rows: dict, layout, f: Series, g: Series) -> None:
+    """Add the z-positive terms of f*g, for B_D series f and g, into ``rows``.
+
+    ``rows`` maps a packed key to the set of its monomial masks, toggled as
+    :meth:`BooleanRing.mul_add` does.  Each factor is sliced by monomial
+    mask, the one with fewer terms on the outside; a pair of slices (m, n)
+    toggles m | n at the sum of each pair of their keys, except where an
+    exponent reaches its truncation (the layout's bias and overflow test, as
+    in ``Series.__mul__``) or where both keys are z-free, so the sum is too.
+    """
+    bias, overflow = layout.bias, layout.overflow
+    z_field = layout.masks[1]
+    if len(f.packed_terms) > len(g.packed_terms):
+        f, g = g, f
+    inner = _mask_slices(g, z_field)
+    get = rows.get
+    for m, _, f_keys in _mask_slices(f, z_field):
+        # a z-positive key pairs with every key, a z-free one with the z-positive ones
+        outer = [(k1, k1 + bias, k1 & z_field) for k1 in f_keys]
+        for n, g_positive, g_keys in inner:
+            mn = m | n
+            for k1, biased, positive in outer:
+                for k2 in g_keys if positive else g_positive:
+                    if (biased + k2) & overflow:
+                        continue
+                    key = k1 + k2
+                    row = get(key)
+                    if row is None:
+                        rows[key] = {mn}
+                    elif mn in row:
+                        row.remove(mn)
+                    else:
+                        row.add(mn)
 
 
 def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
@@ -136,9 +201,9 @@ def symbolic_twin(ctx: PowerOpContext, degree: int):
     return candidate, ctx.map_coefficients(poly_ring, lambda c: poly_ring.coefficient(c.value))
 
 
-def _monomial_label(ring: SeriesRing, exps) -> str:
-    t_name, z_name = ring.names()
-    return monomial_text((z_name, t_name), (exps[1], exps[0])) or "1"
+def _monomial_label(names: tuple, exps) -> str:
+    """The z^j*t^i label of exponents (i, j); ``names`` are the ring's, reversed."""
+    return monomial_text(names, (exps[1], exps[0])) or "1"
 
 
 def relation_table(ring: SeriesRing, relations) -> dict:
@@ -148,10 +213,11 @@ def relation_table(ring: SeriesRing, relations) -> dict:
     :func:`boolean_relations` or :func:`extract_relations`; both print alike.
     """
     t_var, z_var = ring.variables
+    names = ring.names()[::-1]
     return {
         "truncation": {"z": z_var.trunc, "t": t_var.trunc},
         "relations": [
-            {"monomial": _monomial_label(ring, exps), "poly": str(poly)}
+            {"monomial": _monomial_label(names, exps), "poly": str(poly)}
             for exps, poly in relations
         ],
     }
@@ -178,7 +244,8 @@ class ObstructionReport(Immutable):
             obj["witness"] = list(self.witness)
         else:
             monomials = {mono for _, mono in self.failures}
-            labels = {mono: _monomial_label(self.ring, mono) for mono in monomials}
+            names = self.ring.names()[::-1]
+            labels = {mono: _monomial_label(names, mono) for mono in monomials}
             obj["failures"] = [
                 {"candidate": list(cand), "monomial": labels[mono]}
                 for cand, mono in self.failures
@@ -197,10 +264,10 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     Candidates are ordered with the last coefficient varying fastest; each
     failure records the first nonzero monomial in (z-degree, t-degree)
     order.  That monomial is the first relation that evaluates to 1 at the
-    candidate, so the defect is computed once, over the Boolean ring, and
-    its rows are evaluated on candidate bitmasks (bit i for a_(i+1)): a row
-    is 1 at c when an odd number of its monomial masks m divide c, that is
-    m & ~c == 0.  The rows read only a1..a_w, w the highest bit of any of
+    candidate, so the relation rows are computed once, over the Boolean
+    ring (:func:`boolean_relations`), and evaluated on candidate bitmasks
+    (bit i for a_(i+1)): a row is 1 at c when an odd number of its monomial
+    masks m divide c, that is m & ~c == 0.  The rows read only a1..a_w, w the highest bit of any of
     their masks (w <= D), so candidates that agree up to w share a verdict,
     and the first candidate of a prefix at which no row is 1 is that prefix
     followed by zeros.

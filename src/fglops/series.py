@@ -15,7 +15,9 @@ adding a fixed bias sets a field's top bit exactly when that exponent
 reaches its truncation.  A product then costs one int add and one AND per
 term pair; exponent tuples appear only at the boundary (the constructor,
 :attr:`Series.terms`, :meth:`Series.items`, :meth:`Series.coefficient_of`,
-:meth:`Series.substitute` and printing).
+:meth:`Series.substitute` and printing).  :attr:`Series.packed_terms` shows
+the packed keys and raw values themselves, read-only, to code that works
+on the layout directly.
 
 All values are immutable and all operations are pure, so series can be
 shared freely across workers.  The one piece of memory a series keeps
@@ -250,6 +252,15 @@ class Series:
         """Read-only map of the canonical terms (exponents -> Coefficient)."""
         wrap, unpack = self.ring.coeff_ring.wrap, self.ring.layout.unpack
         return MappingProxyType({unpack(k): wrap(c) for k, c in self._terms.items()})
+
+    @property
+    def packed_terms(self) -> Mapping:
+        """Read-only map of the canonical raw terms: packed key -> raw coefficient value.
+
+        Keys follow :attr:`SeriesRing.layout`; values are the coefficient
+        ring's raw values, as its :meth:`Ring.wrap` takes them.
+        """
+        return MappingProxyType(self._terms)
 
     def items(self) -> list:
         """Canonically ordered (exponents, coefficient) pairs."""

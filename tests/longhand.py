@@ -132,6 +132,30 @@ def power_op_longhand(f, t_max=5, z_max=3, law="additive", tau=2, modulus=None):
     return out
 
 
+def z2_passes(coeffs, m):
+    """Whether the candidate (a1, ..., aD), a1 odd, passes every relation at z-trunc 2.
+
+    The closed form of the line z = 2 for the additive law, tau = 2, z
+    torsion 2 and t-trunc m, in plain integers.  Over F2 write
+    r(t) = E(t^2) + t*U(t^2) and s = t^2.  As z^2 = 0 and 2z = 0, the z-part
+    of the defect is z*(U*E + E^2 + s*U^2)(s), so every relation holds
+    exactly when U = E*C mod s^ceil(m/2), where C is the solution of
+    C = 1 + s*C^2: C(s) = sum of s^(2^k - 1) over k >= 0, the Catalan
+    series mod 2.
+    """
+    a = [1, *coeffs]  # a_0 = 1
+    if a[1] % 2 == 0:
+        raise ValueError("the closed form is for candidates with a1 odd")
+    n = (m + 1) // 2  # the terms t^(2j), 2j < m
+    even = [a[2 * j] % 2 if 2 * j < len(a) else 0 for j in range(n)]
+    odd = [a[2 * j + 1] % 2 if 2 * j + 1 < len(a) else 0 for j in range(n)]
+    catalan = [1 if (j + 1) & j == 0 else 0 for j in range(n)]  # j = 2^k - 1
+    for j in range(n):
+        if odd[j] != sum(even[i] * catalan[j - i] for i in range(j + 1)) % 2:
+            return False
+    return True
+
+
 def naive_normalize(terms, specs):
     out = {}
     for exps, c in terms.items():

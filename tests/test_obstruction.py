@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fglops import (
+    BooleanRing,
     ChernSeries,
     FormalGroupLaw,
     IntegerModRing,
@@ -24,6 +25,7 @@ from fglops import (
     standard_ring,
     symbolic_twin,
 )
+from fglops.chern import coefficient_names
 from conftest import to_plain
 from longhand import boolean_polynomial, delta_longhand
 
@@ -176,6 +178,52 @@ def test_boolean_relations_match_integer_reduction(law, tau):
         assert all(poly.ring == PolynomialRing(F2, sym.coeff_ring.names) for _, poly in relations)
         if (t_max, z_max, degree) == (33, 17, 32):
             assert len(relations) > 400
+
+
+def _delta_rows(degree, ctx):
+    """The relation rows read off the whole defect: delta over B_D, its z-positive terms."""
+    boolean = BooleanRing(coefficient_names(degree))
+    defect = delta(ChernSeries(boolean.gens(), boolean), ctx.map_coefficients(boolean, boolean.image))
+    rows = [(exps, coef) for exps, coef in defect.terms.items() if exps[1]]
+    return sorted(rows, key=lambda row: (row[0][1], row[0][0]))
+
+
+def _law_tau_torsion():
+    # the additive law with z torsion 2 pins tau to 2
+    return [
+        (law, tau, torsion)
+        for law in ("additive", "multiplicative")
+        for tau in (1, 2, 3)
+        for torsion in (None, 2, 4)
+        if not (law == "additive" and torsion == 2 and tau != 2)
+    ]
+
+
+@pytest.mark.parametrize("law, tau, torsion", _law_tau_torsion())
+def test_sliced_rows_match_delta(law, tau, torsion):
+    # boolean_relations writes the rows from the defect's factors, sliced by
+    # monomial mask, without forming the two products; the rows must be the
+    # z-positive terms of the defect itself, in (z, t) order.  Odd tau puts
+    # several masks in one term; truncations 1 and 2 and D > t are included.
+    rng = random.Random(f"slices-{law}-{tau}-{torsion}")
+    points = [(t, z, rng.randint(1, 8)) for t in (1, 2) for z in (1, 2, rng.randint(3, 6))]
+    points += [(rng.randint(3, 8), z, rng.randint(1, 8)) for z in (1, 2)]
+    points += [(rng.randint(3, 12), rng.randint(3, 8), rng.randint(1, 12)) for _ in range(5)]
+    points += [(3, 3, 9), (5, 2, 11), (7, 4, 12)]
+    for t_max, z_max, degree in points:
+        ring = standard_ring(Z, t_max, z_max, z_torsion=torsion)
+        ctx = PowerOpContext(ring, builtin_law(law, Z), tau)
+        assert boolean_relations(degree, ctx) == _delta_rows(degree, ctx), (t_max, z_max, degree)
+
+
+@pytest.mark.parametrize("t_max, z_max, degree", [
+    (17, 9, 16), (33, 17, 32), (49, 25, 48), (63, 31, 62),
+])
+def test_sliced_rows_match_delta_at_bench_points(t_max, z_max, degree):
+    ctx = standard_context(Z, t_max, z_max)
+    rows = boolean_relations(degree, ctx)
+    assert rows == _delta_rows(degree, ctx)
+    assert len(rows) > 100
 
 
 def test_extract_relations_checks_its_context(default_context):
@@ -337,16 +385,17 @@ def test_search_matches_brute_force_wide_grid(t_max, z_max, law):
 
 
 def test_search_computes_one_defect(monkeypatch):
+    # the search reads its rows off one set of defect factors
     import fglops.obstruction
 
     calls = []
-    real_delta = fglops.obstruction.delta
+    real_factors = fglops.obstruction.defect_factors
 
-    def counting_delta(r, ctx):
+    def counting_factors(r, ctx):
         calls.append(ctx)
-        return real_delta(r, ctx)
+        return real_factors(r, ctx)
 
-    monkeypatch.setattr(fglops.obstruction, "delta", counting_delta)
+    monkeypatch.setattr(fglops.obstruction, "defect_factors", counting_factors)
     report = exhaustive_search(8, standard_context(Z, 9, 5))
     assert report.verdict == "unsatisfiable" and len(report.failures) == 2 ** 7
     assert len(calls) == 1
