@@ -73,38 +73,66 @@ def _relation_row(row) -> str:
     return f'    {{\n      "monomial": {monomial},\n      "poly": {poly}\n    }}'
 
 
-def _failure_row(row) -> str:
-    candidate = ",\n        ".join(map(str, row["candidate"]))
-    monomial = _json_string(row["monomial"])
-    return (
-        f'    {{\n      "candidate": [\n        {candidate}\n      ],'
-        f'\n      "monomial": {monomial}\n    }}'
-    )
+# failure row layouts, for --json and for text: (row start, separator before
+# each candidate entry after the first, row end from the monomial label, row
+# separator)
+_JSON_FAILURES = (
+    '    {\n      "candidate": [\n        ',
+    ",\n        ",
+    lambda label: f'\n      ],\n      "monomial": {_json_string(label)}\n    }}',
+    ",\n",
+)
+_TEXT_FAILURES = ("  [", ",", lambda label: f"] fails at {label}\n", "")
 
 
-# the row lists of relation tables and search reports, by top-level key
-_ROW_WRITERS = {"relations": _relation_row, "failures": _failure_row}
+def _bit_texts(first: str, n: int, sep: str) -> list:
+    """``first`` then each n-digit binary string, with ``sep`` before each digit, in counting order."""
+    texts = [first]
+    digits = (sep + "0", sep + "1")
+    for _ in range(n):
+        texts = [text + digit for text in texts for digit in digits]
+    return texts
 
 
-def _emit_json(obj: dict) -> None:
+def _failure_blocks(report, layout):
+    """The failure rows of an unsatisfiable search, one text per prefix block.
+
+    The texts of the prefixes and of the tails are made once each, and a
+    block is one join over its tails.
+    """
+    start, sep, end, between = layout
+    width, tail, labels = report.failure_blocks()
+    tails = _bit_texts("", tail, sep)
+    stops = {label: end(label) for label in set(labels)}
+    for head, label in zip(_bit_texts(start + "1", width - 1, sep), labels):
+        stop = stops[label]
+        yield head + (stop + between + head).join(tails) + stop
+
+
+def _emit_json(obj: dict, failures=None) -> None:
     """Print ``json.dumps(obj, indent=2)`` for a non-empty dict ``obj``.
 
     With ``indent`` the encoder runs in pure Python, which is slow on the
-    rows of a relation table and on the 2^(D-1) failure rows of a search
-    report.  A non-empty row list under one of those keys is filled into a
-    fixed template of the same layout; every other value goes through
-    ``json.dumps``.
+    rows of a relation table.  A non-empty row list under "relations" is
+    filled into a fixed template of the same layout; every other value
+    goes through ``json.dumps``.  ``failures``, if given, are the blocks of
+    a search report's failure rows (:func:`_failure_blocks`), written one
+    at a time as the list under a last key, "failures".
     """
     pieces = []
     for key, value in obj.items():
         pieces += (",\n" if pieces else "{\n", f"  {_json_string(key)}: ")
-        row = _ROW_WRITERS.get(key) if value else None
-        if row is None:
-            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        if key == "relations" and value:
+            pieces += ("[\n", ",\n".join(map(_relation_row, value)), "\n  ]")
         else:
-            pieces += ("[\n", ",\n".join(map(row, value)), "\n  ]")
-    # written piece by piece: joining them would copy the whole document again
-    print(*pieces, "\n}", sep="")
+            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    if failures is None:
+        # written piece by piece: joining them would copy the whole document again
+        print(*pieces, "\n}", sep="")
+        return
+    print(*pieces, ',\n  "failures": [\n', next(failures), sep="", end="")
+    sys.stdout.writelines(map(",\n".__add__, failures))
+    print("\n  ]\n}")
 
 
 def _print_series(result, as_json: bool) -> None:
@@ -181,22 +209,28 @@ def cmd_obstruct(args) -> int:
         raise ValueError(f"search degree {args.degree} exceeds {_SEARCH_DEGREE_MAX} (2^(D-1) rows)")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
     if args.symbolic:
-        obj = relation_table(ctx.ring, boolean_relations(args.degree, ctx))
-    else:
-        obj = exhaustive_search(args.degree, ctx).to_json()
+        table = relation_table(ctx.ring, boolean_relations(args.degree, ctx))
+        if args.json:
+            _emit_json(table)
+        else:
+            for row in table["relations"]:
+                print(f"{row['monomial']}: {row['poly']}")
+        return 0
+    report = exhaustive_search(args.degree, ctx)
     if args.json:
-        _emit_json(obj)
-    elif args.symbolic:
-        for row in obj["relations"]:
-            print(f"{row['monomial']}: {row['poly']}")
-    elif obj["verdict"] == "unsatisfiable":
-        total = len(obj["failures"])
-        print(f"UNSATISFIABLE: {total}/{total} candidates fail")
-        for row in obj["failures"]:
-            print(f"  [{','.join(map(str, row['candidate']))}] fails at {row['monomial']}")
+        obj = {"verdict": report.verdict, **relation_table(ctx.ring, report.relations)}
+        if report.failures is None:
+            obj["witness"] = list(report.witness)
+            _emit_json(obj)
+        else:
+            _emit_json(obj, _failure_blocks(report, _JSON_FAILURES))
+    elif report.failures is None:
+        print(f"SATISFIABLE: witness [{','.join(map(str, report.witness))}]")
     else:
-        print(f"SATISFIABLE: witness [{','.join(map(str, obj['witness']))}]")
-    return 1 if obj.get("verdict") == "satisfiable" else 0
+        total = len(report.failures)
+        print(f"UNSATISFIABLE: {total}/{total} candidates fail")
+        sys.stdout.writelines(_failure_blocks(report, _TEXT_FAILURES))
+    return 1 if report.failures is None else 0
 
 
 def _int_arg(text: str) -> int:

@@ -45,6 +45,7 @@ done per candidate.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Optional
 
 from .coefficients import (
@@ -243,14 +244,63 @@ class ObstructionReport(Immutable):
         if self.verdict == "satisfiable":
             obj["witness"] = list(self.witness)
         else:
-            monomials = {mono for _, mono in self.failures}
-            names = self.ring.names()[::-1]
-            labels = {mono: _monomial_label(names, mono) for mono in monomials}
+            labels = self._labels({mono for _, mono in self.failures})
             obj["failures"] = [
                 {"candidate": list(cand), "monomial": labels[mono]}
                 for cand, mono in self.failures
             ]
         return obj
+
+    def failure_blocks(self) -> tuple:
+        """The failures of an unsatisfiable search, one block per prefix a1..a_w.
+
+        Returns (w, tail length, labels).  The blocks are the 2^(w-1)
+        prefixes with a1 = 1 in candidate order; the rows of block p are its
+        prefix followed by each tail of that length, the last coefficient
+        varying fastest, and all fail at the monomial labels[p] names.  The
+        blocks, in order, are ``failures``.  ``ValueError`` for a
+        satisfiable report.
+        """
+        if self.failures is None:
+            raise ValueError("a satisfiable report has no failures")
+        width = _prefix_width(self.relations)
+        tail = len(self.failures[0][0]) - width
+        firsts = [mono for _, mono in self.failures[:: 1 << tail]]
+        labels = self._labels(set(firsts))
+        return width, tail, [labels[mono] for mono in firsts]
+
+    def _labels(self, monomials) -> dict:
+        """The z^j*t^i label of each of these monomial exponents."""
+        names = self.ring.names()[::-1]
+        return {mono: _monomial_label(names, mono) for mono in monomials}
+
+
+def _prefix_width(relations) -> int:
+    """w: the highest a_w that any relation row reads (1 when none reads any)."""
+    return max([1] + [m.bit_length() for _, coef in relations for m in coef.value])
+
+
+def _owners(deciding: list, size: int):
+    """The exponents of the row that decides each of ``size`` prefixes, in prefix order.
+
+    ``deciding`` holds (exponents, prefix bitset) pairs whose bitsets
+    partition range(size).  The bin() digits of each bitset become one
+    cell per prefix, of ``cell`` bytes, holding 1 or 0; their sum scaled by
+    the pairs' indices holds each prefix's index, read back through a
+    memoryview.  All of it runs at C speed.
+    """
+    cell = next(k for k in (1, 2, 4, 8) if len(deciding) < 256 ** k)
+    zero, one = bytes(cell), (1).to_bytes(cell, sys.byteorder)
+    total = 0
+    for index, (_, fresh) in enumerate(deciding):
+        digits = bin(fresh)[:1:-1].ljust(size, "0").encode()
+        cells = digits.replace(b"0", zero).replace(b"1", one)
+        total += index * int.from_bytes(cells, sys.byteorder)
+    indices = memoryview(total.to_bytes(size * cell, sys.byteorder)).cast(_CELL_FORMATS[cell])
+    return map([exps for exps, _ in deciding].__getitem__, indices)
+
+
+_CELL_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
@@ -265,12 +315,15 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     failure records the first nonzero monomial in (z-degree, t-degree)
     order.  That monomial is the first relation that evaluates to 1 at the
     candidate, so the relation rows are computed once, over the Boolean
-    ring (:func:`boolean_relations`), and evaluated on candidate bitmasks
-    (bit i for a_(i+1)): a row is 1 at c when an odd number of its monomial
-    masks m divide c, that is m & ~c == 0.  The rows read only a1..a_w, w the highest bit of any of
-    their masks (w <= D), so candidates that agree up to w share a verdict,
-    and the first candidate of a prefix at which no row is 1 is that prefix
-    followed by zeros.
+    ring (:func:`boolean_relations`), and evaluated on all candidates at
+    once.  The rows read only a1..a_w, w the highest bit of any of their
+    masks (w <= D), so candidates that agree up to w share a verdict.  Each
+    a_k has a truth table over the 2^(w-1) prefixes (bit p for prefix p in
+    candidate order; a1 is all ones), a monomial mask's table is the AND of
+    its coefficients' tables, and a row's table the XOR of its masks'.
+    Taking the rows in order, the prefixes a row is 1 at that no earlier
+    row was fail at that row; the first prefix left over, followed by
+    zeros, is the witness.
     """
     ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):
@@ -286,27 +339,51 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
     relations = boolean_relations(degree, ctx)
-    rows = [(exps, coef.value) for exps, coef in relations]
+    width = _prefix_width(relations)
+    size = 1 << (width - 1)
+    undecided = (1 << size) - 1
+    # a_k is bit w - k of the prefix index: runs of 2^(w-k) zeros then ones
+    tables = [undecided]
+    for k in range(2, width + 1):
+        run = 1 << (width - k)
+        tables.append(undecided // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    mask_tables: dict = {}
+    deciding = []  # (exponents, the prefixes at which that row is the first 1)
+    for exps, coef in relations:
+        row = 0
+        for m in coef.value:
+            table = mask_tables.get(m)
+            if table is None:
+                table = tables[0]
+                for i in range(m.bit_length()):
+                    if m >> i & 1:
+                        table &= tables[i]
+                mask_tables[m] = table
+            row ^= table
+        fresh = row & undecided
+        if fresh:
+            deciding.append((exps, fresh))
+            undecided ^= fresh
+            if not undecided:
+                break
 
-    width = max([1] + [m.bit_length() for _, masks in rows for m in masks])
-    witness = None
-    failures = []
-    for head in itertools.product((0, 1), repeat=width - 1):
-        prefix = (1, *head)
-        off = ~sum(bit << i for i, bit in enumerate(prefix))
-        first_fail = next(
-            (exps for exps, masks in rows if sum(not m & off for m in masks) % 2), None
+    if undecided:
+        first = (undecided & -undecided).bit_length() - 1
+        head = tuple(first >> (width - k) & 1 for k in range(2, width + 1))
+        witness, failures = (1, *head) + (0,) * (degree - width), None
+    else:
+        witness = None
+        candidates = itertools.product((1,), *[(0, 1)] * (degree - 1))
+        tail_count = itertools.repeat(1 << (degree - width))
+        monomials = itertools.chain.from_iterable(
+            map(itertools.repeat, _owners(deciding, size), tail_count)
         )
-        if first_fail is None:
-            witness = prefix + (0,) * (degree - width)
-            break
-        tails = itertools.product((0, 1), repeat=degree - width)
-        failures.extend(((*prefix, *tail), first_fail) for tail in tails)
+        failures = tuple(zip(candidates, monomials))
 
     return ObstructionReport(
         ring=ring,
         relations=tuple(relations),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
-        failures=None if witness is not None else tuple(failures),
+        failures=failures,
     )

@@ -393,17 +393,30 @@ def test_trunc_cap_must_parse(monkeypatch, capsys, value):
     assert captured.err == f"error: FGLOPS_TRUNC_MAX must be a positive integer, got {value!r}\n"
 
 
-def test_search_json_matches_json_dumps(capsys):
-    # the writer fills the relation and failure rows from templates; it must
-    # give the bytes of json.dumps(indent=2) on unsatisfiable points and on
-    # satisfiable ones, where the witness follows the relation rows
+def _search_points():
+    """(t, z, D) for the search writers: both verdicts, D = 1, w = 1 and w = D, up to D = 16."""
     rng = random.Random(12)
     points = [(5, 3, 1), (5, 3, 12), (2, 3, 8), (2, 3, 6), (5, 1, 4), (1, 1, 3)]
     points += [(rng.randint(1, 9), rng.randint(1, 5), rng.randint(1, 12)) for _ in range(10)]
+    # at the degree cap: 2^(D - w) rows per prefix block at (5, 3); w = D at
+    # (17, 9) and on the z-trunc 2 line, satisfiable at (17, 2); w = 1 at (5, 1)
+    points += [(5, 3, 16), (9, 5, 13), (17, 9, 16), (33, 2, 14), (17, 2, 15), (5, 1, 16)]
+    return points
+
+
+def _search_argv(t, z, degree, *extra):
+    return ["obstruct", "--search", *extra, "--t-trunc", str(t), "--z-trunc", str(z),
+            "--degree", str(degree)]
+
+
+def test_search_json_matches_json_dumps(capsys):
+    # the writer fills the relation rows from a template and writes the failure
+    # rows in prefix blocks; it must give the bytes of json.dumps(indent=2) on
+    # unsatisfiable points and on satisfiable ones, where the witness follows
+    # the relation rows
     verdicts, witness_after_rows = set(), False
-    for t, z, degree in points:
-        argv = ["obstruct", "--search", "--json", "--t-trunc", str(t), "--z-trunc", str(z),
-                "--degree", str(degree)]
+    for t, z, degree in _search_points():
+        argv = _search_argv(t, z, degree, "--json")
         code = main(argv)
         report = exhaustive_search(degree, standard_context(IntegerRing(), t, z)).to_json()
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n", argv
@@ -414,6 +427,29 @@ def test_search_json_matches_json_dumps(capsys):
             witness_after_rows = True
     assert verdicts == {"satisfiable", "unsatisfiable"}
     assert witness_after_rows
+
+
+def _search_text(report: dict) -> str:
+    """The text listing of a search report, rendered line by line from its JSON form."""
+    if report["verdict"] == "satisfiable":
+        return f"SATISFIABLE: witness [{','.join(map(str, report['witness']))}]\n"
+    total = len(report["failures"])
+    lines = [f"UNSATISFIABLE: {total}/{total} candidates fail"]
+    for row in report["failures"]:
+        lines.append(f"  [{','.join(map(str, row['candidate']))}] fails at {row['monomial']}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_search_text_matches_json_rendering(capsys):
+    verdicts = set()
+    for t, z, degree in _search_points():
+        argv = _search_argv(t, z, degree)
+        code = main(argv)
+        report = exhaustive_search(degree, standard_context(IntegerRing(), t, z)).to_json()
+        assert capsys.readouterr().out == _search_text(report), argv
+        assert code == (1 if report["verdict"] == "satisfiable" else 0)
+        verdicts.add(report["verdict"])
+    assert verdicts == {"satisfiable", "unsatisfiable"}
 
 
 def test_symbolic_json_matches_json_dumps(capsys):
