@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import re
@@ -23,8 +24,14 @@ from .powerops import PowerOpContext, standard_context, standard_ring
 from .series import series_from_json, series_to_json
 
 _BUILTIN_LAWS = ("additive", "multiplicative")
-# obstruct --search holds and prints 2^(D-1) rows: 2^15 at this degree
+# obstruct --search holds and prints 2^(D-1) failure rows, and the search is
+# fast, so this caps the output: 2^15 rows, 7.8 MB of --json at D = 16
 _SEARCH_DEGREE_MAX = 16
+# chern --symbolic D is refused when its monomial products
+# (_symbolic_products) times D + 48 exceed this: a product adds two D-long
+# exponent tuples, and the 48 is the rest of its cost, fitted on timed runs;
+# at the budget a request takes about a second on a 2-core VM
+_SYMBOLIC_BUDGET = 10**7
 
 
 def _trunc_cap() -> int:
@@ -47,6 +54,34 @@ def _check_trunc(*degrees: int) -> None:
             raise ValueError(f"degree {d} exceeds FGLOPS_TRUNC_MAX={cap}")
         if d < 1:
             raise ValueError(f"degree {d} must be positive")
+
+
+def _symbolic_products(degree: int, t_trunc: int, z_trunc: int) -> int:
+    """The monomial products of the last series product of ``chern --symbolic``.
+
+    Counted in closed form, before any series arithmetic.  The output
+    r(t + z) r(t) / r(z) is formed last as r(t + z) r(t) times 1/r(z), and
+    that product is most of the work.  On the left, the t^i z^h coefficient
+    has at most one a_k a_l per k + l = i + h with h <= k <= D.  On the
+    right, z has torsion 2, and mod 2 1/r(z) is the product over s of
+    1 + sum_k a_k^(2^s) z^(k 2^s), so its z^n coefficient has one monomial
+    per way to write n = sum_s k_s 2^s with each k_s in 0..D.
+    """
+    ways = [1] + [0] * (z_trunc - 1)
+    s = 0
+    while 1 << s < z_trunc:
+        ways = [
+            sum(ways[n - (k << s)] for k in range(min(degree, n >> s) + 1))
+            for n in range(z_trunc)
+        ]
+        s += 1
+    # below[h]: the monomials of 1/r(z) that fit under z^h, z^(h+1), ...
+    below = list(itertools.accumulate(ways))[::-1]
+    return sum(
+        max(0, min(degree, i + h) - max(h, i + h - degree) + 1) * below[h]
+        for i in range(t_trunc)
+        for h in range(min(z_trunc, degree + 1))
+    )
 
 
 def _load_series(path: str):
@@ -190,6 +225,13 @@ def cmd_chern(args) -> int:
         raise ValueError("exactly one of --coeffs and --symbolic is required")
     if args.symbolic is not None:
         _check_trunc(args.symbolic)
+        products = _symbolic_products(args.symbolic, args.t_trunc, args.z_trunc)
+        if products * (args.symbolic + 48) > _SYMBOLIC_BUDGET:
+            raise ValueError(
+                f"chern --symbolic {args.symbolic} at t-trunc {args.t_trunc}, z-trunc "
+                f"{args.z_trunc} is over the work budget: {products} monomial products "
+                f"x (D + 48) > {_SYMBOLIC_BUDGET}"
+            )
         candidate = ChernSeries.symbolic(args.symbolic)
         coeff_ring = candidate.coeff_ring
     else:

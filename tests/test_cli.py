@@ -5,19 +5,23 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglops import (
+    ChernSeries,
     IntegerRing,
     boolean_relations,
+    computation_one,
     exhaustive_search,
     series_from_json,
     series_to_json,
     standard_context,
+    standard_ring,
 )
-from fglops.cli import main
+from fglops.cli import _symbolic_products, main
 from fglops.obstruction import relation_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -542,3 +546,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "valid to degree 20"
+
+
+@pytest.mark.parametrize("degree", [8, 16, 64])
+def test_chern_symbolic_over_budget_exits_2_at_once(capsys, degree):
+    # inside FGLOPS_TRUNC_MAX, but D = 8 alone ran 13.6 s and printed 7 MB
+    argv = ["chern", "--symbolic", str(degree), "--t-trunc", "64", "--z-trunc", "64"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: chern --symbolic {degree} at t-trunc 64, z-trunc 64 ")
+    assert "over the work budget" in captured.err
+
+
+def test_chern_symbolic_budget_admits_small_requests(capsys):
+    # the benchmark's largest request, and requests on both sides of the budget
+    for argv in (["chern", "--symbolic", "4", "--t-trunc", "6", "--z-trunc", "4"],
+                 ["chern", "--symbolic", "2", "--t-trunc", "64", "--z-trunc", "64"],
+                 ["chern", "--symbolic", "16", "--t-trunc", "12", "--z-trunc", "12"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["chern", "--symbolic", "5", "--t-trunc", "64", "--z-trunc", "64"]) == 2
+
+
+@pytest.mark.parametrize("degree, t_trunc, z_trunc",
+                         [(1, 1, 1), (3, 5, 3), (4, 6, 4), (5, 3, 9), (6, 9, 5), (2, 12, 12)])
+def test_symbolic_products_bound_the_output(degree, t_trunc, z_trunc):
+    # every monomial of the output comes from one of the counted products
+    candidate = ChernSeries.symbolic(degree)
+    ring = standard_ring(candidate.coeff_ring, t_trunc, z_trunc)
+    out = computation_one(candidate, ring)
+    monomials = sum(len(coef.value) for coef in out.terms.values())
+    assert 0 < monomials <= _symbolic_products(degree, t_trunc, z_trunc)
