@@ -121,7 +121,7 @@ _TEXT_FAILURES = ("  [", ",", lambda label: f"] fails at {label}\n", "")
 
 
 def _bit_texts(first: str, n: int, sep: str) -> list:
-    """``first`` then each n-digit binary string, with ``sep`` before each digit, in counting order."""
+    """``first`` then each n-digit binary string, ``sep`` before each digit, in counting order."""
     texts = [first]
     digits = (sep + "0", sep + "1")
     for _ in range(n):

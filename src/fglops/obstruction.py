@@ -38,8 +38,11 @@ monomial per candidate; it refuses other values of tau and of the z
 torsion.  A candidate's z-positive coefficients are the Boolean relations
 evaluated at it, so its failing monomial is the first relation, in (z, t)
 order, that evaluates to 1.  The search computes the Boolean relation
-rows once and evaluates them on candidate bitmasks; no series arithmetic is
-done per candidate.
+rows once, and no series arithmetic is done per candidate.  The rows read
+only a1..a_w, so it evaluates them on all 2^(w-1) prefixes at once, as
+truth tables with one bit per prefix, and peels off each row's first
+failures in (z, t) order; :meth:`ObstructionReport.failure_blocks` gives the
+failures back one prefix block at a time, which is how the CLI writes them.
 """
 
 from __future__ import annotations
@@ -280,27 +283,29 @@ def _prefix_width(relations) -> int:
     return max([1] + [m.bit_length() for _, coef in relations for m in coef.value])
 
 
+_CELL_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by cell width
+
+
 def _owners(deciding: list, size: int):
     """The exponents of the row that decides each of ``size`` prefixes, in prefix order.
 
     ``deciding`` holds (exponents, prefix bitset) pairs whose bitsets
     partition range(size).  The bin() digits of each bitset become one
-    cell per prefix, of ``cell`` bytes, holding 1 or 0; their sum scaled by
-    the pairs' indices holds each prefix's index, read back through a
-    memoryview.  All of it runs at C speed.
+    cell per prefix, holding 1 or 0; the sum of these scaled by the pairs'
+    indices holds each prefix's index, read back through a memoryview, so
+    no Python code runs per prefix.  The digits are padded to ``size`` so
+    that the cells line up in either byte order.
     """
     cell = next(k for k in (1, 2, 4, 8) if len(deciding) < 256 ** k)
     zero, one = bytes(cell), (1).to_bytes(cell, sys.byteorder)
     total = 0
     for index, (_, fresh) in enumerate(deciding):
         digits = bin(fresh)[:1:-1].ljust(size, "0").encode()
-        cells = digits.replace(b"0", zero).replace(b"1", one)
-        total += index * int.from_bytes(cells, sys.byteorder)
+        total += index * int.from_bytes(
+            digits.replace(b"0", zero).replace(b"1", one), sys.byteorder
+        )
     indices = memoryview(total.to_bytes(size * cell, sys.byteorder)).cast(_CELL_FORMATS[cell])
     return map([exps for exps, _ in deciding].__getitem__, indices)
-
-
-_CELL_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
@@ -321,9 +326,8 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     a_k has a truth table over the 2^(w-1) prefixes (bit p for prefix p in
     candidate order; a1 is all ones), a monomial mask's table is the AND of
     its coefficients' tables, and a row's table the XOR of its masks'.
-    Taking the rows in order, the prefixes a row is 1 at that no earlier
-    row was fail at that row; the first prefix left over, followed by
-    zeros, is the witness.
+    Taking the rows in order, each prefix fails at the first row that is 1
+    there; the first prefix left over, followed by zeros, is the witness.
     """
     ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):
@@ -341,12 +345,12 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     relations = boolean_relations(degree, ctx)
     width = _prefix_width(relations)
     size = 1 << (width - 1)
-    undecided = (1 << size) - 1
-    # a_k is bit w - k of the prefix index: runs of 2^(w-k) zeros then ones
-    tables = [undecided]
+    undecided = everything = (1 << size) - 1
+    # a_k is bit w - k of the prefix index: runs of 2^(w-k) zeros, then ones
+    tables = [everything]
     for k in range(2, width + 1):
         run = 1 << (width - k)
-        tables.append(undecided // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+        tables.append(everything // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
     mask_tables: dict = {}
     deciding = []  # (exponents, the prefixes at which that row is the first 1)
     for exps, coef in relations:
@@ -354,7 +358,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         for m in coef.value:
             table = mask_tables.get(m)
             if table is None:
-                table = tables[0]
+                table = everything
                 for i in range(m.bit_length()):
                     if m >> i & 1:
                         table &= tables[i]
