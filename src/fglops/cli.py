@@ -25,7 +25,7 @@ from .series import series_from_json, series_to_json
 
 _BUILTIN_LAWS = ("additive", "multiplicative")
 # obstruct --search holds and prints 2^(D-1) failure rows, and the search is
-# fast, so this caps the output: 2^15 rows, 7.8 MB of --json at D = 16
+# fast, so this caps the output: 2^15 rows, about 8 MB of --json at D = 16
 _SEARCH_DEGREE_MAX = 16
 # chern --symbolic D is refused when its monomial products
 # (_symbolic_products) times D + 48 exceed this: a product adds two D-long
