@@ -8,10 +8,12 @@ and z-trunc 1, where no relation reads anything) and w = D.
 """
 
 import itertools
+import random
 
 import pytest
 
 from fglops import IntegerRing, boolean_relations, exhaustive_search, standard_context
+from fglops.obstruction import _owners
 from longhand import z2_passes
 from search_reference import prefix_search
 
@@ -78,3 +80,15 @@ def test_failure_blocks_expand_to_failures(t, z, degree):
 def test_failure_blocks_refuse_satisfiable_report():
     with pytest.raises(ValueError, match="satisfiable"):
         exhaustive_search(4, standard_context(Z, 5, 1)).failure_blocks()
+
+
+@pytest.mark.parametrize("rows", [1, 200, 300])
+def test_owners_reads_each_prefix_row(rows):
+    # past 255 deciding rows the per-prefix cells take two bytes
+    rng = random.Random(rows)
+    size = 1024
+    owner = [rng.randrange(rows) for _ in range(size)]
+    deciding = [
+        (("row", i), sum(1 << p for p in range(size) if owner[p] == i)) for i in range(rows)
+    ]
+    assert list(_owners(deciding, size)) == [("row", i) for i in owner]
