@@ -15,10 +15,10 @@ from .chern import ChernSeries, computation_one
 from .coefficients import IntegerRing, parse_int
 from .fgl import ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
-    boolean_relations,
     exhaustive_search,
     extract_relations,  # unused here, but bench/tracing.py wraps it by this name
     relation_table,
+    symbolic_table,
 )
 from .powerops import PowerOpContext, standard_context, standard_ring
 from .series import series_from_json, series_to_json
@@ -103,9 +103,18 @@ def _load_law(name_or_path: str, degree, coeff_ring):
     return validate_law(law, degree=degree)
 
 
-def _relation_row(row) -> str:
-    monomial, poly = _json_string(row["monomial"]), _json_string(row["poly"])
-    return f'    {{\n      "monomial": {monomial},\n      "poly": {poly}\n    }}'
+def _json_text(text: str) -> str:
+    """``text`` escaped as inside a JSON string, without the quotes."""
+    return _json_string(text)[1:-1]
+
+
+def _json_relation(label: str, poly: str) -> str:
+    """A relation row in the layout of ``json.dumps(indent=2)``, from escaped texts."""
+    return f'    {{\n      "monomial": "{label}",\n      "poly": "{poly}"\n    }}'
+
+
+def _text_relation(label: str, poly: str) -> str:
+    return f"{label}: {poly}\n"
 
 
 # failure row layouts, for --json and for text: (row start, separator before
@@ -148,17 +157,17 @@ def _emit_json(obj: dict, failures=None) -> None:
     """Print ``json.dumps(obj, indent=2)`` for a non-empty dict ``obj``.
 
     With ``indent`` the encoder runs in pure Python, which is slow on the
-    rows of a relation table.  A non-empty row list under "relations" is
-    filled into a fixed template of the same layout; every other value
-    goes through ``json.dumps``.  ``failures``, if given, are the blocks of
-    a search report's failure rows (:func:`_failure_blocks`), written one
-    at a time as the list under a last key, "failures".
+    rows of a relation table.  A non-empty list under "relations" holds
+    rows already written in that layout (:func:`_json_relation`); every
+    other value goes through ``json.dumps``.  ``failures``, if given, are
+    the blocks of a search report's failure rows (:func:`_failure_blocks`),
+    written one at a time as the list under a last key, "failures".
     """
     pieces = []
     for key, value in obj.items():
         pieces += (",\n" if pieces else "{\n", f"  {_json_string(key)}: ")
         if key == "relations" and value:
-            pieces += ("[\n", ",\n".join(map(_relation_row, value)), "\n  ]")
+            pieces += ("[\n", ",\n".join(value), "\n  ]")
         else:
             pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
     if failures is None:
@@ -251,16 +260,15 @@ def cmd_obstruct(args) -> int:
         raise ValueError(f"search degree {args.degree} exceeds {_SEARCH_DEGREE_MAX} (2^(D-1) rows)")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
     if args.symbolic:
-        table = relation_table(ctx.ring, boolean_relations(args.degree, ctx))
         if args.json:
-            _emit_json(table)
+            _emit_json(symbolic_table(args.degree, ctx, _json_relation, _json_text))
         else:
-            for row in table["relations"]:
-                print(f"{row['monomial']}: {row['poly']}")
+            sys.stdout.writelines(symbolic_table(args.degree, ctx, _text_relation)["relations"])
         return 0
     report = exhaustive_search(args.degree, ctx)
     if args.json:
-        obj = {"verdict": report.verdict, **relation_table(ctx.ring, report.relations)}
+        table = relation_table(ctx.ring, report.relations, _json_relation, _json_text)
+        obj = {"verdict": report.verdict, **table}
         if report.failures is None:
             obj["witness"] = list(report.witness)
             _emit_json(obj)

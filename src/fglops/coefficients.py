@@ -16,14 +16,16 @@ canonical normal form.  Raw encodings per ring:
 Because values are always normal forms, structural equality decides ring
 equality questions and every value is hashable and freely shareable.  The
 one exception is a sum being accumulated: :meth:`Ring.mul_add` adds a
-product to a *working value* (an unreduced int over Z/n, a mutable set of
-masks over a Boolean ring), and :meth:`Ring.settle` turns it into the normal
-form once the sum is complete.
+product to a *working value* (an unreduced int over Z/n, a dict of unsorted
+terms over a polynomial ring, a mutable set of masks over a Boolean ring),
+and :meth:`Ring.settle` turns it into the normal form once the sum is
+complete.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Iterable, Mapping, Union
 
@@ -140,8 +142,7 @@ class Ring(Immutable):
         a canonical raw value or a working value this method returned, which
         it may update in place.
         """
-        product = self.mul(a, b)
-        return product if acc is None else self.add(acc, product)
+        raise NotImplementedError
 
     def settle(self, acc):
         """The canonical raw value of a working value; a canonical value comes back unchanged."""
@@ -415,16 +416,27 @@ class PolynomialRing(Ring):
         return tuple((e, self.base.neg(c)) for e, c in a)
 
     def mul(self, a, b):
-        acc: dict = {}
+        return self.settle(self.mul_add(None, a, b))
+
+    def mul_add(self, acc, a, b):
+        # a working value is a dict from exponent tuples to working base
+        # values; a canonical tuple of terms is copied into one first
+        if acc is None:
+            acc = {}
+        elif type(acc) is not dict:
+            acc = dict(acc)
+        base_mul_add, get = self.base.mul_add, acc.get
         for e1, c1 in a:
             for e2, c2 in b:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = self.base.mul(c1, c2)
-                if e in acc:
-                    acc[e] = self.base.add(acc[e], v)
-                else:
-                    acc[e] = v
-        return self._canonical(acc)
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = base_mul_add(get(e), c1, c2)
+        return acc
+
+    def settle(self, acc):
+        if type(acc) is not dict:
+            return acc
+        settle = self.base.settle
+        return self._canonical({e: settle(c) for e, c in acc.items()})
 
     def is_zero(self, a) -> bool:
         return a == ()
@@ -552,19 +564,15 @@ class BooleanRing(Ring):
     end.
 
     Values print straight from their masks, in the order and text of
-    PolynomialRing(Z/2, names): popcount descending, then set-bit indices
-    descending.  The ring keeps each formatted mask's int sort key, and the
-    text under that key, so a table of values over one ring works each
-    distinct mask out once and sorts plain ints; that memo changes no value.
+    PolynomialRing(Z/2, names): :meth:`order_key` sorts the masks and
+    :meth:`mask_text` writes each one, for a value here and for a whole
+    relation table alike.
     """
 
-    __slots__ = ("names", "_sort_keys", "_texts")
-    fields = ("names",)
+    __slots__ = fields = ("names",)
 
     def __init__(self, names):
         super().__init__(PolynomialRing(IntegerModRing(2), names).names)  # checks the names
-        object.__setattr__(self, "_sort_keys", {})  # mask -> sort key
-        object.__setattr__(self, "_texts", {})  # sort key -> text of the mask
 
     def __str__(self) -> str:
         return f"F2[{','.join(self.names)}]/(x^2+x)"
@@ -599,25 +607,26 @@ class BooleanRing(Ring):
                 acc ^= {sum(1 << i for i, e in enumerate(exps) if e)}
         return self.wrap(frozenset(acc))
 
-    def _new_key(self, m: int) -> int:
-        """The sort key of a mask not printed before; its text is kept under that key."""
-        # the exponent of names[i] is bit i, so the n-bit reversal of the mask
-        # orders exponent vectors ascending; above it, n - popcount orders
-        # popcount descending
+    def order_key(self, m: int) -> int:
+        """The int that sorts monomial masks in print order.
+
+        That order is PolynomialRing's: total degree (popcount) descending,
+        then exponent vector ascending.  The exponent of names[i] is bit i,
+        so the n-bit reversal of the mask orders exponent vectors ascending;
+        above it, n - popcount orders popcount descending.
+        """
+        n = len(self.names)
+        return ((n - m.bit_count()) << n) | int(bin(m)[:1:-1].ljust(n, "0"), 2)
+
+    def mask_text(self, m: int) -> str:
+        """The ``a1*a3``-style text of a monomial mask, ``1`` for the empty one."""
         names = self.names
-        n = len(names)
-        reversed_mask = 0
         factors = []
-        rest = m
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            factors.append(names[i])
-            reversed_mask |= 1 << (n - 1 - i)
-            rest ^= low
-        key = self._sort_keys[m] = ((n - m.bit_count()) << n) | reversed_mask
-        self._texts[key] = "*".join(factors) or "1"
-        return key
+        while m:
+            low = m & -m
+            factors.append(names[low.bit_length() - 1])
+            m ^= low
+        return "*".join(factors) or "1"
 
     def normalize(self, value):
         if isinstance(value, int):
@@ -683,10 +692,7 @@ class BooleanRing(Ring):
     def format_value(self, a) -> str:
         if not a:
             return "0"
-        known = self._sort_keys
-        keys = [known.get(m) or self._new_key(m) for m in a]
-        keys.sort()
-        return "+".join(map(self._texts.__getitem__, keys))
+        return "+".join(map(self.mask_text, sorted(a, key=self.order_key)))
 
     def parse_value(self, text: str):
         ring = PolynomialRing(IntegerModRing(2), self.names)

@@ -16,18 +16,21 @@ satisfy.  Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
     Z[a][[t, z]]/(2z, z^k, t^m) -> B_D[[t, z]]/(z^k, t^m),
     B_D = F2[a1..aD]/(a_i^2 + a_i),
 
-and it commutes with the power operation, so :func:`boolean_relations`
-maps the law and tau of the numeric context into B_D and computes the
-defect's four factors there (:func:`defect_factors`, which :func:`delta`
-multiplies out); the integer polynomials never form.  It does not form the
-two products either: each factor is sliced by monomial mask, and each
-pair of slices writes its share of the z-positive terms straight into the
-rows, so the z^0 terms that no row keeps are never computed.  The
-relations are B_D values, which print as their F2[a1..aD] polynomials, and
-they are what the CLI prints and the search evaluates.  :func:`extract_relations` is the
-independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
-reduced at the end by :func:`multilinear_mod2`, with the same rows as
-PolynomialRing(Z/2, names) values.
+and it commutes with the power operation, so the relation table maps the
+law and tau of the numeric context into B_D and computes the defect's four
+factors there (:func:`defect_factors`, which :func:`delta` multiplies
+out); the integer polynomials never form.  It does not form the two
+products either: each factor is sliced by monomial mask, and each pair of
+slices toggles its share of the z-positive terms straight into a
+mask-major table, one set of row keys per monomial mask, so the z^0 terms
+that no row keeps are never computed.  :func:`symbolic_table` prints that
+table in one pass over its distinct masks, in B_D print order;
+:func:`boolean_relations` gives it as rows of B_D values, which the search
+evaluates, and :func:`relation_table` prints such rows through the same
+printer.  :func:`extract_relations` is the independent reference: the
+defect over Z[a1..aD] (:func:`symbolic_twin`) reduced at the end by
+:func:`multilinear_mod2`, with the same rows as PolynomialRing(Z/2, names)
+values.
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
 torsion 2 every z-positive coefficient is its image mod 2, so the verdict
@@ -47,6 +50,7 @@ failures back one prefix block at a time, which is how the CLI writes them.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import sys
 from typing import Optional
@@ -102,16 +106,37 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     """Relations on a1..aD as values of the Boolean ring F2[a1..aD]/(a_i^2 + a_i).
 
     ``degree`` is the candidate degree D and ``ctx`` the numeric context.
+    Returns (monomial exponents, B_D coefficient) pairs for the nonzero
+    z-positive coefficients of the defect of the generic candidate,
+    ordered by (z-degree, t-degree): the rows of :func:`_relation_masks`,
+    turned from mask-major to row-major.
+    """
+    boolean, keys_of = _relation_masks(degree, ctx)
+    masks_at: dict = {}
+    for m, keys in keys_of.items():
+        for key in keys:
+            masks_at.setdefault(key, []).append(m)
+    # z is the high key field, so key order is (z-degree, t-degree) order
+    layout = ctx.ring.layout
+    t_field, z_offset, wrap = layout.masks[0], layout.offsets[1], boolean.wrap
+    return [
+        ((key & t_field, key >> z_offset), wrap(frozenset(masks_at[key])))
+        for key in sorted(masks_at)
+    ]
+
+
+def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
+    """(B_D, the relation table mask-major: {monomial mask: set of packed keys}).
+
     The law and tau are mapped into B_D (:meth:`BooleanRing.image`, which
     refuses coefficients with no reduction mod 2) and the four factors of
     the defect of the generic candidate 1 + a1 x + ... + aD x^D
     (:func:`defect_factors`) are computed there.  Their two products are
     not formed as series: only their z-positive terms are written, straight
-    into the rows (:func:`_toggle_z_positive`), and in B_D the difference
-    of the products is their sum.  Returns (monomial exponents, B_D
-    coefficient) pairs for the nonzero z-positive coefficients, ordered by
-    (z-degree, t-degree); all coefficients share one fresh ring, so
-    printing the table formats each distinct monomial mask once.
+    into the table (:func:`_toggle_z_positive`), and in B_D the difference
+    of the products is their sum.  A mask's set holds the keys, in the
+    context ring's layout, of the z-positive monomials whose coefficient
+    has that mask; a set may be empty.
     """
     if not is_int(degree) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
@@ -119,61 +144,72 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
         raise ValueError("relations are read mod 2, which needs even torsion orders")
     boolean = BooleanRing(coefficient_names(degree))
     bool_ctx = ctx.map_coefficients(boolean, boolean.image)
-    layout = bool_ctx.ring.layout
-    rows: dict = {}
+    keys_of: dict = {}
     for f, g in defect_factors(ChernSeries(boolean.gens(), boolean), bool_ctx):
-        _toggle_z_positive(rows, layout, f, g)
-    # z is the high key field, so key order is (z-degree, t-degree) order; an
-    # even torsion order reduces nothing in B_D, where 2 = 0
-    t_field, z_offset, wrap = layout.masks[0], layout.offsets[1], boolean.wrap
-    return [
-        ((key & t_field, key >> z_offset), wrap(frozenset(rows[key])))
-        for key in sorted(rows) if rows[key]
-    ]
+        _toggle_z_positive(keys_of, bool_ctx.ring.layout, f, g)
+    return boolean, keys_of
 
 
-def _mask_slices(f: Series, z_field: int) -> list:
-    """(monomial mask, its z-positive keys, all its keys) for each a-monomial of a B_D series."""
+def _mask_slices(f: Series, layout) -> list:
+    """(monomial mask, its z-positive keys, all its keys) for each a-monomial of a B_D series.
+
+    The z-positive keys are sorted by t-degree and all the keys by key,
+    which is by z-degree first.
+    """
+    t_field, z_field = layout.masks
     keys_of: dict = {}
     for key, masks in f.packed_terms.items():
         for m in masks:
             keys_of.setdefault(m, []).append(key)
-    return [(m, [k for k in keys if k & z_field], keys) for m, keys in keys_of.items()]
+    return [
+        (m, sorted([k for k in keys if k & z_field], key=t_field.__and__), sorted(keys))
+        for m, keys in keys_of.items()
+    ]
 
 
-def _toggle_z_positive(rows: dict, layout, f: Series, g: Series) -> None:
-    """Add the z-positive terms of f*g, for B_D series f and g, into ``rows``.
+def _toggle_z_positive(keys_of: dict, layout, f: Series, g: Series) -> None:
+    """Add the z-positive terms of f*g, for B_D series f and g, into ``keys_of``.
 
-    ``rows`` maps a packed key to the set of its monomial masks, toggled as
-    :meth:`BooleanRing.mul_add` does.  Each factor is sliced by monomial
-    mask, the one with fewer terms on the outside; a pair of slices (m, n)
-    toggles m | n at the sum of each pair of their keys, except where an
-    exponent reaches its truncation (the layout's bias and overflow test, as
-    in ``Series.__mul__``) or where both keys are z-free, so the sum is too.
+    ``keys_of`` maps a monomial mask to the set of packed keys where it
+    occurs, toggled as :meth:`BooleanRing.mul_add` does.  Each factor is
+    sliced by monomial mask, the one with fewer terms on the outside; a
+    pair of slices (m, n) takes the set of m | n once and toggles in it the
+    sum of each pair of their keys, except where an exponent reaches its
+    truncation (the layout's bias and overflow test, as in
+    ``Series.__mul__``) or where both keys are z-free, so the sum is too.
+    A z-free key pairs with the z-positive keys in t order, where the first
+    sum past the t truncation ends the run (z cannot overflow); a
+    z-positive key pairs with all the keys in z order, where the first sum
+    past the z truncation does.
     """
     bias, overflow = layout.bias, layout.overflow
     z_field = layout.masks[1]
+    z_overflow = overflow & z_field
     if len(f.packed_terms) > len(g.packed_terms):
         f, g = g, f
-    inner = _mask_slices(g, z_field)
-    get = rows.get
-    for m, _, f_keys in _mask_slices(f, z_field):
-        # a z-positive key pairs with every key, a z-free one with the z-positive ones
+    inner = _mask_slices(g, layout)
+    for m, _, f_keys in _mask_slices(f, layout):
         outer = [(k1, k1 + bias, k1 & z_field) for k1 in f_keys]
         for n, g_positive, g_keys in inner:
             mn = m | n
+            keys = keys_of.get(mn)
+            if keys is None:
+                keys = keys_of[mn] = set()
             for k1, biased, positive in outer:
+                # the list is in the order of the field whose overflow is
+                # the cutoff: every later sum overflows there too
+                cutoff = z_overflow if positive else overflow
                 for k2 in g_keys if positive else g_positive:
-                    if (biased + k2) & overflow:
+                    over = (biased + k2) & overflow
+                    if over:
+                        if over & cutoff:
+                            break
                         continue
                     key = k1 + k2
-                    row = get(key)
-                    if row is None:
-                        rows[key] = {mn}
-                    elif mn in row:
-                        row.remove(mn)
+                    if key in keys:
+                        keys.remove(key)
                     else:
-                        row.add(mn)
+                        keys.add(key)
 
 
 def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
@@ -205,26 +241,77 @@ def symbolic_twin(ctx: PowerOpContext, degree: int):
     return candidate, ctx.map_coefficients(poly_ring, lambda c: poly_ring.coefficient(c.value))
 
 
-def _monomial_label(names: tuple, exps) -> str:
-    """The z^j*t^i label of exponents (i, j); ``names`` are the ring's, reversed."""
-    return monomial_text(names, (exps[1], exps[0])) or "1"
+def _monomial_labels(ring: SeriesRing, escape=str) -> list:
+    """labels[j][i]: the z^j*t^i text of exponents (i, j) of ``ring``; "1" for (0, 0).
 
-
-def relation_table(ring: SeriesRing, relations) -> dict:
-    """JSON form of a relation table: the truncation and one row per relation.
-
-    ``relations`` are (exponents, coefficient) pairs from
-    :func:`boolean_relations` or :func:`extract_relations`; both print alike.
+    Each z and t part is made and passed through ``escape`` once.
     """
     t_var, z_var = ring.variables
-    names = ring.names()[::-1]
-    return {
-        "truncation": {"z": z_var.trunc, "t": t_var.trunc},
-        "relations": [
-            {"monomial": _monomial_label(names, exps), "poly": str(poly)}
-            for exps, poly in relations
-        ],
-    }
+    t_parts = [escape(monomial_text((t_var.name,), (i,))) for i in range(t_var.trunc)]
+    labels = [[part or "1" for part in t_parts]]
+    for j in range(1, z_var.trunc):
+        z_part = escape(monomial_text((z_var.name,), (j,)))
+        labels.append([z_part] + [f"{z_part}*{part}" for part in t_parts[1:]])
+    return labels
+
+
+def _dict_row(label: str, poly: str) -> dict:
+    return {"monomial": label, "poly": poly}
+
+
+def relation_table(ring: SeriesRing, relations, row=_dict_row, escape=str) -> dict:
+    """JSON form of a relation table: the truncation and one row per relation.
+
+    ``relations`` are (exponents, B_D coefficient) pairs from
+    :func:`boolean_relations`, over ``ring``'s variables.  Each row is
+    ``row(label, poly)``, by default {"monomial": label, "poly": poly},
+    with the z^j*t^i label and the polynomial's text, each mask text and
+    label part passed through ``escape`` once.  The rows are turned
+    mask-major and printed as :func:`symbolic_table` prints them.
+    """
+    keys_of: dict = {}
+    pack = ring.layout.pack
+    for exps, coef in relations:
+        key = pack(exps)
+        for m in coef.value:
+            keys_of.setdefault(m, set()).add(key)
+    boolean = relations[0][1].ring if keys_of else None
+    return _printed_table(ring, boolean, keys_of, row, escape)
+
+
+def symbolic_table(degree: int, ctx: PowerOpContext, row=_dict_row, escape=str) -> dict:
+    """The relation table of the generic candidate of this degree in ``ctx``.
+
+    Equal to ``relation_table(ctx.ring, boolean_relations(degree, ctx),
+    row, escape)``, printed straight from :func:`_relation_masks` with no
+    B_D value made on the way.
+    """
+    return _printed_table(ctx.ring, *_relation_masks(degree, ctx), row, escape)
+
+
+def _printed_table(ring: SeriesRing, boolean, keys_of: dict, row, escape) -> dict:
+    """The truncation and the rows of a mask-major table, in (z, t) order.
+
+    ``keys_of`` maps monomial masks of ``boolean`` to sets of packed keys
+    of ``ring``.  The distinct masks are walked once, in
+    :meth:`BooleanRing.order_key` order, each mask's text made and escaped
+    once and appended to the polynomial of each of its rows; then each row
+    is labelled and made by ``row``.
+    """
+    t_var, z_var = ring.variables
+    masks = [m for m, keys in keys_of.items() if keys]
+    polys = {key: [] for key in sorted(set().union(*keys_of.values()))}
+    for m in sorted(masks, key=boolean.order_key) if masks else ():
+        text = escape(boolean.mask_text(m))
+        for key in keys_of[m]:
+            polys[key].append(text)
+    labels = _monomial_labels(ring, escape)
+    t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
+    rows = [
+        row(labels[key >> z_offset][key & t_field], "+".join(texts))
+        for key, texts in polys.items()
+    ]
+    return {"truncation": {"z": z_var.trunc, "t": t_var.trunc}, "relations": rows}
 
 
 class ObstructionReport(Immutable):
@@ -274,8 +361,8 @@ class ObstructionReport(Immutable):
 
     def _labels(self, monomials) -> dict:
         """The z^j*t^i label of each of these monomial exponents."""
-        names = self.ring.names()[::-1]
-        return {mono: _monomial_label(names, mono) for mono in monomials}
+        labels = _monomial_labels(self.ring)
+        return {(i, j): labels[j][i] for i, j in monomials}
 
 
 def _prefix_width(relations) -> int:
@@ -382,7 +469,15 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         monomials = itertools.chain.from_iterable(
             map(itertools.repeat, _owners(deciding, size), tail_count)
         )
-        failures = tuple(zip(candidates, monomials))
+        # the 2^(D-1) new pairs would set off collector passes that find no
+        # garbage; the collector's state is restored after
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            failures = tuple(zip(candidates, monomials))
+        finally:
+            if collecting:
+                gc.enable()
 
     return ObstructionReport(
         ring=ring,

@@ -2,16 +2,17 @@
 
 Series products, power sums and substitutions accumulate each coefficient
 with ``mul_add`` and settle it once.  The grid checks those three operations
-against ``tests/longhand.py`` over Z, Z/n, Z[a1..a3] and B_3.
+against ``tests/longhand.py`` over Z, Z/n, Z[a1..a3], Z/4[a,b] and B_3.
 
 The oracle splits a series into integer series, one per monomial label of
-its coefficients: () over Z and Z/n, an exponent vector over Z[a1..a3] and
-over B_3, whose values are read through ``boolean_polynomial``.  A product of
-two series is then the sum, over pairs of labels, of longhand integer
-products (``naive_convolution``), filed under the combined label.  Labels
-add over Z[a] and combine by maximum over B_3, where a_i^2 = a_i.  Z/n and
-B_3 are images of the integer computation: each coefficient is reduced at
-the end modulo gcd(n, torsion), with n = 2 for B_3.
+its coefficients: () over Z and Z/n, an exponent vector over the polynomial
+rings and over B_3, whose values are read through ``boolean_polynomial``.  A
+product of two series is then the sum, over pairs of labels, of longhand
+integer products (``naive_convolution``), filed under the combined label.
+Labels add over polynomial rings and combine by maximum over B_3, where
+a_i^2 = a_i.  Z/n, Z/4[a,b] and B_3 are images of the integer computation:
+each coefficient is reduced at the end modulo gcd(n, torsion), with n = 4
+for Z/4[a,b] and 2 for B_3.
 """
 
 import math
@@ -41,8 +42,11 @@ KINDS = {
     "Z": (Z, 0, None),
     **{f"Z/{n}": (IntegerModRing(n), n, None) for n in (3, 4, 6, 8)},
     "Z[a1,a2,a3]": (PZ3, 0, lambda x, y: tuple(map(sum, zip(x, y)))),
+    "Z/4[a,b]": (PolynomialRing(IntegerModRing(4), ("a", "b")), 4,
+                 lambda x, y: tuple(map(sum, zip(x, y)))),
     "B3": (B3, 2, lambda x, y: tuple(map(max, zip(x, y)))),
 }
+POLYNOMIAL_KINDS = ("Z[a1,a2,a3]", "Z/4[a,b]")
 TORSIONS = (None, 2, 3, 4, 6)
 SEEDS = range(6)
 
@@ -52,15 +56,15 @@ def _combine(kind):
 
 
 def _zero_label(kind):
-    return (0,) * len(NAMES) if KINDS[kind][2] else ()
+    return (0,) * len(KINDS[kind][0].names) if KINDS[kind][2] else ()
 
 
 def _random_value(rng, kind) -> dict:
     """A coefficient as {label: int}."""
     if kind == "B3":
         return {tuple(rng.randint(0, 1) for _ in NAMES): 1 for _ in range(rng.randint(1, 3))}
-    if kind == "Z[a1,a2,a3]":
-        return {tuple(rng.randint(0, 2) for _ in NAMES): rng.randint(-4, 4)
+    if kind in POLYNOMIAL_KINDS:
+        return {tuple(rng.randint(0, 2) for _ in KINDS[kind][0].names): rng.randint(-4, 4)
                 for _ in range(rng.randint(1, 3))}
     return {(): rng.randint(-6, 6)}
 
@@ -70,7 +74,7 @@ def _coefficient(kind, value: dict) -> Coefficient:
     if kind == "B3":
         return Coefficient(ring, [sum(1 << i for i, x in enumerate(label) if x)
                                   for label, c in value.items() if c % 2])
-    if kind == "Z[a1,a2,a3]":
+    if kind in POLYNOMIAL_KINDS:
         return Coefficient(ring, value)
     return Coefficient(ring, value.get((), 0))
 
@@ -78,7 +82,7 @@ def _coefficient(kind, value: dict) -> Coefficient:
 def _labelled(kind, coef: Coefficient) -> dict:
     if kind == "B3":
         return dict(boolean_polynomial(B3, coef).value)
-    if kind == "Z[a1,a2,a3]":
+    if kind in POLYNOMIAL_KINDS:
         return dict(coef.value)
     return {(): coef.value}
 

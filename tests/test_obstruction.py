@@ -188,7 +188,7 @@ def _delta_rows(degree, ctx):
     return sorted(rows, key=lambda row: (row[0][1], row[0][0]))
 
 
-def _law_tau_torsion():
+def law_tau_torsion():
     # the additive law with z torsion 2 pins tau to 2
     return [
         (law, tau, torsion)
@@ -199,20 +199,27 @@ def _law_tau_torsion():
     ]
 
 
-@pytest.mark.parametrize("law, tau, torsion", _law_tau_torsion())
-def test_sliced_rows_match_delta(law, tau, torsion):
-    # boolean_relations writes the rows from the defect's factors, sliced by
-    # monomial mask, without forming the two products; the rows must be the
-    # z-positive terms of the defect itself, in (z, t) order.  Odd tau puts
-    # several masks in one term; truncations 1 and 2 and D > t are included.
+def slice_grid(law, tau, torsion) -> list:
+    """Seeded (t, z, D, context) points: truncations 1 and 2, D > t, up to (7, 4, 12)."""
     rng = random.Random(f"slices-{law}-{tau}-{torsion}")
     points = [(t, z, rng.randint(1, 8)) for t in (1, 2) for z in (1, 2, rng.randint(3, 6))]
     points += [(rng.randint(3, 8), z, rng.randint(1, 8)) for z in (1, 2)]
     points += [(rng.randint(3, 12), rng.randint(3, 8), rng.randint(1, 12)) for _ in range(5)]
     points += [(3, 3, 9), (5, 2, 11), (7, 4, 12)]
-    for t_max, z_max, degree in points:
-        ring = standard_ring(Z, t_max, z_max, z_torsion=torsion)
-        ctx = PowerOpContext(ring, builtin_law(law, Z), tau)
+    return [
+        (t_max, z_max, degree,
+         PowerOpContext(standard_ring(Z, t_max, z_max, z_torsion=torsion), builtin_law(law, Z), tau))
+        for t_max, z_max, degree in points
+    ]
+
+
+@pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
+def test_sliced_rows_match_delta(law, tau, torsion):
+    # boolean_relations writes the rows from the defect's factors, sliced by
+    # monomial mask, without forming the two products; the rows must be the
+    # z-positive terms of the defect itself, in (z, t) order.  Odd tau puts
+    # several masks in one term; truncations 1 and 2 and D > t are included.
+    for t_max, z_max, degree, ctx in slice_grid(law, tau, torsion):
         assert boolean_relations(degree, ctx) == _delta_rows(degree, ctx), (t_max, z_max, degree)
 
 

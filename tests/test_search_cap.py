@@ -7,6 +7,7 @@ closed form :func:`longhand.z2_passes`.  The points include w = 1 (D = 1,
 and z-trunc 1, where no relation reads anything) and w = D.
 """
 
+import gc
 import itertools
 import random
 
@@ -75,6 +76,24 @@ def test_failure_blocks_expand_to_failures(t, z, degree):
     ]
     rows = report.to_json()["failures"]
     assert expanded == [(tuple(row["candidate"]), row["monomial"]) for row in rows]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_search_leaves_the_collector_as_it_found_it(collecting):
+    # the failures tuple is built with the cyclic collector paused; both an
+    # unsatisfiable search (which builds it) and a satisfiable one must
+    # leave the collector on or off as it was
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        verdicts = set()
+        for t, z in ((3, 3), (5, 1)):
+            report = exhaustive_search(12, standard_context(Z, t, z))
+            assert gc.isenabled() is collecting, (t, z, report.verdict)
+            verdicts.add(report.verdict)
+        assert verdicts == {"satisfiable", "unsatisfiable"}
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_failure_blocks_refuse_satisfiable_report():
