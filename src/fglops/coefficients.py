@@ -613,10 +613,16 @@ class BooleanRing(Ring):
         That order is PolynomialRing's: total degree (popcount) descending,
         then exponent vector ascending.  The exponent of names[i] is bit i,
         so the n-bit reversal of the mask orders exponent vectors ascending;
-        above it, n - popcount orders popcount descending.
+        above it, n - popcount orders popcount descending.  The reversal
+        takes one step per set bit, and table masks have few.
         """
         n = len(self.names)
-        return ((n - m.bit_count()) << n) | int(bin(m)[:1:-1].ljust(n, "0"), 2)
+        key = (n - m.bit_count()) << n
+        while m:
+            low = m & -m
+            key |= 1 << (n - low.bit_length())
+            m ^= low
+        return key
 
     def mask_text(self, m: int) -> str:
         """The ``a1*a3``-style text of a monomial mask, ``1`` for the empty one."""

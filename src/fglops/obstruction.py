@@ -50,6 +50,7 @@ failures back one prefix block at a time, which is how the CLI writes them.
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import sys
@@ -112,10 +113,10 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     turned from mask-major to row-major.
     """
     boolean, keys_of = _relation_masks(degree, ctx)
-    masks_at: dict = {}
+    masks_at = collections.defaultdict(list)
     for m, keys in keys_of.items():
         for key in keys:
-            masks_at.setdefault(key, []).append(m)
+            masks_at[key].append(m)
     # z is the high key field, so key order is (z-degree, t-degree) order
     layout = ctx.ring.layout
     t_field, z_offset, wrap = layout.masks[0], layout.offsets[1], boolean.wrap
@@ -144,7 +145,7 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
         raise ValueError("relations are read mod 2, which needs even torsion orders")
     boolean = BooleanRing(coefficient_names(degree))
     bool_ctx = ctx.map_coefficients(boolean, boolean.image)
-    keys_of: dict = {}
+    keys_of = collections.defaultdict(set)
     for f, g in defect_factors(ChernSeries(boolean.gens(), boolean), bool_ctx):
         _toggle_z_positive(keys_of, bool_ctx.ring.layout, f, g)
     return boolean, keys_of
@@ -157,21 +158,21 @@ def _mask_slices(f: Series, layout) -> list:
     which is by z-degree first.
     """
     t_field, z_field = layout.masks
-    keys_of: dict = {}
+    keys_of = collections.defaultdict(list)
     for key, masks in f.packed_terms.items():
         for m in masks:
-            keys_of.setdefault(m, []).append(key)
+            keys_of[m].append(key)
     return [
         (m, sorted([k for k in keys if k & z_field], key=t_field.__and__), sorted(keys))
         for m, keys in keys_of.items()
     ]
 
 
-def _toggle_z_positive(keys_of: dict, layout, f: Series, g: Series) -> None:
+def _toggle_z_positive(keys_of, layout, f: Series, g: Series) -> None:
     """Add the z-positive terms of f*g, for B_D series f and g, into ``keys_of``.
 
-    ``keys_of`` maps a monomial mask to the set of packed keys where it
-    occurs, toggled as :meth:`BooleanRing.mul_add` does.  Each factor is
+    ``keys_of``, a ``defaultdict(set)``, maps a monomial mask to the set of
+    packed keys where it occurs, toggled as :meth:`BooleanRing.mul_add` does.  Each factor is
     sliced by monomial mask, the one with fewer terms on the outside; a
     pair of slices (m, n) takes the set of m | n once and toggles in it the
     sum of each pair of their keys, except where an exponent reaches its
@@ -191,10 +192,7 @@ def _toggle_z_positive(keys_of: dict, layout, f: Series, g: Series) -> None:
     for m, _, f_keys in _mask_slices(f, layout):
         outer = [(k1, k1 + bias, k1 & z_field) for k1 in f_keys]
         for n, g_positive, g_keys in inner:
-            mn = m | n
-            keys = keys_of.get(mn)
-            if keys is None:
-                keys = keys_of[mn] = set()
+            keys = keys_of[m | n]
             for k1, biased, positive in outer:
                 # the list is in the order of the field whose overflow is
                 # the cutoff: every later sum overflows there too
@@ -269,12 +267,12 @@ def relation_table(ring: SeriesRing, relations, row=_dict_row, escape=str) -> di
     label part passed through ``escape`` once.  The rows are turned
     mask-major and printed as :func:`symbolic_table` prints them.
     """
-    keys_of: dict = {}
+    keys_of = collections.defaultdict(set)
     pack = ring.layout.pack
     for exps, coef in relations:
         key = pack(exps)
         for m in coef.value:
-            keys_of.setdefault(m, set()).add(key)
+            keys_of[m].add(key)
     boolean = relations[0][1].ring if keys_of else None
     return _printed_table(ring, boolean, keys_of, row, escape)
 
@@ -289,7 +287,7 @@ def symbolic_table(degree: int, ctx: PowerOpContext, row=_dict_row, escape=str) 
     return _printed_table(ctx.ring, *_relation_masks(degree, ctx), row, escape)
 
 
-def _printed_table(ring: SeriesRing, boolean, keys_of: dict, row, escape) -> dict:
+def _printed_table(ring: SeriesRing, boolean, keys_of, row, escape) -> dict:
     """The truncation and the rows of a mask-major table, in (z, t) order.
 
     ``keys_of`` maps monomial masks of ``boolean`` to sets of packed keys
@@ -300,7 +298,7 @@ def _printed_table(ring: SeriesRing, boolean, keys_of: dict, row, escape) -> dic
     """
     t_var, z_var = ring.variables
     masks = [m for m, keys in keys_of.items() if keys]
-    polys = {key: [] for key in sorted(set().union(*keys_of.values()))}
+    polys = collections.defaultdict(list)
     for m in sorted(masks, key=boolean.order_key) if masks else ():
         text = escape(boolean.mask_text(m))
         for key in keys_of[m]:
@@ -309,7 +307,7 @@ def _printed_table(ring: SeriesRing, boolean, keys_of: dict, row, escape) -> dic
     t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
     rows = [
         row(labels[key >> z_offset][key & t_field], "+".join(texts))
-        for key, texts in polys.items()
+        for key, texts in sorted(polys.items())
     ]
     return {"truncation": {"z": z_var.trunc, "t": t_var.trunc}, "relations": rows}
 
