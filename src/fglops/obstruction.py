@@ -51,6 +51,7 @@ failures back one prefix block at a time, which is how the CLI writes them.
 from __future__ import annotations
 
 import collections
+import contextlib
 import gc
 import itertools
 import sys
@@ -284,7 +285,25 @@ def symbolic_table(degree: int, ctx: PowerOpContext, row=_dict_row, escape=str) 
     row, escape)``, printed straight from :func:`_relation_masks` with no
     B_D value made on the way.
     """
-    return _printed_table(ctx.ring, *_relation_masks(degree, ctx), row, escape)
+    with _collector_paused():  # thousands of sets and lists, all kept to the end
+        return _printed_table(ctx.ring, *_relation_masks(degree, ctx), row, escape)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run a block with the cyclic garbage collector off, then restore its state.
+
+    A block that builds many containers and keeps them all sets off
+    collector passes that find no garbage, and in a fresh process each
+    full pass walks every object the imports made.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _printed_table(ring: SeriesRing, boolean, keys_of, row, escape) -> dict:
@@ -467,15 +486,8 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         monomials = itertools.chain.from_iterable(
             map(itertools.repeat, _owners(deciding, size), tail_count)
         )
-        # the 2^(D-1) new pairs would set off collector passes that find no
-        # garbage; the collector's state is restored after
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with _collector_paused():  # 2^(D-1) new pairs
             failures = tuple(zip(candidates, monomials))
-        finally:
-            if collecting:
-                gc.enable()
 
     return ObstructionReport(
         ring=ring,

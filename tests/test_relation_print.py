@@ -12,6 +12,7 @@ label written out here.
 """
 
 import functools
+import gc
 import json
 
 import pytest
@@ -118,3 +119,15 @@ def test_symbolic_json_does_not_format_values(monkeypatch, capsys):
     assert capsys.readouterr().out == expected
     rows = json.loads(expected)["relations"]
     assert [(row["monomial"], row["poly"]) for row in rows] == standard_reference(63, 31, 62)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_symbolic_table_leaves_the_collector_as_it_found_it(collecting):
+    # the table is built with the cyclic collector paused
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        table = symbolic_table(5, standard_context(Z, 5, 3))
+        assert table["relations"] and gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
