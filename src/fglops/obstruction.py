@@ -173,12 +173,13 @@ def _toggle_z_positive(keys_of, layout, f: Series, g: Series) -> None:
     """Add the z-positive terms of f*g, for B_D series f and g, into ``keys_of``.
 
     ``keys_of``, a ``defaultdict(set)``, maps a monomial mask to the set of
-    packed keys where it occurs, toggled as :meth:`BooleanRing.mul_add` does.  Each factor is
-    sliced by monomial mask, the one with fewer terms on the outside; a
-    pair of slices (m, n) takes the set of m | n once and toggles in it the
-    sum of each pair of their keys, except where an exponent reaches its
-    truncation (the layout's bias and overflow test, as in
-    ``Series.__mul__``) or where both keys are z-free, so the sum is too.
+    packed keys where it occurs, toggled as :meth:`BooleanRing.mul_add`
+    does.  Each factor is sliced by monomial mask, the one with fewer terms
+    on the outside; a pair of slices (m, n) takes the set of m | n once and
+    toggles in it the sum of each pair of their keys, except where an
+    exponent reaches its truncation (the layout's bias and overflow test,
+    as in ``Series.__mul__``) or where both keys are z-free, so the sum is
+    too.
     A z-free key pairs with the z-positive keys in t order, where the first
     sum past the t truncation ends the run (z cannot overflow); a
     z-positive key pairs with all the keys in z order, where the first sum
