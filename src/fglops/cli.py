@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import gc
 import itertools
 import json
 import os
-import re
 import sys
+import types
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .chern import ChernSeries, computation_one
@@ -283,97 +282,177 @@ def cmd_obstruct(args) -> int:
     return 1 if report.failures is None else 0
 
 
-def _int_arg(text: str) -> int:
-    """An integer option value, in the grammar of :func:`parse_int`."""
-    try:
-        return parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_DESCRIPTION = (
+    "exact arithmetic for truncated series, formal group laws, "
+    "quadratic power operations and obstruction certificates"
+)
+_DEGREE_HELP = "truncation degree (default: a law file's own, else 20)"
+_JSON = ("--json", None, False, "print JSON")
+_TRUNCS = (
+    ("--t-trunc", parse_int, 5, "t truncation"),
+    ("--z-trunc", parse_int, 3, "z truncation"),
+)
+_HELP = ("--help", None, False, "print this help and exit")
+
+# The command table: per command its words, help line and handler, its
+# positionals as (name, converter, help) and its options as (flag,
+# converter, default, help).  An option whose default is False is a switch
+# and takes no value.
+COMMANDS = (
+    (("fgl", "check"), "validate the law axioms", cmd_fgl_check,
+     (("law", str, "built-in name (additive, multiplicative) or JSON file"),),
+     (("--degree", parse_int, None, _DEGREE_HELP), _JSON)),
+    (("fgl", "nseries"), "print the n-fold formal sum [n](x)", cmd_fgl_nseries,
+     (("law", str, "built-in name or JSON file"), ("n", parse_int, "how many summands")),
+     (("--degree", parse_int, None, _DEGREE_HELP), _JSON)),
+    (("powerop",), "apply the quadratic power operation", cmd_powerop,
+     (("series", str, "JSON file with a univariate series"),),
+     (("--fgl", str, "additive", "built-in law or JSON file"),
+      ("--tau", parse_int, 2, "the coefficient tau"), *_TRUNCS, _JSON)),
+    (("chern",), "evaluate r(t+z)r(t)/r(z) for a candidate r", cmd_chern, (),
+     (("--coeffs", str, None, "comma-separated integers a1,a2,..."),
+      ("--symbolic", parse_int, None, "generic candidate of this degree"), *_TRUNCS, _JSON)),
+    (("obstruct",), "relation table or exhaustive certificate", cmd_obstruct, (),
+     (("--degree", parse_int, 3, "candidate degree D"), *_TRUNCS,
+      ("--symbolic", None, False, "print the relation table over F2[a1..aD]"),
+      ("--search", None, False, "try all 2^(D-1) candidates"), _JSON)),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fglops",
-        description="exact arithmetic for truncated series, formal group laws, "
-        "quadratic power operations and obstruction certificates",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser() -> dict:
+    """The command table keyed by command words, each entry ending in its options keyed by flag.
 
-    fgl = sub.add_parser("fgl", help="formal group law utilities")
-    fgl_sub = fgl.add_subparsers(dest="fgl_command", required=True)
-
-    check = fgl_sub.add_parser("check", help="validate the law axioms")
-    check.add_argument("law", help="built-in name (additive, multiplicative) or JSON file")
-    check.add_argument(
-        "--degree", type=_int_arg, help="truncation degree (default: a law file's own, else 20)"
-    )
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=cmd_fgl_check)
-
-    nseries = fgl_sub.add_parser("nseries", help="print the n-fold formal sum [n](x)")
-    nseries.add_argument("law")
-    nseries.add_argument("n", type=_int_arg)
-    nseries.add_argument(
-        "--degree", type=_int_arg, help="truncation degree (default: a law file's own, else 20)"
-    )
-    nseries.add_argument("--json", action="store_true")
-    nseries.set_defaults(func=cmd_fgl_nseries)
-
-    powerop = sub.add_parser("powerop", help="apply the quadratic power operation")
-    powerop.add_argument("series", help="JSON file with a univariate series")
-    powerop.add_argument("--fgl", default="additive")
-    powerop.add_argument("--tau", type=_int_arg, default=2)
-    powerop.add_argument("--t-trunc", type=_int_arg, default=5)
-    powerop.add_argument("--z-trunc", type=_int_arg, default=3)
-    powerop.add_argument("--json", action="store_true")
-    powerop.set_defaults(func=cmd_powerop)
-
-    chern = sub.add_parser("chern", help="evaluate r(t+z)r(t)/r(z) for a candidate r")
-    chern.add_argument("--coeffs", help="comma-separated integers a1,a2,...")
-    chern.add_argument("--symbolic", type=_int_arg, help="generic candidate of this degree")
-    chern.add_argument("--t-trunc", type=_int_arg, default=5)
-    chern.add_argument("--z-trunc", type=_int_arg, default=3)
-    chern.add_argument("--json", action="store_true")
-    chern.set_defaults(func=cmd_chern)
-
-    obstruct = sub.add_parser("obstruct", help="relation table or exhaustive certificate")
-    obstruct.add_argument("--degree", type=_int_arg, default=3)
-    obstruct.add_argument("--t-trunc", type=_int_arg, default=5)
-    obstruct.add_argument("--z-trunc", type=_int_arg, default=3)
-    obstruct.add_argument("--symbolic", action="store_true")
-    obstruct.add_argument("--search", action="store_true")
-    obstruct.add_argument("--json", action="store_true")
-    obstruct.set_defaults(func=cmd_obstruct)
-
-    return parser
-
-
-def _join_negative_coeffs(argv: list) -> list:
-    """Write ``--coeffs -1,0`` (or an abbreviation such as ``--co -1,0``) with ``=``.
-
-    The option parser takes a token that starts with ``-`` for an option
-    unless it is a single negative number, so a list with a negative a1
-    would never reach ``--coeffs``.
+    ``-h`` and ``--help`` are among every command's flags, so a prefix is
+    matched against every flag the command takes.
     """
-    out = []
-    for token in argv:
-        flag = out[-1] if out else ""
-        if len(flag) > 2 and "--coeffs".startswith(flag) and re.match(r"-[0-9]", token):
-            out[-1] = f"{flag}={token}"
-        else:
-            out.append(token)
-    return out
+    return {
+        words: (*entry, {option[0]: option for option in (*entry[3], _HELP)} | {"-h": _HELP})
+        for words, *entry in COMMANDS
+    }
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _usage(words, positionals, options) -> str:
+    parts = ["fglops", *words, *(name.upper() for name, _, _ in positionals)]
+    parts += (
+        f"[{flag}]" if default is False else f"[{flag} {_dest(flag).upper()}]"
+        for flag, _, default, _ in options
+    )
+    return " ".join(parts)
+
+
+def _help(parser: dict, words: tuple) -> str:
+    """The help text for ``words``: one command, or every command under a group."""
+    if words in parser:
+        summary, _, positionals, options, _ = parser[words]
+        rows = [(name.upper(), text) for name, _, text in positionals]
+        rows += (
+            (flag if default is False else f"{flag} {_dest(flag).upper()}",
+             text if default in (None, False) else f"{text} (default: {default})")
+            for flag, _, default, text in options
+        )
+        rows.append(("-h, --help", _HELP[3]))
+        width = max(len(left) for left, _ in rows)
+        lines = [f"usage: {_usage(words, positionals, options)}", "", summary, ""]
+        return "\n".join(lines + [f"  {left.ljust(width)}  {text}" for left, text in rows])
+    lines = [f"usage: fglops {' '.join(words) + ' ' if words else ''}COMMAND ...", "",
+             _DESCRIPTION, "", "commands:"]
+    for entry_words, (summary, _, positionals, options, _) in parser.items():
+        if entry_words[:len(words)] == words:
+            lines += (f"  {_usage(entry_words, positionals, options)}", f"      {summary}")
+    return "\n".join([*lines, "", "fglops COMMAND --help lists a command's options"])
+
+
+def _print_help(text: str) -> int:
+    print(text)
+    return 0
+
+
+def parse(parser: dict, argv: list):
+    """(handler, args) for ``argv``; (a printer, the help text) when it asks for help.
+
+    The grammar is argparse's: ``--flag value`` or ``--flag=value``; a
+    unique prefix names an option, and an exact name wins over a prefix; a
+    valued option takes the next token as it is; ``-`` and ``-`` followed
+    by a digit are positionals; ``--`` ends the options; a repeated option
+    keeps its last value.  Every refusal is a :class:`ValueError` naming
+    the command and the token.
+    """
+    words = ()
+    while words not in parser:
+        name = " ".join(("fglops", *words))
+        token = argv[len(words)] if len(argv) > len(words) else None
+        if token is not None and (token == "-h" or len(token) > 2 and "--help".startswith(token)):
+            return _print_help, _help(parser, words)
+        if not any(w[:len(words) + 1] == (*words, token) for w in parser):
+            choices = sorted({w[len(words)] for w in parser if w[:len(words)] == words})
+            got = "no command" if token is None else f"unknown command {token!r}"
+            raise ValueError(f"{name}: {got}, expected one of {', '.join(choices)}")
+        words += (token,)
+    _, handler, positionals, options, flags = parser[words]
+    name = " ".join(words)
+    values = {_dest(flag): default for flag, _, default, _ in options}
+    given = []
+    before_last_option = 0  # positionals given before the last option
+    ended = False
+    rest = iter(argv[len(words):])
+    for token in rest:
+        if ended or token[:1] != "-" or token == "-" or token[1:2].isdecimal():
+            given.append(token)
+            continue
+        if token == "--":
+            ended = True
+            continue
+        before_last_option = len(given)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            matches = [f for f in flags if f.startswith(flag)] if flag[:2] == "--" else []
+            if len(matches) != 1:
+                kind = "ambiguous" if matches else "unknown"
+                raise ValueError(f"{name}: {kind} option {token!r}")
+            flag = matches[0]
+        flag, convert, default, _ = flags[flag]
+        if default is False and eq:
+            raise ValueError(f"{name}: {flag} takes no value, got {token!r}")
+        if flag == "--help":
+            return _print_help, _help(parser, words)
+        if default is False:
+            values[_dest(flag)] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ValueError(f"{name}: {flag} needs a value")
+        try:
+            values[_dest(flag)] = convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {flag}: {exc}") from None
+    if len(given) != len(positionals):
+        wanted = " ".join(p[0].upper() for p in positionals) or "no positional arguments"
+        raise ValueError(f"{name}: takes {wanted}, got {given!r}")
+    if ended and len(given) == before_last_option:
+        # argparse's quirk, kept: a "--" that no positional follows after the
+        # last option is left over and refused
+        raise ValueError(f"{name}: '--' is left over, no argument follows the last option")
+    for (dest, convert, _), token in zip(positionals, given):
+        try:
+            values[dest] = convert(token)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {dest.upper()}: {exc}") from None
+    return handler, types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:
+        print("error: fglops: stdout is closed, nowhere to write", file=sys.stderr)
+        return 2
     parser = build_parser()
-    argv = _join_negative_coeffs(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        handler, args = parse(parser, sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -382,10 +461,22 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run :func:`main` on the process's arguments and exit with its code.
 
-    The heap is frozen first: objects left alive at exit are then skipped
-    by the collections that interpreter shutdown runs, which would
-    otherwise walk every one of them just before the process ends.
+    Output still buffered is flushed here.  If the reader has gone (a pipe
+    closed at its other end), the request exits 2 with one ``error:`` line,
+    and what is left goes to the null device: flushed at interpreter
+    shutdown instead, it would fail again and exit 120.  The heap is frozen
+    last: objects left alive at exit are then skipped by the collections
+    that interpreter shutdown runs, which would otherwise walk every one of
+    them just before the process ends.
     """
     code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 2:  # main has not said so yet
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
     gc.freeze()
     raise SystemExit(code)

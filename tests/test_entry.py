@@ -5,7 +5,8 @@ runs ``main`` and freezes the heap before exiting, which spares interpreter
 shutdown its walk over the objects left alive.  ``main`` itself must not
 freeze: tests, the benchmark's tracer and any other in-process caller keep
 normal garbage collection.  The process must print the same bytes and exit
-with the same code as ``main``.
+with the same code as ``main``, and keep to exit 0, 1 or 2 without a
+traceback when its stdout is closed or its reader has gone.
 """
 
 import contextlib
@@ -29,10 +30,14 @@ COMMANDS = [
 ]
 
 
-def _child(*args):
+def _env():
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = SRC
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+    return env
+
+
+def _child(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_env(), timeout=60)
 
 
 def _in_process(argv):
@@ -66,3 +71,32 @@ def test_module_run_freezes_the_heap_at_exit():
     assert proc.returncode == 0
     assert proc.stdout == b"valid to degree 20\n"
     assert proc.stderr == b"frozen True\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("obstruct", "--search", "--degree", "3"),
+    ("obstruct", "--symbolic", "--degree", "6", "--t-trunc", "9", "--z-trunc", "5"),
+    ("fgl", "check", "additive"),
+], ids=["search", "table", "check"])
+def test_closed_stdout_is_refused(argv):
+    # file descriptor 1 closed before the interpreter starts: sys.stdout is None
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "fglops", *argv],
+                          stderr=subprocess.PIPE, env=_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
+
+
+def test_gone_reader_exits_2_without_traceback():
+    # the read end of the pipe is closed before the child starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fglops", "obstruct", "--search", "--json",
+             "--degree", "12", "--t-trunc", "5", "--z-trunc", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
