@@ -23,8 +23,8 @@ from .powerops import PowerOpContext, standard_context, standard_ring
 from .series import series_from_json, series_to_json
 
 _BUILTIN_LAWS = ("additive", "multiplicative")
-# obstruct --search holds and prints 2^(D-1) failure rows, and the search is
-# fast, so this caps the output: 2^15 rows, about 8 MB of --json at D = 16
+# obstruct --search prints 2^(D-1) failure rows, and the search is fast,
+# so this caps the output: 2^15 rows, about 8 MB of --json at D = 16
 _SEARCH_DEGREE_MAX = 16
 # chern --symbolic D is refused when its monomial products
 # (_symbolic_products) times D + 48 exceed this: a product adds two D-long
@@ -206,6 +206,8 @@ def cmd_fgl_nseries(args) -> int:
     _check_trunc(args.degree)
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
+    if args.n >= 1 << 64:  # [n](x) is formed in full and grows with the digits of n
+        raise ValueError(f"n must be below 2^64, got {args.n}")
     law = _load_law(args.law, args.degree, IntegerRing())
     _print_series(law.n_series(args.n), args.json)
     return 0
@@ -268,18 +270,18 @@ def cmd_obstruct(args) -> int:
     if args.json:
         table = relation_table(ctx.ring, report.relations, _json_relation, _json_text)
         obj = {"verdict": report.verdict, **table}
-        if report.failures is None:
+        if report.witness is not None:
             obj["witness"] = list(report.witness)
             _emit_json(obj)
         else:
             _emit_json(obj, _failure_blocks(report, _JSON_FAILURES))
-    elif report.failures is None:
+    elif report.witness is not None:
         print(f"SATISFIABLE: witness [{','.join(map(str, report.witness))}]")
     else:
-        total = len(report.failures)
+        total = 1 << (args.degree - 1)
         print(f"UNSATISFIABLE: {total}/{total} candidates fail")
         sys.stdout.writelines(_failure_blocks(report, _TEXT_FAILURES))
-    return 1 if report.failures is None else 0
+    return 1 if report.witness is not None else 0
 
 
 _DESCRIPTION = (

@@ -186,7 +186,10 @@ def parse_int(text: str) -> int:
     digits = s[1:] if s[:1] in ("+", "-") else s
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad integer literal {text!r}")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError(f"integer literal of {len(digits)} digits is too long") from None
 
 
 class IntegerRing(Ring):
@@ -825,7 +828,7 @@ def coeff_ring_from_json(obj) -> Ring:
     if obj == "Z":
         return IntegerRing()
     if isinstance(obj, str) and obj[:2] == "Z/" and obj[2:].isascii() and obj[2:].isdigit():
-        return IntegerModRing(int(obj[2:]))
+        return IntegerModRing(parse_int(obj[2:]))
     if isinstance(obj, Mapping) and "poly" in obj:
         spec = obj["poly"]
         names = spec.get("vars") if isinstance(spec, Mapping) else None

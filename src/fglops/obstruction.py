@@ -44,8 +44,9 @@ order, that evaluates to 1.  The search computes the Boolean relation
 rows once, and no series arithmetic is done per candidate.  The rows read
 only a1..a_w, so it evaluates them on all 2^(w-1) prefixes at once, as
 truth tables with one bit per prefix, and peels off each row's first
-failures in (z, t) order; :meth:`ObstructionReport.failure_blocks` gives the
-failures back one prefix block at a time, which is how the CLI writes them.
+failures in (z, t) order.  The report keeps one failing monomial per
+prefix, as the CLI writes them (:meth:`ObstructionReport.failure_blocks`),
+and builds the per-candidate list only when it is read.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import collections
 import contextlib
 import gc
 import itertools
-import sys
 from typing import Optional
 
 from .coefficients import (
@@ -333,9 +333,13 @@ def _printed_table(ring: SeriesRing, boolean, keys_of, row, escape) -> dict:
 
 
 class ObstructionReport(Immutable):
-    """Search certificate: the relation table, in B_D, plus a per-candidate verdict."""
+    """Search certificate: the relation table, in B_D, plus a verdict.
 
-    __slots__ = fields = ("ring", "relations", "verdict", "witness", "failures")
+    ``failing``: the failing monomial of each prefix a1..a_w with a1 = 1,
+    in candidate order, or None when satisfiable; ``tail``: D - w.
+    """
+
+    __slots__ = fields = ("ring", "relations", "verdict", "witness", "failing", "tail")
 
     def __init__(
         self,
@@ -343,16 +347,31 @@ class ObstructionReport(Immutable):
         relations: tuple,
         verdict: str,
         witness: Optional[tuple] = None,
-        failures: Optional[tuple] = None,
+        failing: Optional[tuple] = None,
+        tail: int = 0,
     ):
-        super().__init__(ring, relations, verdict, witness, failures)
+        super().__init__(ring, relations, verdict, witness, failing, tail)
+
+    @property
+    def failures(self) -> Optional[tuple]:
+        """(candidate, failing monomial) for each candidate in order, or None.
+
+        Built from ``failing`` on each access.
+        """
+        if self.failing is None:
+            return None
+        degree = len(self.failing).bit_length() + self.tail
+        candidates = itertools.product((1,), *[(0, 1)] * (degree - 1))
+        repeats = map(itertools.repeat, self.failing, itertools.repeat(1 << self.tail))
+        with _collector_paused():  # 2^(D-1) new pairs
+            return tuple(zip(candidates, itertools.chain.from_iterable(repeats)))
 
     def to_json(self) -> dict:
         obj = {"verdict": self.verdict, **relation_table(self.ring, self.relations)}
         if self.verdict == "satisfiable":
             obj["witness"] = list(self.witness)
         else:
-            labels = self._labels({mono for _, mono in self.failures})
+            labels = self._labels(set(self.failing))
             obj["failures"] = [
                 {"candidate": list(cand), "monomial": labels[mono]}
                 for cand, mono in self.failures
@@ -360,22 +379,16 @@ class ObstructionReport(Immutable):
         return obj
 
     def failure_blocks(self) -> tuple:
-        """The failures of an unsatisfiable search, one block per prefix a1..a_w.
+        """(w, tail length, labels): the failures in blocks, one per prefix a1..a_w.
 
-        Returns (w, tail length, labels).  The blocks are the 2^(w-1)
-        prefixes with a1 = 1 in candidate order; the rows of block p are its
-        prefix followed by each tail of that length, the last coefficient
-        varying fastest, and all fail at the monomial labels[p] names.  The
-        blocks, in order, are ``failures``.  ``ValueError`` for a
-        satisfiable report.
+        Block p, prefix p followed by each tail with the last coefficient
+        varying fastest, fails at the monomial labels[p] names, the text of
+        ``failing[p]``.  ``ValueError`` for a satisfiable report.
         """
-        if self.failures is None:
+        if self.failing is None:
             raise ValueError("a satisfiable report has no failures")
-        width = _prefix_width(self.relations)
-        tail = len(self.failures[0][0]) - width
-        firsts = [mono for _, mono in self.failures[:: 1 << tail]]
-        labels = self._labels(set(firsts))
-        return width, tail, [labels[mono] for mono in firsts]
+        labels = self._labels(set(self.failing))
+        return len(self.failing).bit_length(), self.tail, [labels[m] for m in self.failing]
 
     def _labels(self, monomials) -> dict:
         """The z^j*t^i label of each of these monomial exponents."""
@@ -383,34 +396,20 @@ class ObstructionReport(Immutable):
         return {(i, j): labels[j][i] for i, j in monomials}
 
 
-def _prefix_width(relations) -> int:
-    """w: the highest a_w that any relation row reads (1 when none reads any)."""
-    return max([1] + [m.bit_length() for _, coef in relations for m in coef.value])
-
-
-_CELL_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by cell width
-
-
-def _owners(deciding: list, size: int):
+def _owners(deciding: list, size: int) -> list:
     """The exponents of the row that decides each of ``size`` prefixes, in prefix order.
 
     ``deciding`` holds (exponents, prefix bitset) pairs whose bitsets
-    partition range(size).  The bin() digits of each bitset become one
-    cell per prefix, holding 1 or 0; the sum of these scaled by the pairs'
-    indices holds each prefix's index, read back through a memoryview, so
-    no Python code runs per prefix.  The digits are padded to ``size`` so
-    that the cells line up in either byte order.
+    partition range(size); each bitset's ones are found in its bin() digits.
     """
-    cell = next(k for k in (1, 2, 4, 8) if len(deciding) < 256 ** k)
-    zero, one = bytes(cell), (1).to_bytes(cell, sys.byteorder)
-    total = 0
-    for index, (_, fresh) in enumerate(deciding):
-        digits = bin(fresh)[:1:-1].ljust(size, "0").encode()
-        total += index * int.from_bytes(
-            digits.replace(b"0", zero).replace(b"1", one), sys.byteorder
-        )
-    indices = memoryview(total.to_bytes(size * cell, sys.byteorder)).cast(_CELL_FORMATS[cell])
-    return map([exps for exps, _ in deciding].__getitem__, indices)
+    owners = [None] * size
+    for exps, fresh in deciding:
+        bits = bin(fresh)[:1:-1]
+        p = bits.find("1")
+        while p >= 0:
+            owners[p] = exps
+            p = bits.find("1", p + 1)
+    return owners
 
 
 def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
@@ -448,7 +447,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
     relations = boolean_relations(degree, ctx)
-    width = _prefix_width(relations)
+    width = max([1] + [m.bit_length() for _, coef in relations for m in coef.value])
     size = 1 << (width - 1)
     undecided = everything = (1 << size) - 1
     # a_k is bit w - k of the prefix index: runs of 2^(w-k) zeros, then ones
@@ -479,21 +478,15 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     if undecided:
         first = (undecided & -undecided).bit_length() - 1
         head = tuple(first >> (width - k) & 1 for k in range(2, width + 1))
-        witness, failures = (1, *head) + (0,) * (degree - width), None
+        witness, failing = (1, *head) + (0,) * (degree - width), None
     else:
-        witness = None
-        candidates = itertools.product((1,), *[(0, 1)] * (degree - 1))
-        tail_count = itertools.repeat(1 << (degree - width))
-        monomials = itertools.chain.from_iterable(
-            map(itertools.repeat, _owners(deciding, size), tail_count)
-        )
-        with _collector_paused():  # 2^(D-1) new pairs
-            failures = tuple(zip(candidates, monomials))
+        witness, failing = None, tuple(_owners(deciding, size))
 
     return ObstructionReport(
         ring=ring,
         relations=tuple(relations),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
-        failures=failures,
+        failing=failing,
+        tail=degree - width,
     )

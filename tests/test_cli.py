@@ -178,6 +178,42 @@ def test_nseries_bad_n(capsys):
     assert main(["fgl", "nseries", "additive", "x"]) == 2
 
 
+def test_nseries_n_is_below_2_to_the_64(capsys):
+    # [n](x) is formed in full, so n is bounded before any series work
+    assert main(["fgl", "nseries", "additive", str(2**64)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n must be below 2^64, got {2**64}\n"
+    assert main(["fgl", "nseries", "additive", str(2**64 - 1)]) == 0
+    assert capsys.readouterr().out == f"{2**64 - 1}*x\n"
+
+
+@pytest.mark.parametrize("where", ["--degree", "--tau", "--coeffs", "Z", "Z/4", "Z/n"])
+def test_over_long_integer_has_its_own_message(tmp_path, capsys, where):
+    # past the interpreter's 4300 digits, parse_int refuses with its own words
+    literal = "7" * 5000
+    if where == "--degree":
+        argv = ["obstruct", "--symbolic", "--degree", literal]
+    elif where == "--tau":
+        argv = ["powerop", _series_file(tmp_path, "t.json", _univariate([(1, 1)])), "--tau", literal]
+    elif where == "--coeffs":
+        argv = ["chern", "--coeffs", f"1,{literal}"]
+    else:
+        obj = _univariate([(1, 1)])
+        obj["terms"].append({"exp": [2], "coef": literal})
+        if where == "Z/4":
+            obj["ring"]["coeff"] = "Z/4"
+        elif where == "Z/n":
+            obj["ring"]["coeff"] = f"Z/{literal}"
+        argv = ["powerop", _series_file(tmp_path, "f.json", obj)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "5000 digits" in captured.err and "7777" not in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
 def test_powerop_generator(tmp_path, capsys):
     path = _series_file(tmp_path, "t.json", _univariate([(1, 1)]))
     assert main(["powerop", path]) == 0

@@ -17,6 +17,10 @@ benchmark's traced pass looks it up in that module: ``bench/tracing.py``
 wraps some names where a caller finds them, and its ``LAYERS`` table, read
 from source, lists them.  ``__init__.py`` imports to re-export and is
 exempt.
+
+A private function, class or constant defined at module level has no
+reader but its own module, so one that the module never reads as a name
+is dead code.
 """
 
 import ast
@@ -120,3 +124,42 @@ def test_checker_flags_unused_imports():
     )
     assert unused_imports(source) == [(2, "os"), (3, "SeriesRing")]
     assert unused_imports(source, looked_up={"os", "SeriesRing"}) == []
+
+
+def dead_private_names(source: str) -> list:
+    """(line, name) for each private module-level definition the module never reads."""
+    tree = ast.parse(source)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if _private(name) and name not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    assert dead_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_dead_private_names():
+    source = (
+        "_CELL_FORMATS = {1: 'B'}\n"
+        "_USED, _LEFT = 1, 2\n"
+        "def _prefix_width(rows):\n    return max(rows)\n"
+        "def _owners(rows):\n    return _USED\n"
+        "def search(rows):\n    _local = 3\n    return _owners(rows), _local\n"
+        "class _Helper:\n    def _method(self):\n        return 0\n"
+    )
+    assert dead_private_names(source) == [
+        (1, "_CELL_FORMATS"), (2, "_LEFT"), (3, "_prefix_width"), (10, "_Helper")
+    ]

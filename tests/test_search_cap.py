@@ -13,7 +13,14 @@ import random
 
 import pytest
 
-from fglops import IntegerRing, boolean_relations, exhaustive_search, standard_context
+from fglops import (
+    IntegerRing,
+    ObstructionReport,
+    boolean_relations,
+    exhaustive_search,
+    standard_context,
+)
+from fglops.cli import main
 from fglops.obstruction import _owners
 from longhand import z2_passes
 from search_reference import prefix_search
@@ -80,8 +87,8 @@ def test_failure_blocks_expand_to_failures(t, z, degree):
 
 @pytest.mark.parametrize("collecting", [True, False])
 def test_search_leaves_the_collector_as_it_found_it(collecting):
-    # the failures tuple is built with the cyclic collector paused; both an
-    # unsatisfiable search (which builds it) and a satisfiable one must
+    # the failures tuple is built on access with the cyclic collector
+    # paused; a search of either verdict, and reading its failures, must
     # leave the collector on or off as it was
     was = gc.isenabled()
     try:
@@ -90,10 +97,36 @@ def test_search_leaves_the_collector_as_it_found_it(collecting):
         for t, z in ((3, 3), (5, 1)):
             report = exhaustive_search(12, standard_context(Z, t, z))
             assert gc.isenabled() is collecting, (t, z, report.verdict)
+            failures = report.failures
+            assert gc.isenabled() is collecting, (t, z, report.verdict)
+            assert (failures is None) == (report.verdict == "satisfiable")
             verdicts.add(report.verdict)
         assert verdicts == {"satisfiable", "unsatisfiable"}
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_cli_writes_the_search_from_the_prefix_form(monkeypatch, capsys):
+    # obstruct --search prints from the per-prefix certificate, so the
+    # same bytes come out with the 2^(D-1) failures refused
+    argvs = [
+        ["obstruct", "--search", "--t-trunc", str(t), "--z-trunc", str(z), "--degree", str(d),
+         *json_flag]
+        for t, z, d in [(5, 3, 16), (33, 2, 14)]
+        for json_flag in ([], ["--json"])
+    ]
+    expected = []
+    for argv in argvs:
+        code = main(argv)
+        expected.append((code, capsys.readouterr().out))
+
+    def refuse(self):
+        raise AssertionError("ObstructionReport.failures read")
+
+    monkeypatch.setattr(ObstructionReport, "failures", property(refuse))
+    for argv, (code, out) in zip(argvs, expected):
+        assert main(argv) == code == 0
+        assert capsys.readouterr().out == out
 
 
 def test_failure_blocks_refuse_satisfiable_report():
@@ -103,7 +136,7 @@ def test_failure_blocks_refuse_satisfiable_report():
 
 @pytest.mark.parametrize("rows", [1, 200, 300])
 def test_owners_reads_each_prefix_row(rows):
-    # past 255 deciding rows the per-prefix cells take two bytes
+    # one deciding row, and hundreds, each owning scattered prefixes
     rng = random.Random(rows)
     size = 1024
     owner = [rng.randrange(rows) for _ in range(size)]

@@ -53,7 +53,7 @@ def _values():
         lambda: FormalGroupLaw(IntegerRing(), 3, _law().series),
         lambda: PowerOpContext(_ring(), _law(), 2),
         lambda: ObstructionReport(_ring(), (), "satisfiable", witness=(1,)),
-        lambda: ObstructionReport(_ring(), (), "unsatisfiable", failures=()),
+        lambda: ObstructionReport(_ring(), (), "unsatisfiable", failing=()),
     ]
 
 
@@ -146,7 +146,7 @@ def test_repr_text():
     assert repr(report) == (
         f"ObstructionReport(ring={ring_text}, relations=(((2, 1), "
         "Coefficient(F2[a1,a2]/(x^2+x), a1*a2+a1)),), verdict='satisfiable', "
-        "witness=(1, 1), failures=None)"
+        "witness=(1, 1), failing=None, tail=0)"
     )
 
 
