@@ -16,7 +16,6 @@ from .fgl import ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
     exhaustive_search,
     extract_relations,  # unused here, but bench/tracing.py wraps it by this name
-    relation_table,
     symbolic_table,
 )
 from .powerops import PowerOpContext, standard_context, standard_ring
@@ -85,7 +84,7 @@ def _symbolic_products(degree: int, t_trunc: int, z_trunc: int) -> int:
 
 def _load_series(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return series_from_json(json.load(handle))
+        return series_from_json(json.load(handle, parse_int=parse_int))
 
 
 def _load_law(name_or_path: str, degree, coeff_ring):
@@ -102,18 +101,13 @@ def _load_law(name_or_path: str, degree, coeff_ring):
     return validate_law(law, degree=degree)
 
 
-def _json_text(text: str) -> str:
-    """``text`` escaped as inside a JSON string, without the quotes."""
-    return _json_string(text)[1:-1]
-
-
-def _json_relation(label: str, poly: str) -> str:
-    """A relation row in the layout of ``json.dumps(indent=2)``, from escaped texts."""
-    return f'    {{\n      "monomial": "{label}",\n      "poly": "{poly}"\n    }}'
-
-
-def _text_relation(label: str, poly: str) -> str:
-    return f"{label}: {poly}\n"
+def _json_relations(rows) -> str:
+    """(label, polynomial) rows as list items in the layout of ``json.dumps(indent=2)``."""
+    return ",\n".join(
+        f'    {{\n      "monomial": {_json_string(label)},\n'
+        f'      "poly": {_json_string(poly)}\n    }}'
+        for label, poly in rows
+    )
 
 
 # failure row layouts, for --json and for text: (row start, separator before
@@ -157,7 +151,7 @@ def _emit_json(obj: dict, failures=None) -> None:
 
     With ``indent`` the encoder runs in pure Python, which is slow on the
     rows of a relation table.  A non-empty list under "relations" holds
-    rows already written in that layout (:func:`_json_relation`); every
+    (label, polynomial) rows, written by :func:`_json_relations`; every
     other value goes through ``json.dumps``.  ``failures``, if given, are
     the blocks of a search report's failure rows (:func:`_failure_blocks`),
     written one at a time as the list under a last key, "failures".
@@ -166,7 +160,7 @@ def _emit_json(obj: dict, failures=None) -> None:
     for key, value in obj.items():
         pieces += (",\n" if pieces else "{\n", f"  {_json_string(key)}: ")
         if key == "relations" and value:
-            pieces += ("[\n", ",\n".join(value), "\n  ]")
+            pieces += ("[\n", _json_relations(value), "\n  ]")
         else:
             pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
     if failures is None:
@@ -260,16 +254,17 @@ def cmd_obstruct(args) -> int:
     if args.search and args.degree > _SEARCH_DEGREE_MAX:
         raise ValueError(f"search degree {args.degree} exceeds {_SEARCH_DEGREE_MAX} (2^(D-1) rows)")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
+    truncation = {"z": args.z_trunc, "t": args.t_trunc}
     if args.symbolic:
+        rows = symbolic_table(args.degree, ctx)
         if args.json:
-            _emit_json(symbolic_table(args.degree, ctx, _json_relation, _json_text))
+            _emit_json({"truncation": truncation, "relations": rows})
         else:
-            sys.stdout.writelines(symbolic_table(args.degree, ctx, _text_relation)["relations"])
+            sys.stdout.writelines(f"{label}: {poly}\n" for label, poly in rows)
         return 0
     report = exhaustive_search(args.degree, ctx)
     if args.json:
-        table = relation_table(ctx.ring, report.relations, _json_relation, _json_text)
-        obj = {"verdict": report.verdict, **table}
+        obj = {"verdict": report.verdict, "truncation": truncation, "relations": report.relations}
         if report.witness is not None:
             obj["witness"] = list(report.witness)
             _emit_json(obj)

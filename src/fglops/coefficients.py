@@ -192,6 +192,20 @@ def parse_int(text: str) -> int:
         raise ValueError(f"integer literal of {len(digits)} digits is too long") from None
 
 
+def _int_text(n: int) -> str:
+    """The decimal text of ``n``, or a ``ValueError`` naming its size.
+
+    The interpreter refuses to convert an int of more than a set number of
+    digits; the engine reports that as a coefficient too long to print.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        digits = int((abs(n).bit_length() - 1) * math.log10(2)) + 1  # at most one short
+        digits += abs(n) >= 10**digits
+        raise ValueError(f"coefficient of {digits} digits is too long to print") from None
+
+
 class IntegerRing(Ring):
     """The ring of arbitrary-precision integers."""
 
@@ -237,7 +251,7 @@ class IntegerRing(Ring):
         return a % m
 
     def format_value(self, a) -> str:
-        return str(a)
+        return _int_text(a)
 
     def parse_value(self, text: str):
         return parse_int(text)
@@ -303,7 +317,7 @@ class IntegerModRing(Ring):
         return a % math.gcd(self.modulus, m)
 
     def format_value(self, a) -> str:
-        return str(a)
+        return _int_text(a)
 
     def parse_value(self, text: str):
         return parse_int(text) % self.modulus
@@ -516,11 +530,11 @@ class PolynomialRing(Ring):
             mag = -c if neg else c
             mono = monomial_text(self.names, exps)
             if not mono:
-                body = str(mag)
+                body = _int_text(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{mag}*{mono}"
+                body = f"{_int_text(mag)}*{mono}"
             if i == 0:
                 out.append(("-" if neg else "") + body)
             else:

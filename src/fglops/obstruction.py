@@ -23,14 +23,15 @@ out); the integer polynomials never form.  It does not form the two
 products either: each factor is sliced by monomial mask, and each pair of
 slices toggles its share of the z-positive terms straight into a
 mask-major table, one set of row keys per monomial mask, so the z^0 terms
-that no row keeps are never computed.  :func:`symbolic_table` prints that
-table in one pass over its distinct masks, in B_D print order;
-:func:`boolean_relations` gives it as rows of B_D values, which the search
-evaluates, and :func:`relation_table` prints such rows through the same
-printer.  :func:`extract_relations` is the independent reference: the
-defect over Z[a1..aD] (:func:`symbolic_twin`) reduced at the end by
-:func:`multilinear_mod2`, with the same rows as PolynomialRing(Z/2, names)
-values.
+that no row keeps are never computed.  That table is the one form the CLI
+reads.  One printer (:func:`_printed_rows`) turns it into (z^j*t^i label,
+polynomial text) rows in one pass over its distinct masks, in B_D print
+order: :func:`symbolic_table` returns those rows, and the search report
+keeps them.  :func:`boolean_relations` gives the table as rows of B_D
+values for library callers.  :func:`extract_relations` is the independent
+reference: the defect over Z[a1..aD] (:func:`symbolic_twin`) reduced at
+the end by :func:`multilinear_mod2`, with the same rows as
+PolynomialRing(Z/2, names) values.
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
 torsion 2 every z-positive coefficient is its image mod 2, so the verdict
@@ -40,13 +41,14 @@ which then covers all integer candidates, and certifies it with one failing
 monomial per candidate; it refuses other values of tau and of the z
 torsion.  A candidate's z-positive coefficients are the Boolean relations
 evaluated at it, so its failing monomial is the first relation, in (z, t)
-order, that evaluates to 1.  The search computes the Boolean relation
-rows once, and no series arithmetic is done per candidate.  The rows read
-only a1..a_w, so it evaluates them on all 2^(w-1) prefixes at once, as
-truth tables with one bit per prefix, and peels off each row's first
-failures in (z, t) order.  The report keeps one failing monomial per
-prefix, as the CLI writes them (:meth:`ObstructionReport.failure_blocks`),
-and builds the per-candidate list only when it is read.
+order, that evaluates to 1.  The search computes the mask-major table
+once, and no series arithmetic is done per candidate.  The rows read only
+a1..a_w, so it evaluates each mask on all 2^(w-1) prefixes at once, as a
+truth table with one bit per prefix, XORs it into the tables of its rows,
+and peels off each row's first failures in (z, t) order.  The report
+keeps one failing monomial per prefix, as the CLI writes them
+(:meth:`ObstructionReport.failure_blocks`), and builds the per-candidate
+list only when it is read.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     into the table (:func:`_toggle_z_positive`), and in B_D the difference
     of the products is their sum.  A mask's set holds the keys, in the
     context ring's layout, of the z-positive monomials whose coefficient
-    has that mask; a set may be empty.
+    has that mask; masks whose set toggled back to empty are dropped.
     """
     if not is_int(degree) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
@@ -149,7 +151,7 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     keys_of = collections.defaultdict(set)
     for f, g in defect_factors(ChernSeries(boolean.gens(), boolean), bool_ctx):
         _toggle_z_positive(keys_of, bool_ctx.ring.layout, f, g)
-    return boolean, keys_of
+    return boolean, {m: keys for m, keys in keys_of.items() if keys}
 
 
 def _mask_slices(f: Series, layout) -> list:
@@ -241,53 +243,30 @@ def symbolic_twin(ctx: PowerOpContext, degree: int):
     return candidate, ctx.map_coefficients(poly_ring, lambda c: poly_ring.coefficient(c.value))
 
 
-def _monomial_labels(ring: SeriesRing, escape=str) -> list:
+def _monomial_labels(ring: SeriesRing) -> list:
     """labels[j][i]: the z^j*t^i text of exponents (i, j) of ``ring``; "1" for (0, 0).
 
-    Each z and t part is made and passed through ``escape`` once.
+    Each z and t part is made once.
     """
     t_var, z_var = ring.variables
-    t_parts = [escape(monomial_text((t_var.name,), (i,))) for i in range(t_var.trunc)]
+    t_parts = [monomial_text((t_var.name,), (i,)) for i in range(t_var.trunc)]
     labels = [[part or "1" for part in t_parts]]
     for j in range(1, z_var.trunc):
-        z_part = escape(monomial_text((z_var.name,), (j,)))
+        z_part = monomial_text((z_var.name,), (j,))
         labels.append([z_part] + [f"{z_part}*{part}" for part in t_parts[1:]])
     return labels
 
 
-def _dict_row(label: str, poly: str) -> dict:
-    return {"monomial": label, "poly": poly}
+def symbolic_table(degree: int, ctx: PowerOpContext) -> list:
+    """The relation table of the generic candidate of this degree in ``ctx``, as printed.
 
-
-def relation_table(ring: SeriesRing, relations, row=_dict_row, escape=str) -> dict:
-    """JSON form of a relation table: the truncation and one row per relation.
-
-    ``relations`` are (exponents, B_D coefficient) pairs from
-    :func:`boolean_relations`, over ``ring``'s variables.  Each row is
-    ``row(label, poly)``, by default {"monomial": label, "poly": poly},
-    with the z^j*t^i label and the polynomial's text, each mask text and
-    label part passed through ``escape`` once.  The rows are turned
-    mask-major and printed as :func:`symbolic_table` prints them.
-    """
-    keys_of = collections.defaultdict(set)
-    pack = ring.layout.pack
-    for exps, coef in relations:
-        key = pack(exps)
-        for m in coef.value:
-            keys_of[m].add(key)
-    boolean = relations[0][1].ring if keys_of else None
-    return _printed_table(ring, boolean, keys_of, row, escape)
-
-
-def symbolic_table(degree: int, ctx: PowerOpContext, row=_dict_row, escape=str) -> dict:
-    """The relation table of the generic candidate of this degree in ``ctx``.
-
-    Equal to ``relation_table(ctx.ring, boolean_relations(degree, ctx),
-    row, escape)``, printed straight from :func:`_relation_masks` with no
-    B_D value made on the way.
+    (monomial label, polynomial text) pairs in (z, t) order, printed by
+    :func:`_printed_rows` straight from :func:`_relation_masks` with no B_D
+    value made on the way; the polynomial of a row is the text of its
+    :func:`boolean_relations` coefficient.
     """
     with _collector_paused():  # thousands of sets and lists, all kept to the end
-        return _printed_table(ctx.ring, *_relation_masks(degree, ctx), row, escape)
+        return _printed_rows(ctx.ring, *_relation_masks(degree, ctx))
 
 
 @contextlib.contextmanager
@@ -307,36 +286,35 @@ def _collector_paused():
             gc.enable()
 
 
-def _printed_table(ring: SeriesRing, boolean, keys_of, row, escape) -> dict:
-    """The truncation and the rows of a mask-major table, in (z, t) order.
+def _printed_rows(ring: SeriesRing, boolean: BooleanRing, keys_of) -> list:
+    """The rows of a mask-major table as (z^j*t^i label, polynomial text), in (z, t) order.
 
     ``keys_of`` maps monomial masks of ``boolean`` to sets of packed keys
     of ``ring``.  The distinct masks are walked once, in
-    :meth:`BooleanRing.order_key` order, each mask's text made and escaped
-    once and appended to the polynomial of each of its rows; then each row
-    is labelled and made by ``row``.
+    :meth:`BooleanRing.order_key` order, each mask's text made once and
+    appended to the polynomial of each of its rows; then each row is
+    labelled.
     """
-    t_var, z_var = ring.variables
-    masks = [m for m, keys in keys_of.items() if keys]
     polys = collections.defaultdict(list)
-    for m in sorted(masks, key=boolean.order_key) if masks else ():
-        text = escape(boolean.mask_text(m))
+    for m in sorted(keys_of, key=boolean.order_key):
+        text = boolean.mask_text(m)
         for key in keys_of[m]:
             polys[key].append(text)
-    labels = _monomial_labels(ring, escape)
+    labels = _monomial_labels(ring)
     t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
-    rows = [
-        row(labels[key >> z_offset][key & t_field], "+".join(texts))
+    return [
+        (labels[key >> z_offset][key & t_field], "+".join(texts))
         for key, texts in sorted(polys.items())
     ]
-    return {"truncation": {"z": z_var.trunc, "t": t_var.trunc}, "relations": rows}
 
 
 class ObstructionReport(Immutable):
-    """Search certificate: the relation table, in B_D, plus a verdict.
+    """Search certificate: the relation table, as printed, plus a verdict.
 
-    ``failing``: the failing monomial of each prefix a1..a_w with a1 = 1,
-    in candidate order, or None when satisfiable; ``tail``: D - w.
+    ``relations``: the (z^j*t^i label, polynomial text) rows, in (z, t)
+    order, as :func:`symbolic_table` gives them; ``failing``: the failing
+    monomial of each prefix a1..a_w with a1 = 1, in candidate order, or
+    None when satisfiable; ``tail``: D - w.
     """
 
     __slots__ = fields = ("ring", "relations", "verdict", "witness", "failing", "tail")
@@ -367,7 +345,12 @@ class ObstructionReport(Immutable):
             return tuple(zip(candidates, itertools.chain.from_iterable(repeats)))
 
     def to_json(self) -> dict:
-        obj = {"verdict": self.verdict, **relation_table(self.ring, self.relations)}
+        t_var, z_var = self.ring.variables
+        obj = {
+            "verdict": self.verdict,
+            "truncation": {"z": z_var.trunc, "t": t_var.trunc},
+            "relations": [{"monomial": label, "poly": poly} for label, poly in self.relations],
+        }
         if self.verdict == "satisfiable":
             obj["witness"] = list(self.witness)
         else:
@@ -423,15 +406,16 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     Candidates are ordered with the last coefficient varying fastest; each
     failure records the first nonzero monomial in (z-degree, t-degree)
     order.  That monomial is the first relation that evaluates to 1 at the
-    candidate, so the relation rows are computed once, over the Boolean
-    ring (:func:`boolean_relations`), and evaluated on all candidates at
-    once.  The rows read only a1..a_w, w the highest bit of any of their
-    masks (w <= D), so candidates that agree up to w share a verdict.  Each
-    a_k has a truth table over the 2^(w-1) prefixes (bit p for prefix p in
-    candidate order; a1 is all ones), a monomial mask's table is the AND of
-    its coefficients' tables, and a row's table the XOR of its masks'.
-    Taking the rows in order, each prefix fails at the first row that is 1
-    there; the first prefix left over, followed by zeros, is the witness.
+    candidate, so the relation table is computed once, over the Boolean
+    ring, mask-major (:func:`_relation_masks`), and evaluated on all
+    candidates at once.  The rows read only a1..a_w, w the highest bit of
+    any mask (w <= D), so candidates that agree up to w share a verdict.
+    Each a_k has a truth table over the 2^(w-1) prefixes (bit p for prefix
+    p in candidate order; a1 is all ones), a monomial mask's table is the
+    AND of its coefficients' tables, made once and XORed into the table of
+    each row that has the mask.  Taking the rows in (z, t) order, each
+    prefix fails at the first row that is 1 there; the first prefix left
+    over, followed by zeros, is the witness.
     """
     ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):
@@ -446,8 +430,8 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     if {e: c for e, c in ctx.tensor_root.terms.items() if not e[1]} != ctx.t.terms:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
-    relations = boolean_relations(degree, ctx)
-    width = max([1] + [m.bit_length() for _, coef in relations for m in coef.value])
+    boolean, keys_of = _relation_masks(degree, ctx)
+    width = max([1] + [m.bit_length() for m in keys_of])
     size = 1 << (width - 1)
     undecided = everything = (1 << size) - 1
     # a_k is bit w - k of the prefix index: runs of 2^(w-k) zeros, then ones
@@ -455,22 +439,21 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     for k in range(2, width + 1):
         run = 1 << (width - k)
         tables.append(everything // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
-    mask_tables: dict = {}
+    rows = collections.defaultdict(int)  # packed key -> the row's table
+    for m, keys in keys_of.items():
+        table = everything
+        for i in range(m.bit_length()):
+            if m >> i & 1:
+                table &= tables[i]
+        for key in keys:
+            rows[key] ^= table
+    # z is the high key field, so key order is (z-degree, t-degree) order
+    t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
     deciding = []  # (exponents, the prefixes at which that row is the first 1)
-    for exps, coef in relations:
-        row = 0
-        for m in coef.value:
-            table = mask_tables.get(m)
-            if table is None:
-                table = everything
-                for i in range(m.bit_length()):
-                    if m >> i & 1:
-                        table &= tables[i]
-                mask_tables[m] = table
-            row ^= table
-        fresh = row & undecided
+    for key in sorted(rows):
+        fresh = rows[key] & undecided
         if fresh:
-            deciding.append((exps, fresh))
+            deciding.append(((key & t_field, key >> z_offset), fresh))
             undecided ^= fresh
             if not undecided:
                 break
@@ -484,7 +467,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     return ObstructionReport(
         ring=ring,
-        relations=tuple(relations),
+        relations=tuple(_printed_rows(ring, boolean, keys_of)),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
         failing=failing,

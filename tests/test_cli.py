@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from fglops import (
     ChernSeries,
     IntegerRing,
-    boolean_relations,
     computation_one,
     exhaustive_search,
     series_from_json,
@@ -22,7 +21,7 @@ from fglops import (
     standard_ring,
 )
 from fglops.cli import _symbolic_products, main
-from fglops.obstruction import relation_table
+from fglops.obstruction import symbolic_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -211,6 +210,34 @@ def test_over_long_integer_has_its_own_message(tmp_path, capsys, where):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "5000 digits" in captured.err and "7777" not in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_over_long_output_coefficient_has_its_own_message(capsys, as_json):
+    # inputs are held to the interpreter's 4300 digits, but their products are
+    # not: printing refuses with the engine's words, before anything is written
+    argv = ["chern", "--coeffs", "1," + "9" * 3000, "--z-trunc", "2"]
+    argv += ["--json"] if as_json else []
+    assert main([*argv, "--t-trunc", "3"]) == 0
+    assert "9" * 3000 in capsys.readouterr().out
+    assert main([*argv, "--t-trunc", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coefficient of 6000 digits is too long to print\n"
+    assert "set_int_max_str_digits" not in captured.err
+
+
+@pytest.mark.parametrize("command", [["powerop"], ["fgl", "check"]])
+def test_over_long_json_number_has_its_own_message(tmp_path, capsys, command):
+    # a JSON number in a series or law file goes through parse_int too
+    path = tmp_path / "f.json"
+    text = json.dumps(_univariate([(1, 1)]))
+    path.write_text(text.replace('"trunc": 5', '"trunc": ' + "9" * 5000))
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: integer literal of 5000 digits is too long\n"
     assert "set_int_max_str_digits" not in captured.err
 
 
@@ -505,7 +532,11 @@ def test_symbolic_json_matches_json_dumps(capsys):
                 "--degree", str(degree)]
         assert main(argv) == 0, argv
         ctx = standard_context(IntegerRing(), t, z)
-        table = relation_table(ctx.ring, boolean_relations(degree, ctx))
+        rows = symbolic_table(degree, ctx)
+        table = {
+            "truncation": {"z": z, "t": t},
+            "relations": [{"monomial": label, "poly": poly} for label, poly in rows],
+        }
         out = capsys.readouterr().out
         assert out == json.dumps(table, indent=2) + "\n", argv
         empty = empty or '"relations": []' in out

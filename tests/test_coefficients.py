@@ -291,3 +291,17 @@ def test_boolean_text_matches_polynomial_text(ring_and_value):
     assert parse_coefficient(ring, str(c)) == c
     # a second, fresh ring prints the same: the kept mask texts change nothing
     assert str(c) == str(BooleanRing(ring.names).wrap(c.value))
+
+
+@pytest.mark.parametrize("ring, value, digits", [
+    (Z, 10**5000, 5001),
+    (Z, -(10**5000), 5001),
+    (IntegerModRing(10**4500 + 1), 10**4500, 4501),
+    (PZ, {(0, 0): 10**5000}, 5001),
+    (PZ, {(1, 0): 1, (0, 1): -(10**5000)}, 5001),
+], ids=["Z", "Z-negative", "Z/n", "Z[a,b]-constant", "Z[a,b]-term"])
+def test_over_long_coefficient_text_names_its_size(ring, value, digits):
+    # past the interpreter's digit limit the engine refuses with its own words
+    with pytest.raises(ValueError) as info:
+        str(Coefficient(ring, value))
+    assert str(info.value) == f"coefficient of {digits} digits is too long to print"

@@ -2,11 +2,13 @@
 
 ``obstruct --symbolic`` prints a relation table straight from the mask-major
 rows of the B_D computation, through one printer that walks the distinct
-monomial masks in print order.  ``test_symbolic_json_matches_json_dumps``
-holds the layout of that output to ``json.dumps``, but it runs the same
-printer on both sides.  Here each printed row, in ``--json`` and in text, is
-held to ``str()`` of the matching :func:`extract_relations` row: the defect
-over Z[a1..aD] reduced at the end by ``multilinear_mod2`` and printed by
+monomial masks in print order; the search report keeps the rows that
+printer gives, and ``obstruct --search --json`` prints them.
+``test_symbolic_json_matches_json_dumps`` holds the layout of that output to
+``json.dumps``, but it runs the same printer on both sides.  Here each
+printed row, in ``--json``, in text and in a search report, is held to
+``str()`` of the matching :func:`extract_relations` row: the defect over
+Z[a1..aD] reduced at the end by ``multilinear_mod2`` and printed by
 PolynomialRing(Z/2), with no ``BooleanRing`` involved, under a z^j*t^i
 label written out here.
 """
@@ -21,12 +23,13 @@ from fglops import (
     BooleanRing,
     IntegerRing,
     boolean_relations,
+    exhaustive_search,
     extract_relations,
     standard_context,
     symbolic_twin,
 )
-from fglops.cli import _json_relation, _json_text, _text_relation, main
-from fglops.obstruction import relation_table, symbolic_table
+from fglops.cli import _json_relations, main
+from fglops.obstruction import symbolic_table
 from test_obstruction import law_tau_torsion, slice_grid
 
 Z = IntegerRing()
@@ -68,18 +71,14 @@ def _cli_rows(capsys, t, z, degree) -> tuple:
 
 @pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
 def test_printed_rows_match_extract_relations_on_grid(law, tau, torsion):
-    # every law, tau and torsion of the grid, through the printer with the
-    # CLI's row writers; odd tau puts several masks in a row
+    # every law, tau and torsion of the grid, through the printer and the
+    # CLI's JSON row writer; odd tau puts several masks in a row
     for t, z, degree, ctx in slice_grid(law, tau, torsion):
         expected = reference_rows(degree, ctx)
-        json_rows = symbolic_table(degree, ctx, _json_relation, _json_text)["relations"]
-        parsed = [json.loads(row) for row in json_rows]
+        rows = symbolic_table(degree, ctx)
+        parsed = json.loads(f"[\n{_json_relations(rows)}\n]")
         assert [(row["monomial"], row["poly"]) for row in parsed] == expected, (t, z, degree)
-        text_rows = symbolic_table(degree, ctx, _text_relation)["relations"]
-        assert text_rows == [f"{label}: {poly}\n" for label, poly in expected], (t, z, degree)
-        # the adapter over B_D rows prints the same rows
-        table = relation_table(ctx.ring, boolean_relations(degree, ctx))
-        assert [(row["monomial"], row["poly"]) for row in table["relations"]] == expected
+        assert rows == expected, (t, z, degree)
 
 
 def test_cli_rows_match_extract_relations_on_grid(capsys):
@@ -87,6 +86,27 @@ def test_cli_rows_match_extract_relations_on_grid(capsys):
     for t, z, degree, _ in slice_grid("additive", 2, 2):
         expected = standard_reference(t, z, degree)
         assert _cli_rows(capsys, t, z, degree) == (expected, expected), (t, z, degree)
+
+
+def test_search_report_rows_match_extract_relations_on_grid():
+    # the search keeps its table as printed rows, from the same printer
+    for t, z, degree, ctx in slice_grid("additive", 2, 2):
+        rows = exhaustive_search(degree, ctx).relations
+        assert list(rows) == standard_reference(t, z, degree), (t, z, degree)
+
+
+@pytest.mark.parametrize("t, z, degree", [(17, 9, 6), (9, 5, 9)])
+def test_search_and_symbolic_json_print_the_same_relations(capsys, t, z, degree):
+    argv = ["--t-trunc", str(t), "--z-trunc", str(z), "--degree", str(degree), "--json"]
+    assert main(["obstruct", "--symbolic", *argv]) == 0
+    symbolic = capsys.readouterr().out
+    assert main(["obstruct", "--search", *argv]) in (0, 1)
+    search = capsys.readouterr().out
+    # the symbolic table ends with its relations: the same bytes, then the
+    # search's verdict data
+    relations = symbolic[symbolic.index('"relations": '):-len("\n}\n")]
+    assert relations + ",\n" in search
+    assert json.loads(search)["relations"] == json.loads(symbolic)["relations"] != []
 
 
 @pytest.mark.parametrize("t, z, degree", BENCH_POINTS)
@@ -127,7 +147,6 @@ def test_symbolic_table_leaves_the_collector_as_it_found_it(collecting):
     was = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
-        table = symbolic_table(5, standard_context(Z, 5, 3))
-        assert table["relations"] and gc.isenabled() is collecting
+        assert symbolic_table(5, standard_context(Z, 5, 3)) and gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()
