@@ -7,6 +7,7 @@ from typing import Optional, Sequence, Union
 from .coefficients import (
     BooleanRing,
     Coefficient,
+    Immutable,
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
@@ -35,7 +36,7 @@ def _is_single_indeterminate(coef: Coefficient) -> bool:
     return sum(exps) == 1 and ring.base.is_unit(c)
 
 
-class ChernSeries:
+class ChernSeries(Immutable):
     """A candidate class 1 + a1 x + ... + aD x^D with a1 a unit.
 
     Numeric integer candidates require a1 in {1, -1}; modular candidates
@@ -45,7 +46,7 @@ class ChernSeries:
     a1 is 1 or a single indeterminate.
     """
 
-    __slots__ = ("coeff_ring", "coeffs")
+    __slots__ = fields = ("coeffs", "coeff_ring")
 
     def __init__(
         self,
@@ -92,8 +93,7 @@ class ChernSeries:
             masks = list(a1.value)  # 1 is the empty mask, an indeterminate one bit
             if len(masks) != 1 or masks[0] & (masks[0] - 1):
                 raise UnitViolation(f"a1 = {a1} must be 1 or a single indeterminate")
-        self.coeff_ring = coeff_ring
-        self.coeffs = tuple(normalized)
+        super().__init__(tuple(normalized), coeff_ring)
 
     @classmethod
     def symbolic(cls, degree: int) -> "ChernSeries":

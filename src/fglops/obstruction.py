@@ -18,19 +18,19 @@ satisfy.  Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
 
 and it commutes with the power operation, so the relation table maps the
 law and tau of the numeric context into B_D and computes the defect's four
-factors there (:func:`defect_factors`, which :func:`delta` multiplies
-out); the integer polynomials never form.  It does not form the two
-products either: each factor is sliced by monomial mask, and each pair of
-slices toggles its share of the z-positive terms straight into a
-mask-major table, one set of row keys per monomial mask, so the z^0 terms
-that no row keeps are never computed.  That table is the one form the CLI
-reads.  One printer (:func:`_printed_rows`) turns it into (z^j*t^i label,
-polynomial text) rows in one pass over its distinct masks, in B_D print
-order: :func:`symbolic_table` returns those rows, and the search report
-keeps them.  :func:`boolean_relations` gives the table as rows of B_D
-values for library callers.  :func:`extract_relations` is the independent
-reference: the defect over Z[a1..aD] (:func:`symbolic_twin`) reduced at
-the end by :func:`multilinear_mod2`, with the same rows as
+factors there (:func:`defect_factors`, which :func:`delta` multiplies out);
+the integer polynomials never form.  It does not form the two products
+either: the second factor of each pair is r(t) or r(z), and each of its
+terms, one power of t or of z, toggles its share of the z-positive terms
+straight into a mask-major table, one set of row keys per monomial mask, so
+the z^0 terms that no row keeps are never computed.  That table is the one
+form the CLI reads.  One printer (:func:`_printed_rows`) turns it into
+(z^j*t^i label, polynomial text) rows in one pass over its distinct masks,
+in B_D print order: :func:`symbolic_table` returns those rows, and the
+search report keeps them.  :func:`boolean_relations` gives the table as
+rows of B_D values for library callers.  :func:`extract_relations` is the
+independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
+reduced at the end by :func:`multilinear_mod2`, with the same rows as
 PolynomialRing(Z/2, names) values.
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
@@ -77,7 +77,9 @@ from .series import Series, SeriesRing
 def defect_factors(r: ChernSeries, ctx: PowerOpContext) -> tuple:
     """The factor pairs of the defect, ((r(F(t, z)), r(t)), (P(r(t)), r(z))).
 
-    The defect is the first pair's product minus the second's.
+    The defect is the first pair's product minus the second's.  The second
+    factor of each pair is r at a generator, so each of its terms is one
+    power of t or of z (:func:`_toggle_z_positive` walks it term by term).
     """
     r_t = r.value_at(ctx.t)
     return (r.value_at(ctx.tensor_root), r_t), (ctx.power_op(r_t), r.value_at(ctx.z))
@@ -154,59 +156,37 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     return boolean, {m: keys for m, keys in keys_of.items() if keys}
 
 
-def _mask_slices(f: Series, layout) -> list:
-    """(monomial mask, its z-positive keys, all its keys) for each a-monomial of a B_D series.
-
-    The z-positive keys are sorted by t-degree and all the keys by key,
-    which is by z-degree first.
-    """
-    t_field, z_field = layout.masks
-    keys_of = collections.defaultdict(list)
-    for key, masks in f.packed_terms.items():
-        for m in masks:
-            keys_of[m].append(key)
-    return [
-        (m, sorted([k for k in keys if k & z_field], key=t_field.__and__), sorted(keys))
-        for m, keys in keys_of.items()
-    ]
-
-
 def _toggle_z_positive(keys_of, layout, f: Series, g: Series) -> None:
-    """Add the z-positive terms of f*g, for B_D series f and g, into ``keys_of``.
+    """Add the z-positive terms of f*g into ``keys_of``: B_D series, g = r(t) or r(z).
 
     ``keys_of``, a ``defaultdict(set)``, maps a monomial mask to the set of
     packed keys where it occurs, toggled as :meth:`BooleanRing.mul_add`
-    does.  Each factor is sliced by monomial mask, the one with fewer terms
-    on the outside; a pair of slices (m, n) takes the set of m | n once and
-    toggles in it the sum of each pair of their keys, except where an
-    exponent reaches its truncation (the layout's bias and overflow test,
-    as in ``Series.__mul__``) or where both keys are z-free, so the sum is
-    too.
-    A z-free key pairs with the z-positive keys in t order, where the first
-    sum past the t truncation ends the run (z cannot overflow); a
-    z-positive key pairs with all the keys in z order, where the first sum
-    past the z truncation does.
+    does.  f is sliced by monomial mask and g walked one term at a time;
+    each term of g is a power of t or of z (:func:`defect_factors`).  A
+    power of z meets each slice's keys in key order, which is z order, and
+    a power of t, or 1, meets its z-positive keys in t order.  Either walk
+    can reach the truncation of one exponent only, so the first sum that
+    does (the layout's bias and overflow test, as in ``Series.__mul__``)
+    ends the run.
     """
+    t_field, z_field = layout.masks
     bias, overflow = layout.bias, layout.overflow
-    z_field = layout.masks[1]
-    z_overflow = overflow & z_field
-    if len(f.packed_terms) > len(g.packed_terms):
-        f, g = g, f
-    inner = _mask_slices(g, layout)
-    for m, _, f_keys in _mask_slices(f, layout):
-        outer = [(k1, k1 + bias, k1 & z_field) for k1 in f_keys]
-        for n, g_positive, g_keys in inner:
-            keys = keys_of[m | n]
-            for k1, biased, positive in outer:
-                # the list is in the order of the field whose overflow is
-                # the cutoff: every later sum overflows there too
-                cutoff = z_overflow if positive else overflow
-                for k2 in g_keys if positive else g_positive:
-                    over = (biased + k2) & overflow
-                    if over:
-                        if over & cutoff:
-                            break
-                        continue
+    terms = f.packed_terms
+    by_z = collections.defaultdict(list)  # mask -> its keys in key order
+    for key in sorted(terms):
+        for m in terms[key]:
+            by_z[m].append(key)
+    by_t = {  # mask -> its z-positive keys in t order
+        m: sorted(filter(z_field.__and__, keys), key=t_field.__and__) for m, keys in by_z.items()
+    }
+    for k2, masks in g.packed_terms.items():
+        biased = k2 + bias
+        for m, f_keys in (by_z if k2 & z_field else by_t).items():
+            for n in masks:
+                keys = keys_of[m | n]
+                for k1 in f_keys:
+                    if (biased + k1) & overflow:
+                        break
                     key = k1 + k2
                     if key in keys:
                         keys.remove(key)
@@ -383,15 +363,18 @@ def _owners(deciding: list, size: int) -> list:
     """The exponents of the row that decides each of ``size`` prefixes, in prefix order.
 
     ``deciding`` holds (exponents, prefix bitset) pairs whose bitsets
-    partition range(size); each bitset's ones are found in its bin() digits.
+    partition range(size).  A bitset's ones come in runs; each run is read
+    off its bin() digits, low bit first, with two ``str.find`` calls and
+    assigned as one slice.
     """
     owners = [None] * size
     for exps, fresh in deciding:
-        bits = bin(fresh)[:1:-1]
+        bits = bin(fresh)[:1:-1] + "0"  # the zero ends the last run
         p = bits.find("1")
         while p >= 0:
-            owners[p] = exps
-            p = bits.find("1", p + 1)
+            q = bits.find("0", p)
+            owners[p:q] = [exps] * (q - p)
+            p = bits.find("1", q)
     return owners
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from fglops import (
     symbolic_twin,
 )
 from fglops.chern import coefficient_names
+from fglops.obstruction import _relation_masks, _toggle_z_positive, defect_factors
 from conftest import to_plain
 from longhand import boolean_polynomial, delta_longhand
 
@@ -223,14 +225,52 @@ def test_sliced_rows_match_delta(law, tau, torsion):
         assert boolean_relations(degree, ctx) == _delta_rows(degree, ctx), (t_max, z_max, degree)
 
 
-@pytest.mark.parametrize("t_max, z_max, degree", [
-    (17, 9, 16), (33, 17, 32), (49, 25, 48), (63, 31, 62),
-])
+BENCH_POINTS = [(17, 9, 16), (33, 17, 32), (49, 25, 48), (63, 31, 62)]
+
+
+@pytest.mark.parametrize("t_max, z_max, degree", BENCH_POINTS)
 def test_sliced_rows_match_delta_at_bench_points(t_max, z_max, degree):
     ctx = standard_context(Z, t_max, z_max)
     rows = boolean_relations(degree, ctx)
     assert rows == _delta_rows(degree, ctx)
     assert len(rows) > 100
+
+
+def test_second_factors_are_powers_of_one_generator():
+    # the relation core walks the second factor of each pair term by term,
+    # each term a power of t or of z, never a mixed monomial
+    points = [
+        (degree, ctx)
+        for grid in law_tau_torsion()
+        for _, _, degree, ctx in slice_grid(*grid)
+    ] + [(degree, standard_context(Z, t_max, z_max)) for t_max, z_max, degree in BENCH_POINTS]
+    for degree, ctx in points:
+        boolean = BooleanRing(coefficient_names(degree))
+        r = ChernSeries(boolean.gens(), boolean)
+        for _, g in defect_factors(r, ctx.map_coefficients(boolean, boolean.image)):
+            assert all(not (i and j) for i, j in g.terms), (ctx.ring, degree)
+
+
+def test_relation_core_runs_every_line():
+    # a line the slice grid never runs is a branch no context needs
+    code = _toggle_z_positive.__code__
+    lines = {line for _, _, line in code.co_lines() if line and line > code.co_firstlineno}
+    ran = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+    try:
+        for grid in law_tau_torsion():
+            for _, _, degree, ctx in slice_grid(*grid):
+                _relation_masks(degree, ctx)
+    finally:
+        sys.settrace(previous)
+    assert sorted(lines - ran) == []
 
 
 def test_extract_relations_checks_its_context(default_context):

@@ -13,6 +13,7 @@ import pytest
 
 from fglops import (
     BooleanRing,
+    ChernSeries,
     FormalGroupLaw,
     IntegerModRing,
     IntegerRing,
@@ -54,6 +55,10 @@ def _values():
         lambda: PowerOpContext(_ring(), _law(), 2),
         lambda: ObstructionReport(_ring(), (), "satisfiable", witness=(1,)),
         lambda: ObstructionReport(_ring(), (), "unsatisfiable", failing=()),
+        lambda: ChernSeries([1, 1]),
+        lambda: ChernSeries([1, 1], IntegerModRing(3)),
+        lambda: ChernSeries.symbolic(2),
+        lambda: ChernSeries(BooleanRing(("a1", "a2")).gens()),
     ]
 
 
@@ -142,6 +147,7 @@ def test_repr_text():
     assert repr(PowerOpContext(_ring(), _law(), 2)) == (
         f"PowerOpContext(ring={ring_text}, law={law_text}, tau=Coefficient(Z, 2))"
     )
+    assert repr(ChernSeries([1, 0, 3])) == "ChernSeries(1 + (1)*x^1 + (0)*x^2 + (3)*x^3)"
     report = exhaustive_search(2, standard_context(IntegerRing(), 3, 2))
     assert repr(report) == (
         f"ObstructionReport(ring={ring_text}, relations=(('z*t^2', 'a1*a2+a1'),), "
