@@ -481,17 +481,14 @@ class PolynomialRing(Ring):
         c0 = self.constant_coefficient(a)
         u = self.from_int(1)
         u = ((u[0][0], self.base.invert(c0)),)
-        # a = c0*(1 - h) with h having nilpotent coefficients; geometric sum
+        # a = c0*(1 - h) with h having nilpotent coefficients, so h is
+        # nilpotent and the geometric sum ends
         h = self.add(self.from_int(1), self.neg(self.mul(u, a)))
         acc = self.from_int(1)
         power = h
-        guard = 0
         while not self.is_zero(power):
             acc = self.add(acc, power)
             power = self.mul(power, h)
-            guard += 1
-            if guard > 512:
-                raise NotAUnit("geometric inversion did not terminate")
         return self.mul(acc, u)
 
     def is_nilpotent(self, a) -> bool:

@@ -1,8 +1,10 @@
 """Formal group laws as validated bivariate truncated series.
 
 A law is a series F(x, y) satisfying unitality (F(x,0) = x, F(0,y) = y),
-commutativity and associativity up to the truncation degree.  Validation
-reports the first violated axiom together with a witness monomial.
+commutativity and associativity up to the truncation degree d.  The terms
+of F below d decide F(F(x,y),w) = F(x,F(y,w)) exactly at the monomials
+x^a y^b w^c with a+b < d and b+c < d, so associativity is checked there.
+Validation reports the first violated axiom together with a witness monomial.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ class ViolatedAxiom(ValueError):
         super().__init__(f"{_AXIOM_LABELS[axiom]} fails at {monomial}")
 
 
-def _witness(diff: Series) -> str:
-    exps, _ = diff.items()[0]
-    return monomial_text(diff.ring.names(), exps) or "1"
+def _check(axiom: str, diff: Series, decided=lambda exps: True) -> None:
+    """Raise ViolatedAxiom at the first monomial of ``diff`` that ``decided`` keeps."""
+    for exps, _ in diff.items():
+        if decided(exps):
+            raise ViolatedAxiom(axiom, monomial_text(diff.ring.names(), exps) or "1")
 
 
 class FormalGroupLaw(Immutable):
@@ -118,16 +122,14 @@ def validate_law(
     for kept, dropped in ((vx, vy), (vy, vx)):
         uni = SeriesRing(ring.coeff_ring, (SeriesVar(kept.name, degree),))
         v = uni.gen(kept.name)
-        diff = F.substitute({kept.name: v, dropped.name: uni.zero}, target=uni) - v
-        if diff:
-            raise ViolatedAxiom("unit", _witness(diff))
+        _check("unit", F.substitute({kept.name: v, dropped.name: uni.zero}, target=uni) - v)
 
     swapped = Series(ring, {(b, a): c for (a, b), c in F.terms.items()})
-    diff = F - swapped
-    if diff:
-        raise ViolatedAxiom("comm", _witness(diff))
+    _check("comm", F - swapped)
 
-    third = "w" if "w" not in (vx.name, vy.name) else "w_"
+    third = "w"
+    while third in (vx.name, vy.name):
+        third += "_"
     tri = SeriesRing(
         ring.coeff_ring,
         (SeriesVar(vx.name, degree), SeriesVar(vy.name, degree), SeriesVar(third, degree)),
@@ -137,9 +139,7 @@ def validate_law(
     inner_yw = F.substitute({vx.name: ty, vy.name: tw}, target=tri)
     left = F.substitute({vx.name: inner_xy, vy.name: tw}, target=tri)
     right = F.substitute({vx.name: tx, vy.name: inner_yw}, target=tri)
-    diff = left - right
-    if diff:
-        raise ViolatedAxiom("assoc", _witness(diff))
+    _check("assoc", left - right, lambda e: e[0] + e[1] < degree and e[1] + e[2] < degree)
 
     return FormalGroupLaw(ring.coeff_ring, degree, F, name)
 

@@ -19,11 +19,7 @@ term pair; exponent tuples appear only at the boundary (the constructor,
 the packed keys and raw values themselves, read-only, to code that works
 on the layout directly.
 
-All values are immutable and all operations are pure, so series can be
-shared freely across workers.  The one piece of memory a series keeps
-is the table of its powers 1, x, x^2, ... that :meth:`Series.power_sum` and
-:meth:`Series.substitute` have computed so far; it is extended by swapping in a longer tuple, never by
-changing one in place, so concurrent readers always see correct powers.
+All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -210,7 +206,7 @@ class Series:
     it; arithmetic builds its results with :meth:`_from_raw`.
     """
 
-    __slots__ = ("ring", "_terms", "_powers")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: SeriesRing, terms):
         if isinstance(terms, Mapping):
@@ -236,7 +232,6 @@ class Series:
             acc[key] = cr.add(acc[key], coef) if key in acc else coef
         self.ring = ring
         self._terms = _reduced(ring, acc)
-        self._powers = None
 
     @classmethod
     def _from_raw(cls, ring: SeriesRing, acc: dict) -> "Series":
@@ -244,7 +239,6 @@ class Series:
         obj = cls.__new__(cls)
         obj.ring = ring
         obj._terms = _reduced(ring, acc)
-        obj._powers = None
         return obj
 
     @property
@@ -376,7 +370,10 @@ class Series:
             raise RingMismatch(
                 f"substitution target over {target.coeff_ring} differs from {self.ring.coeff_ring}"
             )
-        images = []
+        # image id -> its powers 1, image, image^2, ...; one list per image
+        # object, so formal_sum(f, f) raises f once
+        shared: dict = {}
+        powers_of = []
         for v in self.ring.variables:
             if v.name in assignment:
                 img = assignment[v.name]
@@ -388,15 +385,17 @@ class Series:
                     )
             else:
                 img = target.gen(v.name)
-            images.append(img)
+            powers_of.append(shared.setdefault(id(img), [target.one, img]))
         mul_add = target.coeff_ring.mul_add
         unpack = self.ring.layout.unpack
         acc: dict = {}
         for key, coef in self._terms.items():
             term = target.one
-            for i, e in enumerate(unpack(key)):
+            for powers, e in zip(powers_of, unpack(key)):
                 if e:
-                    term = term * images[i]._power(e)
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * powers[1])
+                    term = term * powers[e]
             for k, c in term._terms.items():
                 acc[k] = mul_add(acc.get(k), coef, c)
         return Series._from_raw(target, acc)
@@ -405,15 +404,15 @@ class Series:
         """Sum of coeffs[i] * self**i, exact once a power of self is zero.
 
         The sum stops there, so an infinite iterable is fine when self is
-        nilpotent; otherwise it runs through every coefficient given.  The
-        powers are computed once per series and kept for later calls, which
-        only scale and add them.
+        nilpotent; otherwise it runs through every coefficient given.
         """
         cr = self.ring.coeff_ring
         mul_add = cr.mul_add
         acc: dict = {}
+        power = self.ring.one
         for i, c in enumerate(coeffs):
-            power = self._power(i)
+            if i:
+                power = power * self
             if not power:
                 break
             if not _is_scalar(c):
@@ -424,14 +423,6 @@ class Series:
             for key, coef in power._terms.items():
                 acc[key] = mul_add(acc.get(key), coef, raw)
         return Series._from_raw(self.ring, acc)
-
-    def _power(self, i: int) -> "Series":
-        """self**i from the power table, which grows as needed and stops at zero."""
-        powers = self._powers or (self.ring.one,)
-        while len(powers) <= i and powers[-1]:
-            powers = powers + (powers[-1] * self,)
-            self._powers = powers
-        return powers[min(i, len(powers) - 1)]
 
     def invert(self) -> "Series":
         """Exact inverse via the geometric series; needs a unit constant term."""

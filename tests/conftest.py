@@ -8,6 +8,14 @@ def to_plain(series):
     return {exps: c.value for exps, c in series.terms.items()}
 
 
+def lorentz_terms(degree):
+    """Terms of the Lorentz law (x + y)/(1 + xy) below ``degree``, as {(a, b): coef}."""
+    terms = {}
+    for k in range(degree - 1):
+        terms[(k + 1, k)] = terms[(k, k + 1)] = (-1) ** k
+    return terms
+
+
 @pytest.fixture
 def default_context():
     return standard_context(IntegerRing())

@@ -22,6 +22,7 @@ from fglops import (
 )
 from fglops.cli import _symbolic_products, main
 from fglops.obstruction import symbolic_table
+from conftest import lorentz_terms
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -39,11 +40,11 @@ def _univariate(terms):
     }
 
 
-def _law_file(tmp_path, terms, trunc=20):
+def _law_file(tmp_path, terms, trunc=20, names=("x", "y")):
     obj = {
         "ring": {
             "coeff": "Z",
-            "vars": [{"name": "x", "trunc": trunc}, {"name": "y", "trunc": trunc}],
+            "vars": [{"name": name, "trunc": trunc} for name in names],
         },
         "terms": [{"exp": list(e), "coef": str(c)} for e, c in terms],
     }
@@ -59,6 +60,24 @@ def test_fgl_check_violation(tmp_path, capsys):
     path = _law_file(tmp_path, [((1, 0), 1), ((0, 1), 1), ((2, 0), 1)])
     assert main(["fgl", "check", path]) == 1
     assert capsys.readouterr().out.strip() == "unitality fails at x^2"
+
+
+@pytest.mark.parametrize("degree", (4, 6, 8, 20))
+def test_fgl_check_lorentz_law(tmp_path, capsys, degree):
+    path = _law_file(tmp_path, lorentz_terms(degree).items(), trunc=degree)
+    assert main(["fgl", "check", path]) == 0
+    assert capsys.readouterr().out.strip() == f"valid to degree {degree}"
+
+
+@pytest.mark.parametrize("names", [("w", "w_"), ("w_", "w")])
+def test_fgl_check_law_in_w_and_w_(tmp_path, capsys, names):
+    # the third variable of the associativity check is named w__ here
+    path = _law_file(tmp_path, [((1, 0), 1), ((0, 1), 1)], names=names)
+    assert main(["fgl", "check", path]) == 0
+    assert capsys.readouterr().out.strip() == "valid to degree 20"
+    path = _law_file(tmp_path, [((1, 0), 1), ((0, 1), 1), ((2, 2), 1)], trunc=8, names=names)
+    assert main(["fgl", "check", path]) == 1
+    assert capsys.readouterr().out.strip() == f"associativity fails at {names[0]}^2*{names[1]}*w__"
 
 
 def test_fgl_check_missing_file(capsys):

@@ -16,6 +16,7 @@ from fglops import (
     standard_ring,
     validate_law,
 )
+from conftest import lorentz_terms
 
 Z = IntegerRing()
 
@@ -57,6 +58,17 @@ def test_associativity_violation():
     with pytest.raises(ViolatedAxiom) as err:
         validate_law(x + y + (x * y) ** 2)
     assert err.value.axiom == "assoc"
+    assert err.value.monomial == "x^2*y*w"
+
+
+@pytest.mark.parametrize("degree", (4, 6, 8, 20))
+def test_lorentz_law_is_valid(degree):
+    # its dropped terms x^k y^(k+1), k + 1 >= degree, reach x^a y^b w^c with
+    # a + b >= degree in F(F(x,y),w), which the given terms do not decide
+    law = validate_law(_law_ring(degree).from_terms(lorentz_terms(degree)))
+    assert law.degree == degree
+    x = SeriesRing(Z, (SeriesVar("x", degree),)).gen("x")
+    assert law.n_series(2) == x * 2 * (x * x + 1).invert()
 
 
 def test_formal_sum_examples():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglops import (
+    ChernSeries,
     Coefficient,
     IntegerModRing,
     IntegerRing,
@@ -15,13 +16,19 @@ from fglops import (
     NotAUnit,
     PolynomialRing,
     RingMismatch,
+    Series,
     SeriesRing,
     SeriesVar,
+    additive_law,
+    computation_one,
+    delta,
+    multiplicative_law,
     series_from_json,
     series_to_json,
     standard_ring,
+    validate_law,
 )
-from conftest import to_plain
+from conftest import lorentz_terms, to_plain
 from longhand import naive_convolution, naive_normalize
 
 Z = IntegerRing()
@@ -355,6 +362,9 @@ def test_scalar_mul_matches_constant_series():
                 scalars.append(poly.gen("a1") * c + poly.gen("a2"))
             for s in scalars:
                 assert f * s == f * ring.constant(s) == s * f
+                assert s - f == ring.constant(s) - f
+                if isinstance(s, Coefficient):
+                    assert 1 - s == s.ring.one - s
         assert f * 0 == ring.zero
     with pytest.raises(RingMismatch):
         TZ.gen("t") * IntegerModRing(2).one
@@ -363,3 +373,50 @@ def test_scalar_mul_matches_constant_series():
     with pytest.raises(TypeError):
         TZ.gen("t") * True
 
+
+
+def test_power_sum_and_substitute_run_every_line(default_context):
+    # a line the laws, the defect and each refusal never run is a branch no caller needs
+    codes = (Series.power_sum.__code__, Series.substitute.__code__)
+    lines = {
+        (code, line)
+        for code in codes
+        for _, _, line in code.co_lines()
+        if line and line > code.co_firstlineno
+    }
+    ran = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code, frame.f_lineno))
+        return trace_lines
+
+    law_ring = SeriesRing(Z, (SeriesVar("x", 8), SeriesVar("y", 8)))
+    laws = (additive_law(Z, 8).series, multiplicative_law(Z, 8).series,
+            law_ring.from_terms(lorentz_terms(8)))
+    t = TZ.gen("t")
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code in codes else None)
+    try:
+        for F in laws:
+            validate_law(F).n_series(1500)
+        r = ChernSeries([1, 1, 2])
+        computation_one(r, default_context.ring)
+        delta(r, default_context)
+        # the default target and unassigned variables
+        assert t.substitute({}) == t.substitute({"z": TZ.gen("z")}) == t
+        with pytest.raises(TypeError):
+            t.power_sum([1, 0.5])
+        with pytest.raises(RingMismatch):
+            t.power_sum([1, IntegerModRing(2).one])
+        with pytest.raises(ValueError, match="no variable named"):
+            t.substitute({"x": t})
+        with pytest.raises(RingMismatch, match="substitution target"):
+            t.substitute({}, target=SeriesRing(IntegerModRing(2), TZ.variables))
+        with pytest.raises(RingMismatch, match="image of t"):
+            t.substitute({"t": t}, target=standard_ring(Z, 7, 3))
+        with pytest.raises(NonConvergent):
+            t.substitute({"t": TZ.one})
+    finally:
+        sys.settrace(previous)
+    assert sorted((code.co_name, line) for code, line in lines - ran) == []
