@@ -15,11 +15,11 @@ canonical normal form.  Raw encodings per ring:
 
 Because values are always normal forms, structural equality decides ring
 equality questions and every value is hashable and freely shareable.  The
-one exception is a sum being accumulated: :meth:`Ring.mul_add` adds a
-product to a *working value* (an unreduced int over Z/n, a dict of unsorted
-terms over a polynomial ring, a mutable set of masks over a Boolean ring),
-and :meth:`Ring.settle` turns it into the normal form once the sum is
-complete.
+one exception is a sum being accumulated, a *working value*: an unreduced
+int over Z/n, a dict of unsorted terms over a polynomial ring, a mutable
+set of masks over a Boolean ring, put in normal form once the sum is
+complete.  :class:`Ring` states the raw-value protocol every ring
+implements and the working-value contract.
 """
 
 from __future__ import annotations
@@ -93,9 +93,30 @@ class Immutable:
 class Ring(Immutable):
     """Base class for exact coefficient rings.
 
-    Subclasses implement the raw-value protocol below; user code works with
-    :class:`Coefficient` wrappers obtained from :meth:`coefficient`,
-    :attr:`zero` and :attr:`one`.
+    User code works with :class:`Coefficient` wrappers obtained from
+    :meth:`coefficient`, :attr:`zero` and :attr:`one`; a ring subclass owns
+    the arithmetic on raw values through these methods, the raw-value
+    protocol (the tests hold every ring class to it):
+
+      normalize(value)      the canonical raw value of a user value
+      from_int(n)           the raw value of the integer n
+      add(a, b), neg(a), mul(a, b)
+      mul_add(acc, a, b)    acc + a*b as a working value, ``acc`` None
+                            standing for the empty sum
+      settle(acc)           the canonical raw value of a working value
+      is_zero(a), is_unit(a), invert(a), is_nilpotent(a)
+      reduce_mod(a, m)      the canonical image of ``a`` in the quotient of
+                            this ring by (m)
+      format_value(a), parse_value(text)
+                            the text of a value, and back
+
+    A working value is a raw value that ring arithmetic may not yet have put
+    in normal form; :meth:`settle` puts it there, and gives a canonical
+    value back unchanged, which is all it has to do where ``mul_add``
+    returns canonical values.  The ``acc`` of ``mul_add`` is either a
+    canonical raw value or a working value that ``mul_add`` returned, which
+    it may update in place.  ``invert`` raises :class:`NotAUnit` for a
+    non-unit.
     """
 
     __slots__ = ()
@@ -118,57 +139,9 @@ class Ring(Immutable):
     def one(self) -> "Coefficient":
         return self.wrap(self.from_int(1))
 
-    # raw-value protocol
-    def normalize(self, value):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def mul_add(self, acc, a, b):
-        """acc + a*b as a working value, ``acc`` None standing for the empty sum.
-
-        A working value is a raw value that ring arithmetic may not yet have
-        put in normal form; :meth:`settle` puts it there.  ``acc`` is either
-        a canonical raw value or a working value this method returned, which
-        it may update in place.
-        """
-        raise NotImplementedError
-
     def settle(self, acc):
-        """The canonical raw value of a working value; a canonical value comes back unchanged."""
+        """The default, for rings whose ``mul_add`` returns canonical values."""
         return acc
-
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def invert(self, a):
-        raise NotImplementedError
-
-    def is_nilpotent(self, a) -> bool:
-        raise NotImplementedError
-
-    def reduce_mod(self, a, m: int):
-        """Canonical image of ``a`` in the quotient of this ring by (m)."""
-        raise NotImplementedError
-
-    def format_value(self, a) -> str:
-        raise NotImplementedError
-
-    def parse_value(self, text: str):
-        raise NotImplementedError
 
 
 def is_int(value) -> bool:
@@ -293,8 +266,7 @@ class IntegerModRing(Ring):
     def settle(self, acc):
         return acc % self.modulus
 
-    def is_zero(self, a) -> bool:
-        return a == 0
+    is_zero = IntegerRing.is_zero
 
     def is_unit(self, a) -> bool:
         return math.gcd(a, self.modulus) == 1
@@ -306,18 +278,14 @@ class IntegerModRing(Ring):
             raise NotAUnit(f"{a} is not a unit in {self}") from None
 
     def is_nilpotent(self, a) -> bool:
-        # a is nilpotent mod n iff every prime of n divides a; squaring
-        # bit_length(n) times reaches exponent >= any prime multiplicity.
-        x = a % self.modulus
-        for _ in range(max(1, self.modulus.bit_length())):
-            x = (x * x) % self.modulus
-        return x == 0
+        # a is nilpotent mod n iff every prime of n divides a, and then a^k = 0
+        # once k reaches each prime's multiplicity in n, which is below bit_length(n)
+        return pow(a, self.modulus.bit_length(), self.modulus) == 0
 
     def reduce_mod(self, a, m: int):
         return a % math.gcd(self.modulus, m)
 
-    def format_value(self, a) -> str:
-        return _int_text(a)
+    format_value = IntegerRing.format_value
 
     def parse_value(self, text: str):
         return parse_int(text) % self.modulus
@@ -546,22 +514,20 @@ class PolynomialRing(Ring):
         s = "".join(text.split())
         if not re.fullmatch(_POLY_LITERAL, s):
             raise ValueError(f"bad polynomial literal {text!r}")
-        acc: dict = {}
+        terms = []
         for sign, token in re.findall(r"([+-]?)([^+-]+)", s):
             coef = -1 if sign == "-" else 1
             exps = [0] * self.nvars
             for factor in token.split("*"):
                 if factor.isdigit():
-                    coef *= int(factor)
+                    coef *= parse_int(factor)
                     continue
                 name, _, exp = factor.partition("^")
                 if name not in self.names:
                     raise ValueError(f"unknown indeterminate {name!r}")
-                exps[self.names.index(name)] += int(exp) if exp else 1
-            key = tuple(exps)
-            v = self.base.from_int(coef)
-            acc[key] = self.base.add(acc[key], v) if key in acc else v
-        return self.normalize(acc)
+                exps[self.names.index(name)] += parse_int(exp) if exp else 1
+            terms.append((exps, coef))
+        return self.normalize(terms)
 
 
 class BooleanRing(Ring):
@@ -594,8 +560,7 @@ class BooleanRing(Ring):
     def gen(self, name: str) -> "Coefficient":
         return self.wrap(frozenset((1 << self.names.index(name),)))
 
-    def gens(self) -> tuple:
-        return tuple(self.gen(n) for n in self.names)
+    gens = PolynomialRing.gens
 
     def image(self, coef: "Coefficient") -> "Coefficient":
         """The image of an integer or polynomial coefficient: mod 2, x_i^2 = x_i.
@@ -668,8 +633,7 @@ class BooleanRing(Ring):
     def neg(self, a):
         return a
 
-    def mul(self, a, b):
-        return self.settle(self.mul_add(None, a, b))
+    mul = PolynomialRing.mul
 
     def mul_add(self, acc, a, b):
         # a working value is a mutable set, toggled in place; a canonical

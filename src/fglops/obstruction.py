@@ -55,8 +55,10 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import gc
 import itertools
+import operator
 from typing import Optional
 
 from .coefficients import (
@@ -115,20 +117,11 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     Returns (monomial exponents, B_D coefficient) pairs for the nonzero
     z-positive coefficients of the defect of the generic candidate,
     ordered by (z-degree, t-degree): the rows of :func:`_relation_masks`,
-    turned from mask-major to row-major.
+    read by :func:`_rows`.
     """
     boolean, keys_of = _relation_masks(degree, ctx)
-    masks_at = collections.defaultdict(list)
-    for m, keys in keys_of.items():
-        for key in keys:
-            masks_at[key].append(m)
-    # z is the high key field, so key order is (z-degree, t-degree) order
-    layout = ctx.ring.layout
-    t_field, z_offset, wrap = layout.masks[0], layout.offsets[1], boolean.wrap
-    return [
-        ((key & t_field, key >> z_offset), wrap(frozenset(masks_at[key])))
-        for key in sorted(masks_at)
-    ]
+    wrap = boolean.wrap
+    return [(exps, wrap(frozenset(masks))) for exps, masks in _rows(ctx.ring, keys_of, lambda m: m)]
 
 
 def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
@@ -154,6 +147,23 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     for f, g in defect_factors(ChernSeries(boolean.gens(), boolean), bool_ctx):
         _toggle_z_positive(keys_of, bool_ctx.ring.layout, f, g)
     return boolean, {m: keys for m, keys in keys_of.items() if keys}
+
+
+def _rows(ring: SeriesRing, keys_of, value) -> list:
+    """The rows of a mask-major table, as ((i, j), values) for z^j*t^i in (z, t) order.
+
+    ``keys_of`` maps monomial masks to sets of packed keys of ``ring``.
+    ``value`` is called once per mask, in ``keys_of`` order, and a row's
+    values are those of its masks, in that order.
+    """
+    values_at = collections.defaultdict(list)
+    for m, keys in keys_of.items():
+        v = value(m)
+        for key in keys:
+            values_at[key].append(v)
+    # z is the high key field, so key order is (z-degree, t-degree) order
+    t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
+    return [((key & t_field, key >> z_offset), vs) for key, vs in sorted(values_at.items())]
 
 
 def _toggle_z_positive(keys_of, layout, f: Series, g: Series) -> None:
@@ -270,21 +280,14 @@ def _printed_rows(ring: SeriesRing, boolean: BooleanRing, keys_of) -> list:
     """The rows of a mask-major table as (z^j*t^i label, polynomial text), in (z, t) order.
 
     ``keys_of`` maps monomial masks of ``boolean`` to sets of packed keys
-    of ``ring``.  The distinct masks are walked once, in
-    :meth:`BooleanRing.order_key` order, each mask's text made once and
-    appended to the polynomial of each of its rows; then each row is
-    labelled.
+    of ``ring``.  The distinct masks are walked once (:func:`_rows`), in
+    :meth:`BooleanRing.order_key` order, each mask's text made once; then
+    each row is labelled.
     """
-    polys = collections.defaultdict(list)
-    for m in sorted(keys_of, key=boolean.order_key):
-        text = boolean.mask_text(m)
-        for key in keys_of[m]:
-            polys[key].append(text)
+    ordered = {m: keys_of[m] for m in sorted(keys_of, key=boolean.order_key)}
     labels = _monomial_labels(ring)
-    t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
     return [
-        (labels[key >> z_offset][key & t_field], "+".join(texts))
-        for key, texts in sorted(polys.items())
+        (labels[j][i], "+".join(texts)) for (i, j), texts in _rows(ring, ordered, boolean.mask_text)
     ]
 
 
@@ -422,21 +425,16 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     for k in range(2, width + 1):
         run = 1 << (width - k)
         tables.append(everything // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
-    rows = collections.defaultdict(int)  # packed key -> the row's table
-    for m, keys in keys_of.items():
-        table = everything
-        for i in range(m.bit_length()):
-            if m >> i & 1:
-                table &= tables[i]
-        for key in keys:
-            rows[key] ^= table
-    # z is the high key field, so key order is (z-degree, t-degree) order
-    t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
+
+    def truth_table(m):  # the AND of the tables of the mask's coefficients
+        factors = [table for i, table in enumerate(tables) if m >> i & 1]
+        return functools.reduce(operator.and_, factors, everything)
+
     deciding = []  # (exponents, the prefixes at which that row is the first 1)
-    for key in sorted(rows):
-        fresh = rows[key] & undecided
+    for exps, row_tables in _rows(ring, keys_of, truth_table):
+        fresh = functools.reduce(operator.xor, row_tables) & undecided
         if fresh:
-            deciding.append(((key & t_field, key >> z_offset), fresh))
+            deciding.append((exps, fresh))
             undecided ^= fresh
             if not undecided:
                 break

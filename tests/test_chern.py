@@ -5,8 +5,12 @@ import pytest
 from fglops import (
     BooleanRing,
     ChernSeries,
+    IntegerModRing,
     IntegerRing,
     PolynomialRing,
+    RingMismatch,
+    SeriesRing,
+    SeriesVar,
     UnitViolation,
     chern_of_line_sum,
     computation_one,
@@ -27,6 +31,26 @@ def test_validate_examples():
         ChernSeries([2, 1])
     with pytest.raises(ValueError):
         ChernSeries([])
+
+
+PAB = PolynomialRing(Z, ("a", "b"))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: ChernSeries([Z.one, IntegerModRing(2).one]), RingMismatch, "share one ring"),
+    (lambda: ChernSeries([2], IntegerModRing(6)), UnitViolation, "not a unit in Z/6"),
+    (lambda: ChernSeries([2], PAB), UnitViolation, "not a unit in Z\\[a,b\\]"),
+    (lambda: ChernSeries([PAB.gen("a") + PAB.gen("b")], PAB), UnitViolation,
+     "single indeterminate"),
+    (lambda: chern_of_line_sum(ChernSeries([1]), [TZ.gen("t")], [2]), ValueError,
+     "must be \\+1 or -1"),
+    (lambda: computation_one(ChernSeries([1]), SeriesRing(Z, (SeriesVar("t", 5),))), ValueError,
+     "two variables"),
+], ids=["mixed-rings", "Z/n-non-unit", "polynomial-non-unit", "two-term-a1", "sign",
+        "one-variable"])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
 
 
 def test_symbolic_candidate():

@@ -206,7 +206,9 @@ def test_nseries_n_is_below_2_to_the_64(capsys):
     assert capsys.readouterr().out == f"{2**64 - 1}*x\n"
 
 
-@pytest.mark.parametrize("where", ["--degree", "--tau", "--coeffs", "Z", "Z/4", "Z/n"])
+@pytest.mark.parametrize(
+    "where", ["--degree", "--tau", "--coeffs", "Z", "Z/4", "Z/n", "Z[a]-factor", "Z[a]-exponent"]
+)
 def test_over_long_integer_has_its_own_message(tmp_path, capsys, where):
     # past the interpreter's 4300 digits, parse_int refuses with its own words
     literal = "7" * 5000
@@ -223,6 +225,9 @@ def test_over_long_integer_has_its_own_message(tmp_path, capsys, where):
             obj["ring"]["coeff"] = "Z/4"
         elif where == "Z/n":
             obj["ring"]["coeff"] = f"Z/{literal}"
+        elif where.startswith("Z[a]"):
+            obj["ring"]["coeff"] = {"poly": {"base": "Z", "vars": ["a"]}}
+            obj["terms"][-1]["coef"] = f"{literal}*a" if where == "Z[a]-factor" else f"a^{literal}"
         argv = ["powerop", _series_file(tmp_path, "f.json", obj)]
     assert main(argv) == 2
     captured = capsys.readouterr()

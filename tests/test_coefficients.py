@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from fglops import (
     IntegerRing,
     NotAUnit,
     PolynomialRing,
+    Ring,
     RingMismatch,
     multilinear_mod2,
     parse_coefficient,
@@ -22,6 +25,40 @@ PZ = PolynomialRing(Z, ("a", "b"))
 B3 = BooleanRing(("a1", "a2", "a3"))
 
 RINGS = [Z, F2, Z6, P2, PZ, B3]
+
+
+PROTOCOL = (
+    "normalize", "from_int", "add", "neg", "mul", "mul_add", "settle", "is_zero", "is_unit",
+    "invert", "is_nilpotent", "reduce_mod", "format_value", "parse_value",
+)
+
+
+def _ring_classes():
+    """The package's ring classes: every subclass of Ring, walked recursively."""
+    found, todo = set(), [Ring]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("fglops") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
+def test_ring_states_the_protocol():
+    assert [name for name in PROTOCOL if not re.search(rf"\b{name}\(", Ring.__doc__)] == []
+
+
+def test_every_ring_class_is_sampled():
+    # the axioms and round trips below draw from RINGS, so a new ring joins them
+    assert _ring_classes() == {type(ring) for ring in RINGS}
+
+
+@pytest.mark.parametrize("cls", sorted(_ring_classes(), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_ring_class_has_the_protocol(cls):
+    # Ring defines only the shared part of the protocol, so a method a ring
+    # class lacks is missing here, not when a series first calls it
+    assert [name for name in PROTOCOL if not callable(getattr(cls, name, None))] == []
 
 
 def coefficients(ring):
@@ -118,6 +155,12 @@ def test_nilpotents():
     assert not z4.coefficient(3).is_nilpotent()
     assert Z.zero.is_nilpotent()
     assert not Z.one.is_nilpotent()
+    # the definition: a is nilpotent mod n exactly when every prime of n divides a
+    for n in range(2, 201):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        ring = IntegerModRing(n)
+        for a in range(n):
+            assert ring.coefficient(a).is_nilpotent() == all(a % p == 0 for p in primes), (a, n)
 
 
 def test_polynomial_unit_with_nilpotent_tail():
@@ -306,3 +349,34 @@ def test_over_long_coefficient_text_names_its_size(ring, value, digits):
     with pytest.raises(ValueError) as info:
         str(Coefficient(ring, value))
     assert str(info.value) == f"coefficient of {digits} digits is too long to print"
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: Coefficient(Z, "3"), TypeError, "expected an integer"),
+    (lambda: PolynomialRing(B3, ("c",)), ValueError, "base must be Z or Z/n"),
+    (lambda: PolynomialRing(Z, ("a", "")), ValueError, "non-empty"),
+    (lambda: Coefficient(PZ, [((1,), 1)]), ValueError, "does not match indeterminates"),
+    (lambda: Coefficient(PZ, [((1, -1), 1)]), ValueError, "non-negative integers"),
+    (lambda: PZ.evaluate(PZ.gen("b").value, {"a": 1}), ValueError, "no value assigned to"),
+    (lambda: Z.one + "1", TypeError, "unsupported operand"),
+    (lambda: Z.one - "1", TypeError, "unsupported operand"),
+    (lambda: "1" - Z.one, TypeError, "unsupported operand"),
+    (lambda: Z.one * "1", TypeError, "can't multiply"),
+], ids=["Z-normalize", "poly-base", "poly-empty-name", "poly-exponent-length",
+        "poly-negative-exponent", "poly-evaluate", "str-add", "str-sub", "str-rsub", "str-mul"])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_a_string_is_no_coefficient():
+    assert Z.one != "1" and not (Z.one == "1")
+
+
+@pytest.mark.parametrize("value, unit", [
+    ({(1, 0): 1}, False),  # no constant term
+    ({(0, 0): 2, (1, 0): 1}, False),  # a constant that is no unit
+    ({(0, 0): -1}, True),
+])
+def test_polynomial_units_need_a_unit_constant(value, unit):
+    assert Coefficient(PZ, value).is_unit() is unit

@@ -6,6 +6,7 @@ import pytest
 from fglops import (
     IntegerModRing,
     IntegerRing,
+    RingMismatch,
     SeriesRing,
     SeriesVar,
     ViolatedAxiom,
@@ -87,6 +88,8 @@ def test_formal_sum_rejects_constant_terms():
     t = ring.gen("t")
     with pytest.raises(ValueError):
         additive_law(Z).formal_sum(t + ring.one, t)
+    with pytest.raises(RingMismatch, match="must share a ring"):
+        additive_law(Z).formal_sum(t, standard_ring(Z, 6).gen("t"))
 
 
 def test_n_series_examples():

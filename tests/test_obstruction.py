@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import sys
 
 import pytest
 
@@ -27,8 +26,8 @@ from fglops import (
     symbolic_twin,
 )
 from fglops.chern import coefficient_names
-from fglops.obstruction import _relation_masks, _toggle_z_positive, defect_factors
-from conftest import to_plain
+from fglops.obstruction import _relation_masks, _rows, _toggle_z_positive, defect_factors
+from conftest import lines_never_run, to_plain
 from longhand import boolean_polynomial, delta_longhand
 
 Z = IntegerRing()
@@ -253,24 +252,36 @@ def test_second_factors_are_powers_of_one_generator():
 
 def test_relation_core_runs_every_line():
     # a line the slice grid never runs is a branch no context needs
-    code = _toggle_z_positive.__code__
-    lines = {line for _, _, line in code.co_lines() if line and line > code.co_firstlineno}
-    ran = set()
-
-    def trace_lines(frame, event, arg):
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return trace_lines
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
-    try:
+    def drive():
         for grid in law_tau_torsion():
             for _, _, degree, ctx in slice_grid(*grid):
                 _relation_masks(degree, ctx)
-    finally:
-        sys.settrace(previous)
-    assert sorted(lines - ran) == []
+
+    assert lines_never_run((_toggle_z_positive,), drive) == []
+
+
+def test_search_runs_every_line(default_context):
+    # both verdicts, the early stop, the witness and each refusal; a line
+    # none of them runs is a branch the search does not need
+    bad_law = SeriesRing(Z, (SeriesVar("x", 6), SeriesVar("y", 6)))
+    x, y = bad_law.gen("x"), bad_law.gen("y")
+    refused = [
+        (standard_context(IntegerModRing(4)), "integer coefficients"),
+        (standard_context(Z, law=builtin_law("multiplicative", Z), tau=3), "tau = 2"),
+        (PowerOpContext(standard_ring(Z, z_torsion=4), builtin_law("additive", Z), 2),
+         "z torsion 2"),
+        (standard_context(Z, law=FormalGroupLaw(Z, 6, x + y + x * x)), "F\\(t, 0\\) = t"),
+    ]
+
+    def drive():
+        assert exhaustive_search(3, default_context).verdict == "unsatisfiable"
+        assert exhaustive_search(3, standard_context(Z, z_trunc=1)).witness == (1, 0, 0)
+        assert exhaustive_search(8, standard_context(Z, 3, 2)).verdict == "satisfiable"
+        for ctx, message in refused:
+            with pytest.raises(ValueError, match=message):
+                exhaustive_search(3, ctx)
+
+    assert lines_never_run((exhaustive_search, _rows), drive) == []
 
 
 def test_extract_relations_checks_its_context(default_context):

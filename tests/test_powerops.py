@@ -6,7 +6,11 @@ from fglops import (
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
+    PowerOpContext,
     RingMismatch,
+    SeriesRing,
+    SeriesVar,
+    additive_law,
     builtin_law,
     multiplicative_law,
     standard_context,
@@ -73,6 +77,23 @@ def test_power_op_rejects_multivariate(default_context):
         default_context.power_op(ring.gen("z"))
     with pytest.raises(RingMismatch):
         default_context.power_op(standard_ring(Z, t_trunc=7).gen("t"))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: PowerOpContext(SeriesRing(Z, (SeriesVar("t", 5),)), additive_law(Z), 2), ValueError,
+     "exactly two variables"),
+    (lambda: PowerOpContext(standard_ring(Z), additive_law(IntegerModRing(4)), 2), RingMismatch,
+     "share a coefficient ring"),
+    (lambda: PowerOpContext(standard_ring(Z), additive_law(Z), IntegerModRing(4).one),
+     RingMismatch, "transfer scalar"),
+], ids=["one-variable", "law-ring", "tau-ring"])
+def test_context_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_standard_ring_defaults_to_integers():
+    assert standard_ring() == standard_ring(Z)
 
 
 def test_transfer_scalar_pinned_for_additive_two_torsion():

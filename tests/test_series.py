@@ -28,7 +28,7 @@ from fglops import (
     standard_ring,
     validate_law,
 )
-from conftest import lorentz_terms, to_plain
+from conftest import lines_never_run, lorentz_terms, to_plain
 from longhand import naive_convolution, naive_normalize
 
 Z = IntegerRing()
@@ -374,30 +374,35 @@ def test_scalar_mul_matches_constant_series():
         TZ.gen("t") * True
 
 
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: SeriesRing(Z, ()), ValueError, "at least one variable"),
+    (lambda: SeriesRing(Z, (SeriesVar("t", 3), SeriesVar("t", 4))), ValueError, "must be unique"),
+    (lambda: TZ.gen("t") + standard_ring(Z, 6).gen("t"), RingMismatch, "cannot combine series"),
+    (lambda: TZ.gen("t").specialize({}), ValueError, "needs polynomial coefficients"),
+    (lambda: TZ.gen("t").in_ring(standard_ring(IntegerModRing(2))), RingMismatch,
+     "different coefficient ring"),
+    (lambda: TZ.gen("t") + "t", TypeError, "unsupported operand"),
+    (lambda: TZ.gen("t") - "t", TypeError, "unsupported operand"),
+    (lambda: "t" - TZ.gen("t"), TypeError, "unsupported operand"),
+], ids=["no-variables", "repeated-name", "ring-mismatch", "specialize-integers",
+        "in-ring-other-coefficients", "str-add", "str-sub", "str-rsub"])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_a_string_is_no_series():
+    assert TZ.gen("t") != "t" and not (TZ.gen("t") == "t")
+
 
 def test_power_sum_and_substitute_run_every_line(default_context):
     # a line the laws, the defect and each refusal never run is a branch no caller needs
-    codes = (Series.power_sum.__code__, Series.substitute.__code__)
-    lines = {
-        (code, line)
-        for code in codes
-        for _, _, line in code.co_lines()
-        if line and line > code.co_firstlineno
-    }
-    ran = set()
-
-    def trace_lines(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code, frame.f_lineno))
-        return trace_lines
-
     law_ring = SeriesRing(Z, (SeriesVar("x", 8), SeriesVar("y", 8)))
     laws = (additive_law(Z, 8).series, multiplicative_law(Z, 8).series,
             law_ring.from_terms(lorentz_terms(8)))
     t = TZ.gen("t")
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code in codes else None)
-    try:
+
+    def drive():
         for F in laws:
             validate_law(F).n_series(1500)
         r = ChernSeries([1, 1, 2])
@@ -417,6 +422,5 @@ def test_power_sum_and_substitute_run_every_line(default_context):
             t.substitute({"t": t}, target=standard_ring(Z, 7, 3))
         with pytest.raises(NonConvergent):
             t.substitute({"t": TZ.one})
-    finally:
-        sys.settrace(previous)
-    assert sorted((code.co_name, line) for code, line in lines - ran) == []
+
+    assert lines_never_run((Series.power_sum, Series.substitute), drive) == []
