@@ -30,6 +30,12 @@ _SEARCH_DEGREE_MAX = 16
 # exponent tuples, and the 48 is the rest of its cost, fitted on timed runs;
 # at the budget a request takes about a second on a 2-core VM
 _SYMBOLIC_BUDGET = 10**7
+# a law file is refused when its terms below the check degree d times d^3
+# exceed this: the associativity check substitutes the law into itself in
+# three variables cut at d.  On the dense law g^-1(g(x) + g(y)), g = x + x^2
+# over Z, the estimate tracks the time within 3x from d = 8 to 64, and at
+# the budget (d = 20) a check takes about a second on a 2-core VM
+_LAW_BUDGET = 3 * 10**6
 
 
 def _trunc_cap() -> int:
@@ -84,20 +90,34 @@ def _symbolic_products(degree: int, t_trunc: int, z_trunc: int) -> int:
 
 def _load_series(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return series_from_json(json.load(handle, parse_int=parse_int))
+        try:
+            obj = json.load(handle, parse_int=parse_int)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return series_from_json(obj)
 
 
 def _load_law(name_or_path: str, degree, coeff_ring):
     """A built-in law at ``degree`` (20 if None), or a law file truncated to ``degree``.
 
     A law file keeps its own truncation when ``degree`` is None, which must
-    then be within ``FGLOPS_TRUNC_MAX``, and may not be asked for more.
+    then be within ``FGLOPS_TRUNC_MAX``, and may not be asked for more.  A
+    law file whose check is estimated over ``_LAW_BUDGET`` is refused
+    before any series work.
     """
     if name_or_path in _BUILTIN_LAWS:
         return builtin_law(name_or_path, coeff_ring, 20 if degree is None else degree)
     law = _load_series(name_or_path)
+    truncs = [v.trunc for v in law.ring.variables]
     if degree is None:
-        _check_trunc(*(v.trunc for v in law.ring.variables))
+        _check_trunc(*truncs)
+    d = min(truncs if degree is None else truncs + [degree])
+    terms = sum(all(e < d for e in exps) for exps in law.terms)
+    if terms * d**3 > _LAW_BUDGET:
+        raise ValueError(
+            f"{name_or_path}: checking the law to degree {d} is over the work budget: "
+            f"{terms} terms x {d}^3 > {_LAW_BUDGET}"
+        )
     return validate_law(law, degree=degree)
 
 
@@ -450,7 +470,7 @@ def main(argv=None) -> int:
     try:
         handler, args = parse(parser, sys.argv[1:] if argv is None else list(argv))
         return handler(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -458,14 +478,22 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Run :func:`main` on the process's arguments and exit with its code.
 
+    This is the only code that sets the cyclic garbage collector's policy,
+    because it owns the process.  The collector is off for the whole
+    request: a request is short, and what it builds it mostly keeps to the
+    end, so each pass would walk every object the imports and the request
+    made and find next to no garbage.  :func:`main` touches the collector
+    not at all, so in-process callers keep normal collection.
+
     Output still buffered is flushed here.  If the reader has gone (a pipe
     closed at its other end), the request exits 2 with one ``error:`` line,
     and what is left goes to the null device: flushed at interpreter
     shutdown instead, it would fail again and exit 120.  The heap is frozen
-    last: objects left alive at exit are then skipped by the collections
-    that interpreter shutdown runs, which would otherwise walk every one of
-    them just before the process ends.
+    last: interpreter shutdown collects even with the collector off, and
+    the objects left alive at exit are then skipped instead of walked just
+    before the process ends.
     """
+    gc.disable()
     code = main()
     try:
         if sys.stdout is not None:

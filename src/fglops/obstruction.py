@@ -54,9 +54,7 @@ list only when it is read.
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
-import gc
 import itertools
 import operator
 from typing import Optional
@@ -255,25 +253,7 @@ def symbolic_table(degree: int, ctx: PowerOpContext) -> list:
     value made on the way; the polynomial of a row is the text of its
     :func:`boolean_relations` coefficient.
     """
-    with _collector_paused():  # thousands of sets and lists, all kept to the end
-        return _printed_rows(ctx.ring, *_relation_masks(degree, ctx))
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Run a block with the cyclic garbage collector off, then restore its state.
-
-    A block that builds many containers and keeps them all sets off
-    collector passes that find no garbage, and in a fresh process each
-    full pass walks every object the imports made.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
+    return _printed_rows(ctx.ring, *_relation_masks(degree, ctx))
 
 
 def _printed_rows(ring: SeriesRing, boolean: BooleanRing, keys_of) -> list:
@@ -324,8 +304,7 @@ class ObstructionReport(Immutable):
         degree = len(self.failing).bit_length() + self.tail
         candidates = itertools.product((1,), *[(0, 1)] * (degree - 1))
         repeats = map(itertools.repeat, self.failing, itertools.repeat(1 << self.tail))
-        with _collector_paused():  # 2^(D-1) new pairs
-            return tuple(zip(candidates, itertools.chain.from_iterable(repeats)))
+        return tuple(zip(candidates, itertools.chain.from_iterable(repeats)))
 
     def to_json(self) -> dict:
         t_var, z_var = self.ring.variables

@@ -103,12 +103,11 @@ def standard_ring(
     coeff_ring: Optional[Ring] = None,
     t_trunc: int = 5,
     z_trunc: int = 3,
-    z_torsion: Optional[int] = 2,
 ) -> SeriesRing:
     """The default two-variable quotient ring, C[[t,z]]/(2z, z^k, t^m)."""
     if coeff_ring is None:
         coeff_ring = IntegerRing()
-    return SeriesRing(coeff_ring, (SeriesVar("t", t_trunc), SeriesVar("z", z_trunc, z_torsion)))
+    return SeriesRing(coeff_ring, (SeriesVar("t", t_trunc), SeriesVar("z", z_trunc, 2)))
 
 
 def standard_context(

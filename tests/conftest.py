@@ -19,6 +19,27 @@ def lorentz_terms(degree):
     return terms
 
 
+def dense_law_terms(degree):
+    """Terms of g^-1(g(x) + g(y)), g = x + x^2, below ``degree``, as {(a, b): coef}.
+
+    g^-1(u) = sum over k >= 1 of (-1)^(k-1) C(k-1) u^k, C the Catalan
+    numbers; the law has a nonzero term at nearly every x^a y^b.
+    """
+    u = {e: 1 for e in ((1, 0), (2, 0), (0, 1), (0, 2)) if max(e) < degree}
+    terms, power, catalan = {}, dict(u), 1
+    for k in range(1, 2 * degree):
+        for e, c in power.items():
+            terms[e] = terms.get(e, 0) + (-1) ** (k - 1) * catalan * c
+        catalan = catalan * 2 * (2 * k - 1) // (k + 1)
+        product = {}
+        for (a, b), c in power.items():
+            for (i, j), d in u.items():
+                if a + i < degree and b + j < degree:
+                    product[(a + i, b + j)] = product.get((a + i, b + j), 0) + c * d
+        power = product
+    return {e: c for e, c in terms.items() if c}
+
+
 def lines_never_run(functions, run) -> list:
     """(code name, line) for each line of ``functions`` that ``run()`` never reaches.
 

@@ -22,7 +22,7 @@ from fglops import (
 )
 from fglops.cli import _symbolic_products, main
 from fglops.obstruction import symbolic_table
-from conftest import lorentz_terms
+from conftest import dense_law_terms, lorentz_terms
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -637,6 +637,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "valid to degree 20"
+
+
+@pytest.mark.parametrize("degree", [32, 64])
+def test_law_file_over_budget_exits_2_at_once(tmp_path, capsys, degree):
+    # inside FGLOPS_TRUNC_MAX, but checking this law ran 11 s at degree 32
+    # and 285 s at degree 64
+    law = _law_file(tmp_path, dense_law_terms(degree).items(), trunc=degree)
+    series = _series_file(tmp_path, "f.json", _univariate([(1, 1)]))
+    for argv in (["fgl", "check", law], ["fgl", "nseries", law, "3"],
+                 ["powerop", series, "--fgl", law, "--t-trunc", str(degree)]):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {law}: checking the law to degree {degree} ")
+        assert "over the work budget" in captured.err
+
+
+def test_law_budget_admits_small_checks(tmp_path, capsys):
+    # one file on both sides of the budget: it is estimated at the degree
+    # the check runs to
+    law = _law_file(tmp_path, dense_law_terms(24).items(), trunc=24)
+    assert main(["fgl", "check", law, "--degree", "16"]) == 0
+    assert _out(capsys) == "valid to degree 16"
+    assert main(["fgl", "check", law]) == 2
+    assert "531 terms x 24^3 > " in capsys.readouterr().err
+    series = _series_file(tmp_path, "f.json", _univariate([(1, 1)]))
+    assert main(["powerop", series, "--fgl", law]) == 0
 
 
 @pytest.mark.parametrize("degree", [8, 16, 64])

@@ -1,12 +1,13 @@
 """The process entry point against the in-process ``cli.main``.
 
 ``python -m fglops`` (and the ``fglops`` script, :func:`fglops.cli.entry`)
-runs ``main`` and freezes the heap before exiting, which spares interpreter
-shutdown its walk over the objects left alive.  ``main`` itself must not
-freeze: tests, the benchmark's tracer and any other in-process caller keep
-normal garbage collection.  The process must print the same bytes and exit
-with the same code as ``main``, and keep to exit 0, 1 or 2 without a
-traceback when its stdout is closed or its reader has gone.
+turns the cyclic garbage collector off, runs ``main`` and freezes the heap
+before exiting, which spares interpreter shutdown its walk over the objects
+left alive.  ``main`` itself must touch neither: tests, the benchmark's
+tracer and any other in-process caller keep normal garbage collection.
+The process must print the same bytes and exit with the same code as
+``main``, and keep to exit 0, 1 or 2 without a traceback when its stdout
+is closed or its reader has gone.
 """
 
 import contextlib
@@ -71,6 +72,27 @@ def test_module_run_freezes_the_heap_at_exit():
     assert proc.returncode == 0
     assert proc.stdout == b"valid to degree 20\n"
     assert proc.stderr == b"frozen True\n"
+
+
+def test_module_run_keeps_the_collector_off_for_the_request():
+    # fglops.cli is imported first, so the counter sees only the request;
+    # the largest relation table of the benchmark makes thousands of
+    # containers, enough to start a collection with the collector on
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "import fglops.cli\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+        "atexit.register(lambda: print('collecting', gc.isenabled(), 'collections', len(starts),"
+        " file=sys.stderr))\n"
+        "sys.argv = ['fglops', 'obstruct', '--symbolic', '--degree', '62',"
+        " '--t-trunc', '63', '--z-trunc', '31']\n"
+        "runpy.run_module('fglops', run_name='__main__')\n"
+    )
+    proc = _child("-c", probe)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"z*t^2: a1*a2+a3+a1\n")
+    assert proc.stderr == b"collecting False collections 0\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,10 @@ exempt.
 A private function, class or constant defined at module level has no
 reader but its own module, so one that the module never reads as a name
 is dead code.
+
+Only ``cli.py`` imports ``gc``: the garbage collector's policy belongs to
+the entry point that owns the process, and a library call changes no
+process state.
 """
 
 import ast
@@ -163,3 +167,32 @@ def test_checker_flags_dead_private_names():
     assert dead_private_names(source) == [
         (1, "_CELL_FORMATS"), (2, "_LEFT"), (3, "_prefix_width"), (10, "_Helper")
     ]
+
+
+def module_imports(source: str, module: str) -> list:
+    """The lines that import ``module`` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name.split(".")[0] == module]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] == module:
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_cli_imports_gc(path):
+    assert bool(module_imports(path.read_text(encoding="utf-8"), "gc")) == (path.name == "cli.py")
+
+
+def test_checker_flags_gc_imports():
+    source = (
+        "import os, gc as collector\n"
+        "from gc import disable\n"
+        "from .gc import helper\n"
+        "import gcd\n"
+        "def f():\n    import gc\n"
+    )
+    assert module_imports(source, "gc") == [1, 2, 6]
+    assert module_imports("import os\n", "gc") == []

@@ -111,6 +111,27 @@ def test_malformed_series_file_is_an_input_error(tmp_path, obj):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"ring": ' + "[" * 5_000 + "]" * 5_000 + ', "terms": []}'],
+    ids=["deep-list", "deep-ring"],
+)
+def test_deeply_nested_file_is_an_input_error(tmp_path, text):
+    # json.dumps cannot write such a file, so it is written as text; the
+    # decoder raised RecursionError, a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    series = tmp_path / "t.json"
+    series.write_text(json.dumps(_t_file()))
+    for argv in (["powerop", path], ["fgl", "check", path], ["fgl", "nseries", path, "3"],
+                 ["powerop", series, "--fgl", path]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(arg) for arg in argv])
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert err.getvalue() == f"error: {path}: JSON nested too deeply\n", argv
+
+
 def test_exponent_past_truncation_is_dropped(tmp_path):
     assert _run_file(tmp_path, _t_file(term={"exp": [7]}), ["powerop", "FILE"]) == (0, "0\n", "")
 

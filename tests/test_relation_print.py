@@ -143,7 +143,8 @@ def test_symbolic_json_does_not_format_values(monkeypatch, capsys):
 
 @pytest.mark.parametrize("collecting", [True, False])
 def test_symbolic_table_leaves_the_collector_as_it_found_it(collecting):
-    # the table is built with the cyclic collector paused
+    # the library never switches the cyclic collector: only the CLI entry
+    # point sets its policy, for the process it owns
     was = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()

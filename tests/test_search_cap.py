@@ -87,9 +87,8 @@ def test_failure_blocks_expand_to_failures(t, z, degree):
 
 @pytest.mark.parametrize("collecting", [True, False])
 def test_search_leaves_the_collector_as_it_found_it(collecting):
-    # the failures tuple is built on access with the cyclic collector
-    # paused; a search of either verdict, and reading its failures, must
-    # leave the collector on or off as it was
+    # the library never switches the cyclic collector: a search of either
+    # verdict, and reading its failures, must leave it on or off as it was
     was = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
