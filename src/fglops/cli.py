@@ -11,8 +11,8 @@ import types
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .chern import ChernSeries, computation_one
-from .coefficients import IntegerRing, parse_int
-from .fgl import ViolatedAxiom, builtin_law, validate_law
+from .coefficients import IntegerRing, PolynomialRing, parse_int
+from .fgl import BUILTIN_LAWS, ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
     exhaustive_search,
     extract_relations,  # unused here, but bench/tracing.py wraps it by this name
@@ -21,7 +21,6 @@ from .obstruction import (
 from .powerops import PowerOpContext, standard_context, standard_ring
 from .series import series_from_json, series_to_json
 
-_BUILTIN_LAWS = ("additive", "multiplicative")
 # obstruct --search prints 2^(D-1) failure rows, and the search is fast,
 # so this caps the output: 2^15 rows, about 8 MB of --json at D = 16
 _SEARCH_DEGREE_MAX = 16
@@ -30,11 +29,16 @@ _SEARCH_DEGREE_MAX = 16
 # exponent tuples, and the 48 is the rest of its cost, fitted on timed runs;
 # at the budget a request takes about a second on a 2-core VM
 _SYMBOLIC_BUDGET = 10**7
-# a law file is refused when its terms below the check degree d times d^3
-# exceed this: the associativity check substitutes the law into itself in
-# three variables cut at d.  On the dense law g^-1(g(x) + g(y)), g = x + x^2
-# over Z, the estimate tracks the time within 3x from d = 8 to 64, and at
-# the budget (d = 20) a check takes about a second on a 2-core VM
+# a law file is refused when its terms below the check degree d, times d^3,
+# times the square of the most monomials in one of their coefficients (1
+# over Z and Z/n), exceed this: the associativity check substitutes the law
+# into itself in three variables cut at d, multiplying coefficients.  On the
+# dense law g^-1(g(x) + g(y)), g = x + x^2 over Z, the estimate tracks the
+# time within 3x from d = 8 to 64, and at the budget (d = 20) a check takes
+# about a second on a 2-core VM.  Over Z[a1..an] the square errs toward
+# refusing: that law scaled to u^-1 F(ux, uy), u = a1 + ... + an, took 10x,
+# 94x and 2,140x the integer law's time at d = 6 for n = 2, 3 and 5, where
+# the square is 100, 3,025 and 511,225
 _LAW_BUDGET = 3 * 10**6
 
 
@@ -103,20 +107,24 @@ def _load_law(name_or_path: str, degree, coeff_ring):
     A law file keeps its own truncation when ``degree`` is None, which must
     then be within ``FGLOPS_TRUNC_MAX``, and may not be asked for more.  A
     law file whose check is estimated over ``_LAW_BUDGET`` is refused
-    before any series work.
+    before any series work; it is validated here, where it enters.
     """
-    if name_or_path in _BUILTIN_LAWS:
+    if name_or_path in BUILTIN_LAWS:
         return builtin_law(name_or_path, coeff_ring, 20 if degree is None else degree)
     law = _load_series(name_or_path)
     truncs = [v.trunc for v in law.ring.variables]
     if degree is None:
         _check_trunc(*truncs)
     d = min(truncs if degree is None else truncs + [degree])
-    terms = sum(all(e < d for e in exps) for exps in law.terms)
-    if terms * d**3 > _LAW_BUDGET:
+    kept = [c.value for exps, c in law.terms.items() if all(e < d for e in exps)]
+    width = 1  # the most monomials in one coefficient
+    if isinstance(law.ring.coeff_ring, PolynomialRing):
+        width = max(map(len, kept), default=1)
+    if len(kept) * d**3 * width**2 > _LAW_BUDGET:
+        monomials = f" x {width}^2 monomials" if width > 1 else ""
         raise ValueError(
             f"{name_or_path}: checking the law to degree {d} is over the work budget: "
-            f"{terms} terms x {d}^3 > {_LAW_BUDGET}"
+            f"{len(kept)} terms x {d}^3{monomials} > {_LAW_BUDGET}"
         )
     return validate_law(law, degree=degree)
 
@@ -203,6 +211,8 @@ def cmd_fgl_check(args) -> int:
     _check_trunc(args.degree)
     try:
         law = _load_law(args.law, args.degree, IntegerRing())
+        if args.law in BUILTIN_LAWS:  # a constant, proved here to the degree asked for
+            validate_law(law.series, name=law.name)
     except ViolatedAxiom as exc:
         if args.json:
             _emit_json({"valid": False, "axiom": exc.axiom, "monomial": exc.monomial})
@@ -317,7 +327,7 @@ _HELP = ("--help", None, False, "print this help and exit")
 # and takes no value.
 COMMANDS = (
     (("fgl", "check"), "validate the law axioms", cmd_fgl_check,
-     (("law", str, "built-in name (additive, multiplicative) or JSON file"),),
+     (("law", str, f"built-in name ({', '.join(BUILTIN_LAWS)}) or JSON file"),),
      (("--degree", parse_int, None, _DEGREE_HELP), _JSON)),
     (("fgl", "nseries"), "print the n-fold formal sum [n](x)", cmd_fgl_nseries,
      (("law", str, "built-in name or JSON file"), ("n", parse_int, "how many summands")),

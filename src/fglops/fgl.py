@@ -1,4 +1,4 @@
-"""Formal group laws as validated bivariate truncated series.
+"""Formal group laws as bivariate truncated series.
 
 A law is a series F(x, y) satisfying unitality (F(x,0) = x, F(0,y) = y),
 commutativity and associativity up to the truncation degree d.  The terms
@@ -38,7 +38,7 @@ def _check(axiom: str, diff: Series, decided=lambda exps: True) -> None:
 
 
 class FormalGroupLaw(Immutable):
-    """A validated formal group law over an exact coefficient ring."""
+    """A formal group law over an exact coefficient ring: built in, or validated from input."""
 
     __slots__ = fields = ("coeff_ring", "degree", "series", "name")
 
@@ -147,19 +147,20 @@ def validate_law(
 def additive_law(coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
     """F(x, y) = x + y."""
     ring = SeriesRing(coeff_ring, (SeriesVar("x", degree), SeriesVar("y", degree)))
-    return validate_law(ring.gen("x") + ring.gen("y"), name="additive")
+    return FormalGroupLaw(coeff_ring, degree, ring.gen("x") + ring.gen("y"), "additive")
 
 
 def multiplicative_law(coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
     """F(x, y) = x + y + xy, the unit-normalized multiplicative law."""
     ring = SeriesRing(coeff_ring, (SeriesVar("x", degree), SeriesVar("y", degree)))
     x, y = ring.gen("x"), ring.gen("y")
-    return validate_law(x + y + x * y, name="multiplicative")
+    return FormalGroupLaw(coeff_ring, degree, x + y + x * y, "multiplicative")
+
+
+BUILTIN_LAWS = {"additive": additive_law, "multiplicative": multiplicative_law}
 
 
 def builtin_law(name: str, coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
-    if name == "additive":
-        return additive_law(coeff_ring, degree)
-    if name == "multiplicative":
-        return multiplicative_law(coeff_ring, degree)
-    raise ValueError(f"unknown built-in law {name!r}")
+    if name not in BUILTIN_LAWS:
+        raise ValueError(f"unknown built-in law {name!r}")
+    return BUILTIN_LAWS[name](coeff_ring, degree)

@@ -10,9 +10,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fglops.cli
+import fglops.fgl
 from fglops import (
     ChernSeries,
     IntegerRing,
+    PolynomialRing,
+    SeriesRing,
+    SeriesVar,
     computation_one,
     exhaustive_search,
     series_from_json,
@@ -639,12 +644,10 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "valid to degree 20"
 
 
-@pytest.mark.parametrize("degree", [32, 64])
-def test_law_file_over_budget_exits_2_at_once(tmp_path, capsys, degree):
-    # inside FGLOPS_TRUNC_MAX, but checking this law ran 11 s at degree 32
-    # and 285 s at degree 64
-    law = _law_file(tmp_path, dense_law_terms(degree).items(), trunc=degree)
+def _refused_at_once(tmp_path, capsys, law, degree) -> list:
+    """The errors of fgl check, fgl nseries and powerop --fgl on ``law``, each refused in 0.5 s."""
     series = _series_file(tmp_path, "f.json", _univariate([(1, 1)]))
+    errors = []
     for argv in (["fgl", "check", law], ["fgl", "nseries", law, "3"],
                  ["powerop", series, "--fgl", law, "--t-trunc", str(degree)]):
         start = time.perf_counter()
@@ -654,6 +657,48 @@ def test_law_file_over_budget_exits_2_at_once(tmp_path, capsys, degree):
         assert captured.out == ""
         assert captured.err.startswith(f"error: {law}: checking the law to degree {degree} ")
         assert "over the work budget" in captured.err
+        errors.append(captured.err)
+    return errors
+
+
+@pytest.mark.parametrize("degree", [32, 64])
+def test_law_file_over_budget_exits_2_at_once(tmp_path, capsys, degree):
+    # inside FGLOPS_TRUNC_MAX, but checking this law ran 11 s at degree 32
+    # and 285 s at degree 64
+    law = _law_file(tmp_path, dense_law_terms(degree).items(), trunc=degree)
+    _refused_at_once(tmp_path, capsys, law, degree)
+
+
+def _scaled_law_file(tmp_path, degree):
+    """u^-1 F(ux, uy) for the dense law F and u = a1 + a2 + a3: a law over Z[a1,a2,a3].
+
+    Its x^a y^b coefficient is F's times u^(a+b-1), so it has F's terms,
+    and up to C(2d-1, 2) monomials each below degree d.
+    """
+    coeff = PolynomialRing(IntegerRing(), ("a1", "a2", "a3"))
+    u = sum(coeff.gens(), coeff.zero)
+    ring = SeriesRing(coeff, (SeriesVar("x", degree), SeriesVar("y", degree)))
+    terms = {e: u ** (sum(e) - 1) * c for e, c in dense_law_terms(degree).items()}
+    return _series_file(tmp_path, "law.json", series_to_json(ring.from_terms(terms)))
+
+
+@pytest.mark.parametrize("degree, terms, monomials", [(8, 51, 105), (12, 123, 253)])
+def test_polynomial_law_file_over_budget_exits_2_at_once(tmp_path, capsys, degree, terms,
+                                                          monomials):
+    # counted by its terms alone this law is 7% of the budget at degree 12,
+    # yet its check ran 3.3 s at degree 8 and 77.9 s at degree 12
+    law = _scaled_law_file(tmp_path, degree)
+    for err in _refused_at_once(tmp_path, capsys, law, degree):
+        assert f" {terms} terms x {degree}^3 x {monomials}^2 monomials > 3000000\n" in err
+
+
+def test_law_budget_admits_small_polynomial_checks(tmp_path, capsys):
+    law = _scaled_law_file(tmp_path, 4)
+    assert main(["fgl", "check", law]) == 0
+    assert _out(capsys) == "valid to degree 4"
+    assert main(["fgl", "nseries", law, "2", "--json"]) == 0
+    coeff = json.loads(_out(capsys))["ring"]["coeff"]
+    assert coeff == {"poly": {"base": "Z", "vars": ["a1", "a2", "a3"]}}
 
 
 def test_law_budget_admits_small_checks(tmp_path, capsys):
@@ -666,6 +711,42 @@ def test_law_budget_admits_small_checks(tmp_path, capsys):
     assert "531 terms x 24^3 > " in capsys.readouterr().err
     series = _series_file(tmp_path, "f.json", _univariate([(1, 1)]))
     assert main(["powerop", series, "--fgl", law]) == 0
+
+
+@pytest.mark.parametrize("argv, proofs", [
+    (["obstruct", "--search"], 0),
+    (["obstruct", "--symbolic", "--degree", "4"], 0),
+    (["chern", "--coeffs", "1,0,1"], 0),
+    (["chern", "--symbolic", "3"], 0),
+    (["fgl", "nseries", "additive", "5"], 0),
+    (["fgl", "nseries", "multiplicative", "5"], 0),
+    (["powerop", "f.json", "--fgl", "additive"], 0),
+    (["powerop", "f.json", "--fgl", "multiplicative"], 0),
+    (["fgl", "check", "additive"], 1),
+    (["fgl", "check", "multiplicative", "--degree", "8"], 1),
+    (["fgl", "check", "law.json"], 1),
+    (["fgl", "nseries", "law.json", "3"], 1),
+    (["powerop", "f.json", "--fgl", "law.json"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_laws_are_proved_where_they_enter(tmp_path, capsys, monkeypatch, argv, proofs):
+    # a built-in law is a constant: only fgl check, whose job is checking,
+    # proves it; a law file is input, and is proved once as it is read
+    monkeypatch.chdir(tmp_path)
+    _series_file(tmp_path, "f.json", _univariate([(1, 1)]))
+    _law_file(tmp_path, MULTIPLICATIVE)
+    calls = []
+
+    def spy(validate):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+        return counted
+
+    for module in (fglops.fgl, fglops.cli):
+        monkeypatch.setattr(module, "validate_law", spy(module.validate_law))
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert len(calls) == proofs
 
 
 @pytest.mark.parametrize("degree", [8, 16, 64])

@@ -6,6 +6,7 @@ import pytest
 from fglops import (
     IntegerModRing,
     IntegerRing,
+    PolynomialRing,
     RingMismatch,
     SeriesRing,
     SeriesVar,
@@ -34,6 +35,25 @@ def test_builtins_validate():
     assert add.is_additive and add.series == x + y
     assert mult.series == x + y + x * y and not mult.is_additive
     assert builtin_law("additive", Z).series == add.series
+
+
+@pytest.mark.parametrize("name", ("additive", "multiplicative"))
+@pytest.mark.parametrize(
+    "coeff",
+    (Z, IntegerModRing(2), IntegerModRing(6), PolynomialRing(Z, ("a1", "a2"))),
+    ids=str,
+)
+def test_builtin_laws_are_proved_laws(name, coeff):
+    # the built-in laws are constants, never validated when built: this is
+    # their proof, to every degree a request can ask for
+    for degree in (1, 2, 3, 5, 8, 20, 32, 64):
+        law = builtin_law(name, coeff, degree)
+        assert validate_law(law.series, name=name) == law, degree
+
+
+def test_unknown_builtin_law():
+    with pytest.raises(ValueError, match="unknown built-in law 'formal'"):
+        builtin_law("formal", Z)
 
 
 def test_unitality_violation():

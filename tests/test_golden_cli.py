@@ -59,16 +59,21 @@ COMMANDS = [
     ("fgl", "check", "law_z7.json"),
     ("fgl", "check", "bad_unit.json"),
     ("fgl", "check", "bad_assoc.json", "--json"),
+    ("fgl", "check", "additive", "--degree", "64"),
+    ("fgl", "check", "multiplicative", "--degree", "64", "--json"),
     ("fgl", "nseries", "additive", "5"),
     ("fgl", "nseries", "multiplicative", "0"),
     ("fgl", "nseries", "multiplicative", "7", "--degree", "10"),
     ("fgl", "nseries", "multiplicative", "64", "--degree", "12", "--json"),
     ("fgl", "nseries", "multiplicative", "1500"),
+    ("fgl", "nseries", "multiplicative", "1500", "--degree", "40", "--json"),
     ("fgl", "nseries", "law_z7.json", "9"),
     ("powerop", "t.json"),
     ("powerop", "f.json", "--json"),
     ("powerop", "f.json", "--fgl", "multiplicative", "--tau", "3",
      "--t-trunc", "7", "--z-trunc", "4"),
+    ("powerop", "f.json", "--fgl", "multiplicative", "--tau", "3",
+     "--t-trunc", "9", "--z-trunc", "4", "--json"),
     ("powerop", "z6.json", "--fgl", "multiplicative", "--tau", "1"),
     ("powerop", "poly.json"),
     ("powerop", "poly.json", "--fgl", "multiplicative", "--json"),
@@ -76,6 +81,7 @@ COMMANDS = [
     ("chern", "--coeffs=-1,2,3", "--t-trunc", "6", "--z-trunc", "4", "--json"),
     ("chern", "--symbolic", "3"),
     ("chern", "--symbolic", "2", "--json"),
+    ("chern", "--symbolic", "4", "--t-trunc", "6", "--z-trunc", "4", "--json"),
     SEARCH + ("--degree", "3"),
     SEARCH + ("--degree", "4", "--json"),
     SEARCH + ("--degree", "6", "--t-trunc", "5", "--z-trunc", "3"),

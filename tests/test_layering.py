@@ -25,6 +25,10 @@ is dead code.
 Only ``cli.py`` imports ``gc``: the garbage collector's policy belongs to
 the entry point that owns the process, and a library call changes no
 process state.
+
+Only ``cli.py`` calls ``validate_law``, which ``fgl.py`` defines: a law is
+proved where it enters, as input or in ``fgl check``, and the built-in laws
+are constants that the engine never proves again.
 """
 
 import ast
@@ -196,3 +200,43 @@ def test_checker_flags_gc_imports():
     )
     assert module_imports(source, "gc") == [1, 2, 6]
     assert module_imports("import os\n", "gc") == []
+
+
+def calls_of(source: str, name: str) -> list:
+    """The lines that call ``name``, bare, as an attribute or under an import alias."""
+    tree = ast.parse(source)
+    names = {name} | {
+        alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == name and alias.asname
+    }
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id in names
+            or isinstance(node.func, ast.Attribute) and node.func.attr in names
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_cli_proves_laws(path):
+    source = path.read_text(encoding="utf-8")
+    defines = [n for n in ast.parse(source).body
+               if isinstance(n, ast.FunctionDef) and n.name == "validate_law"]
+    assert bool(defines) == (path.name == "fgl.py")
+    assert bool(calls_of(source, "validate_law")) == (path.name == "cli.py")
+
+
+def test_checker_flags_law_proofs():
+    source = (
+        "from .fgl import validate_law as prove\n"
+        "import fglops\n"
+        "def f(F):\n    return validate_law(F)\n"
+        "def g(F):\n    return fglops.fgl.validate_law(F, degree=3)\n"
+        "def h(F):\n    return prove(F)\n"
+        "check = validate_law\n"
+        "def validate_laws(F):\n    return F\n"
+        "validate_laws(0)\n"
+    )
+    assert calls_of(source, "validate_law") == [4, 6, 8]
+    assert calls_of("import fglops\n", "validate_law") == []
