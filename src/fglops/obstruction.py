@@ -16,15 +16,19 @@ satisfy.  Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
     Z[a][[t, z]]/(2z, z^k, t^m) -> B_D[[t, z]]/(z^k, t^m),
     B_D = F2[a1..aD]/(a_i^2 + a_i),
 
-and it commutes with the power operation, so the relation table maps the
-law and tau of the numeric context into B_D and computes the defect's four
-factors there (:func:`defect_factors`, which :func:`delta` multiplies out);
-the integer polynomials never form.  It does not form the two products
-either: the second factor of each pair is r(t) or r(z), and each of its
-terms, one power of t or of z, toggles its share of the z-positive terms
-straight into a mask-major table, one set of row keys per monomial mask, so
-the z^0 terms that no row keeps are never computed.  That table is the one
-form the CLI reads.  One printer (:func:`_printed_rows`) turns it into
+and it commutes with the power operation.  With a_0 = 1 and P = t*F(t, z),
+the defect r(F)*r(t) - P(r(t))*r(z) therefore maps to the pair sum
+
+    sum over 0 <= i, k <= D of a_i*a_k*(F^i*t^k + P^i*z^k),
+
+plus, when tau is odd, the transfer terms a_i*a_j*a_k*t^(i+j)*z^k with
+i < j, of which only k >= 1 is z-positive.  Each a_i*a_k is a monomial mask
+of B_D and each series beside it a product of powers of F, t and z with
+coefficients in F2, so :func:`_relation_masks` computes the table from the
+powers of F mod 2 alone, each one int with a bit per odd coefficient at
+its packed key, one bitset of row keys per monomial mask; the integer
+polynomials and the B_D series never form.  That table is the one form the
+CLI reads.  One printer (:func:`_printed_rows`) turns it into
 (z^j*t^i label, polynomial text) rows in one pass over its distinct masks,
 in B_D print order: :func:`symbolic_table` returns those rows, and the
 search report keeps them.  :func:`boolean_relations` gives the table as
@@ -66,6 +70,7 @@ from .coefficients import (
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
+    RingMismatch,
     is_int,
     monomial_text,
 )
@@ -74,21 +79,10 @@ from .powerops import PowerOpContext
 from .series import Series, SeriesRing
 
 
-def defect_factors(r: ChernSeries, ctx: PowerOpContext) -> tuple:
-    """The factor pairs of the defect, ((r(F(t, z)), r(t)), (P(r(t)), r(z))).
-
-    The defect is the first pair's product minus the second's.  The second
-    factor of each pair is r at a generator, so each of its terms is one
-    power of t or of z (:func:`_toggle_z_positive` walks it term by term).
-    """
-    r_t = r.value_at(ctx.t)
-    return (r.value_at(ctx.tensor_root), r_t), (ctx.power_op(r_t), r.value_at(ctx.z))
-
-
 def delta(r: ChernSeries, ctx: PowerOpContext) -> Series:
     """The exact defect series of the candidate r in the context ring."""
-    (f, g), (p, q) = defect_factors(r, ctx)
-    return f * g - p * q
+    r_t = r.value_at(ctx.t)
+    return r.value_at(ctx.tensor_root) * r_t - ctx.power_op(r_t) * r.value_at(ctx.z)
 
 
 def multilinear_mod2(coef: Coefficient) -> Coefficient:
@@ -117,89 +111,81 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     ordered by (z-degree, t-degree): the rows of :func:`_relation_masks`,
     read by :func:`_rows`.
     """
-    boolean, keys_of = _relation_masks(degree, ctx)
+    boolean, bits_of = _relation_masks(degree, ctx)
     wrap = boolean.wrap
-    return [(exps, wrap(frozenset(masks))) for exps, masks in _rows(ctx.ring, keys_of, lambda m: m)]
+    return [(exps, wrap(frozenset(masks))) for exps, masks in _rows(ctx.ring, bits_of, lambda m: m)]
 
 
 def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
-    """(B_D, the relation table mask-major: {monomial mask: set of packed keys}).
+    """(B_D, the relation table mask-major: {monomial mask: bitset of packed keys}).
 
-    The law and tau are mapped into B_D (:meth:`BooleanRing.image`, which
-    refuses coefficients with no reduction mod 2) and the four factors of
-    the defect of the generic candidate 1 + a1 x + ... + aD x^D
-    (:func:`defect_factors`) are computed there.  Their two products are
-    not formed as series: only their z-positive terms are written, straight
-    into the table (:func:`_toggle_z_positive`), and in B_D the difference
-    of the products is their sum.  A mask's set holds the keys, in the
-    context ring's layout, of the z-positive monomials whose coefficient
-    has that mask; masks whose set toggled back to empty are dropped.
+    The context's coefficients must reduce mod 2, so they are Z or Z/2n
+    (``RingMismatch`` otherwise), and its torsion orders must be even.  A
+    series mod 2 is one int, with bit ``key`` set for each odd coefficient
+    at that packed key of the context ring.  A monomial factor is then a
+    left shift by its key, F^i an XOR of the shifts of F^(i-1) by the keys
+    of F, and an AND with the box of in-range keys truncates.  Each term of
+    the pair sum (the module docstring) goes into the bitset of its
+    monomial mask, and one AND per mask keeps the z-positive keys; masks
+    whose bitset is then empty are dropped.
     """
     if not is_int(degree) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
-    if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
+    ring = ctx.ring
+    if any(v.torsion is not None and v.torsion % 2 for v in ring.variables):
         raise ValueError("relations are read mod 2, which needs even torsion orders")
-    boolean = BooleanRing(coefficient_names(degree))
-    bool_ctx = ctx.map_coefficients(boolean, boolean.image)
-    keys_of = collections.defaultdict(set)
-    for f, g in defect_factors(ChernSeries(boolean.gens(), boolean), bool_ctx):
-        _toggle_z_positive(keys_of, bool_ctx.ring.layout, f, g)
-    return boolean, {m: keys for m, keys in keys_of.items() if keys}
+    base = ring.coeff_ring
+    if not (
+        isinstance(base, IntegerRing) or isinstance(base, IntegerModRing) and base.modulus % 2 == 0
+    ):
+        raise RingMismatch(f"no reduction mod 2 from {base}")
+    (t_var, z_var), z_offset = ring.variables, ring.layout.offsets[1]
+    t_trunc, z_trunc = t_var.trunc, z_var.trunc
+    t_row = (1 << t_trunc) - 1  # the keys of t^0..t^(T-1) at z^0
+    box = sum(t_row << (j << z_offset) for j in range(z_trunc))
+    law_keys = [key for key, c in ctx.tensor_root.packed_terms.items() if c % 2]
+    powers = [1]  # F^0..F^D mod 2, up to the first zero one
+    while len(powers) <= degree and powers[-1]:
+        f = powers[-1]
+        powers.append(functools.reduce(operator.xor, [f << key for key in law_keys], 0) & box)
+    mask = [(1 << i) >> 1 for i in range(degree + 1)]  # a_i is bit i - 1; a_0 = 1, no bit
+    table = collections.defaultdict(int)
+    for i, f in enumerate(powers):
+        # P^i = t^i*F^i is zero for i >= T, where the shift could carry into z
+        p = f << i if i < t_trunc else 0
+        for k in range(min(degree + 1, max(t_trunc, z_trunc))):
+            # a t shift by k < T stays in its z row: the t field has a spare top bit
+            v = f << k if k < t_trunc else 0
+            if k < z_trunc:
+                v ^= p << (k << z_offset)
+            table[mask[i] | mask[k]] ^= v
+    if ctx.tau.value % 2:
+        for j in range(1, min(degree + 1, t_trunc)):
+            for i in range(min(j, t_trunc - j)):
+                for k in range(1, min(degree + 1, z_trunc)):
+                    table[mask[i] | mask[j] | mask[k]] ^= 1 << (i + j + (k << z_offset))
+    z_positive = box ^ t_row
+    bits_of = {m: bits for m, v in table.items() if (bits := v & z_positive)}
+    return BooleanRing(coefficient_names(degree)), bits_of
 
 
-def _rows(ring: SeriesRing, keys_of, value) -> list:
+def _rows(ring: SeriesRing, bits_of, value) -> list:
     """The rows of a mask-major table, as ((i, j), values) for z^j*t^i in (z, t) order.
 
-    ``keys_of`` maps monomial masks to sets of packed keys of ``ring``.
-    ``value`` is called once per mask, in ``keys_of`` order, and a row's
+    ``bits_of`` maps monomial masks to bitsets of packed keys of ``ring``.
+    ``value`` is called once per mask, in ``bits_of`` order, and a row's
     values are those of its masks, in that order.
     """
     values_at = collections.defaultdict(list)
-    for m, keys in keys_of.items():
+    for m, bits in bits_of.items():
         v = value(m)
-        for key in keys:
+        while bits:  # top bit first
+            key = bits.bit_length() - 1
+            bits ^= 1 << key
             values_at[key].append(v)
     # z is the high key field, so key order is (z-degree, t-degree) order
     t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
     return [((key & t_field, key >> z_offset), vs) for key, vs in sorted(values_at.items())]
-
-
-def _toggle_z_positive(keys_of, layout, f: Series, g: Series) -> None:
-    """Add the z-positive terms of f*g into ``keys_of``: B_D series, g = r(t) or r(z).
-
-    ``keys_of``, a ``defaultdict(set)``, maps a monomial mask to the set of
-    packed keys where it occurs, toggled as :meth:`BooleanRing.mul_add`
-    does.  f is sliced by monomial mask and g walked one term at a time;
-    each term of g is a power of t or of z (:func:`defect_factors`).  A
-    power of z meets each slice's keys in key order, which is z order, and
-    a power of t, or 1, meets its z-positive keys in t order.  Either walk
-    can reach the truncation of one exponent only, so the first sum that
-    does (the layout's bias and overflow test, as in ``Series.__mul__``)
-    ends the run.
-    """
-    t_field, z_field = layout.masks
-    bias, overflow = layout.bias, layout.overflow
-    terms = f.packed_terms
-    by_z = collections.defaultdict(list)  # mask -> its keys in key order
-    for key in sorted(terms):
-        for m in terms[key]:
-            by_z[m].append(key)
-    by_t = {  # mask -> its z-positive keys in t order
-        m: sorted(filter(z_field.__and__, keys), key=t_field.__and__) for m, keys in by_z.items()
-    }
-    for k2, masks in g.packed_terms.items():
-        biased = k2 + bias
-        for m, f_keys in (by_z if k2 & z_field else by_t).items():
-            for n in masks:
-                keys = keys_of[m | n]
-                for k1 in f_keys:
-                    if (biased + k1) & overflow:
-                        break
-                    key = k1 + k2
-                    if key in keys:
-                        keys.remove(key)
-                    else:
-                        keys.add(key)
 
 
 def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
@@ -256,15 +242,15 @@ def symbolic_table(degree: int, ctx: PowerOpContext) -> list:
     return _printed_rows(ctx.ring, *_relation_masks(degree, ctx))
 
 
-def _printed_rows(ring: SeriesRing, boolean: BooleanRing, keys_of) -> list:
+def _printed_rows(ring: SeriesRing, boolean: BooleanRing, bits_of) -> list:
     """The rows of a mask-major table as (z^j*t^i label, polynomial text), in (z, t) order.
 
-    ``keys_of`` maps monomial masks of ``boolean`` to sets of packed keys
+    ``bits_of`` maps monomial masks of ``boolean`` to bitsets of packed keys
     of ``ring``.  The distinct masks are walked once (:func:`_rows`), in
     :meth:`BooleanRing.order_key` order, each mask's text made once; then
     each row is labelled.
     """
-    ordered = {m: keys_of[m] for m in sorted(keys_of, key=boolean.order_key)}
+    ordered = {m: bits_of[m] for m in sorted(bits_of, key=boolean.order_key)}
     labels = _monomial_labels(ring)
     return [
         (labels[j][i], "+".join(texts)) for (i, j), texts in _rows(ring, ordered, boolean.mask_text)
@@ -371,10 +357,11 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     Candidates are ordered with the last coefficient varying fastest; each
     failure records the first nonzero monomial in (z-degree, t-degree)
     order.  That monomial is the first relation that evaluates to 1 at the
-    candidate, so the relation table is computed once, over the Boolean
-    ring, mask-major (:func:`_relation_masks`), and evaluated on all
-    candidates at once.  The rows read only a1..a_w, w the highest bit of
-    any mask (w <= D), so candidates that agree up to w share a verdict.
+    candidate, so the relation table is computed once, from the pair sum
+    mod 2 as one bitset of row keys per monomial mask
+    (:func:`_relation_masks`), and evaluated on all candidates at once.
+    The rows read only a1..a_w, w the highest bit of any mask (w <= D), so
+    candidates that agree up to w share a verdict.
     Each a_k has a truth table over the 2^(w-1) prefixes (bit p for prefix
     p in candidate order; a1 is all ones), a monomial mask's table is the
     AND of its coefficients' tables, made once and XORed into the table of
@@ -395,8 +382,8 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     if {e: c for e, c in ctx.tensor_root.terms.items() if not e[1]} != ctx.t.terms:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
-    boolean, keys_of = _relation_masks(degree, ctx)
-    width = max([1] + [m.bit_length() for m in keys_of])
+    boolean, bits_of = _relation_masks(degree, ctx)
+    width = max([1] + [m.bit_length() for m in bits_of])
     size = 1 << (width - 1)
     undecided = everything = (1 << size) - 1
     # a_k is bit w - k of the prefix index: runs of 2^(w-k) zeros, then ones
@@ -410,7 +397,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         return functools.reduce(operator.and_, factors, everything)
 
     deciding = []  # (exponents, the prefixes at which that row is the first 1)
-    for exps, row_tables in _rows(ring, keys_of, truth_table):
+    for exps, row_tables in _rows(ring, bits_of, truth_table):
         fresh = functools.reduce(operator.xor, row_tables) & undecided
         if fresh:
             deciding.append((exps, fresh))
@@ -427,7 +414,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     return ObstructionReport(
         ring=ring,
-        relations=tuple(_printed_rows(ring, boolean, keys_of)),
+        relations=tuple(_printed_rows(ring, boolean, bits_of)),
         verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
         failing=failing,

@@ -82,7 +82,7 @@ class PowerOpContext(Immutable):
             coeffs[exps[0]] = coef
         a = [coeffs.get(e, 0) for e in range(1 + max(coeffs, default=-1))]
         squares = self.generator_image().power_sum([a_e ** 2 for a_e in a])
-        if not self.tau:  # as in B_D, where 2 = 0: no cross terms
+        if not self.tau:  # no cross terms
             return squares
         cross = [
             self.tau * sum(a[i] * a[k - i] for i in range(max(0, k + 1 - len(a)), (k + 1) // 2))

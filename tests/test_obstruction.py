@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -24,10 +25,11 @@ from fglops import (
     standard_context,
     standard_ring,
     symbolic_twin,
+    validate_law,
 )
 from fglops.chern import coefficient_names
-from fglops.obstruction import _relation_masks, _rows, _toggle_z_positive, defect_factors
-from conftest import lines_never_run, to_plain
+from fglops.obstruction import _relation_masks, _rows
+from conftest import dense_law_terms, lines_never_run, lorentz_terms, to_plain
 from longhand import boolean_polynomial, delta_longhand
 
 Z = IntegerRing()
@@ -194,37 +196,72 @@ def _delta_rows(degree, ctx):
     return sorted(rows, key=lambda row: (row[0][1], row[0][0]))
 
 
+# laws given by their terms below a degree, on small grid points only
+TERM_LAWS = {"lorentz": lorentz_terms, "dense": dense_law_terms}
+
+
+@functools.cache
+def _law(name):
+    """The built-in law, or the Lorentz or dense law of conftest, validated to degree 10.
+
+    Degree 10 covers every truncation of their grid points.
+    """
+    if name not in TERM_LAWS:
+        return builtin_law(name, Z)
+    ring = SeriesRing(Z, (SeriesVar("x", 10), SeriesVar("y", 10)))
+    return validate_law(ring.from_terms(TERM_LAWS[name](10)), name=name)
+
+
 def law_tau_torsion():
     # the additive law with z torsion 2 pins tau to 2
     return [
         (law, tau, torsion)
-        for law in ("additive", "multiplicative")
-        for tau in (1, 2, 3)
+        for law in ("additive", "multiplicative", *TERM_LAWS)
+        for tau in (0, 1, 2, 3)
         for torsion in (None, 2, 4)
         if not (law == "additive" and torsion == 2 and tau != 2)
     ]
 
 
 def slice_grid(law, tau, torsion) -> list:
-    """Seeded (t, z, D, context) points: truncations 1 and 2, D > t, up to (7, 4, 12)."""
+    """Seeded (t, z, D, context) points: truncations 1 and 2, D > t, up to (7, 4, 12).
+
+    The laws of ``TERM_LAWS``, with a term at nearly every x^a y^b, get
+    points up to (9, 5, 8) only.
+    """
     rng = random.Random(f"slices-{law}-{tau}-{torsion}")
-    points = [(t, z, rng.randint(1, 8)) for t in (1, 2) for z in (1, 2, rng.randint(3, 6))]
-    points += [(rng.randint(3, 8), z, rng.randint(1, 8)) for z in (1, 2)]
-    points += [(rng.randint(3, 12), rng.randint(3, 8), rng.randint(1, 12)) for _ in range(5)]
-    points += [(3, 3, 9), (5, 2, 11), (7, 4, 12)]
+    if law in TERM_LAWS:
+        points = [(t, z, rng.randint(1, 8)) for t in (1, 2) for z in (1, 2, rng.randint(3, 5))]
+        points += [(rng.randint(3, 9), rng.randint(1, 5), rng.randint(1, 8)) for _ in range(4)]
+        points += [(3, 3, 8), (9, 5, 8)]
+    else:
+        points = [(t, z, rng.randint(1, 8)) for t in (1, 2) for z in (1, 2, rng.randint(3, 6))]
+        points += [(rng.randint(3, 8), z, rng.randint(1, 8)) for z in (1, 2)]
+        points += [(rng.randint(3, 12), rng.randint(3, 8), rng.randint(1, 12)) for _ in range(5)]
+        points += [(3, 3, 9), (5, 2, 11), (7, 4, 12)]
     return [
         (t_max, z_max, degree,
-         PowerOpContext(_torsion_ring(t_max, z_max, torsion), builtin_law(law, Z), tau))
+         PowerOpContext(_torsion_ring(t_max, z_max, torsion), _law(law), tau))
         for t_max, z_max, degree in points
     ]
 
 
-@pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
+# the dense law is x + y mod 2, so with z torsion 2 its image in B_D, where
+# _delta_rows runs, pins tau to 2 as well; tests/test_relation_print.py
+# holds those points to extract_relations
+DELTA_GRID = [
+    (law, tau, torsion)
+    for law, tau, torsion in law_tau_torsion()
+    if not (law == "dense" and torsion == 2 and tau % 2)
+]
+
+
+@pytest.mark.parametrize("law, tau, torsion", DELTA_GRID)
 def test_sliced_rows_match_delta(law, tau, torsion):
-    # boolean_relations writes the rows from the defect's factors, sliced by
-    # monomial mask, without forming the two products; the rows must be the
-    # z-positive terms of the defect itself, in (z, t) order.  Odd tau puts
-    # several masks in one term; truncations 1 and 2 and D > t are included.
+    # boolean_relations writes the rows from the powers of F mod 2, without
+    # forming the defect; the rows must be the z-positive terms of the
+    # defect itself, in (z, t) order.  Odd tau puts several masks in one
+    # term; truncations 1 and 2 and D > t are included.
     for t_max, z_max, degree, ctx in slice_grid(law, tau, torsion):
         assert boolean_relations(degree, ctx) == _delta_rows(degree, ctx), (t_max, z_max, degree)
 
@@ -240,29 +277,45 @@ def test_sliced_rows_match_delta_at_bench_points(t_max, z_max, degree):
     assert len(rows) > 100
 
 
-def test_second_factors_are_powers_of_one_generator():
-    # the relation core walks the second factor of each pair term by term,
-    # each term a power of t or of z, never a mixed monomial
-    points = [
-        (degree, ctx)
-        for grid in law_tau_torsion()
-        for _, _, degree, ctx in slice_grid(*grid)
-    ] + [(degree, standard_context(Z, t_max, z_max)) for t_max, z_max, degree in BENCH_POINTS]
-    for degree, ctx in points:
-        boolean = BooleanRing(coefficient_names(degree))
-        r = ChernSeries(boolean.gens(), boolean)
-        for _, g in defect_factors(r, ctx.map_coefficients(boolean, boolean.image)):
-            assert all(not (i and j) for i, j in g.terms), (ctx.ring, degree)
+def _refused_contexts(default_context) -> list:
+    """(context, error type, message) for each context the relation table refuses."""
+    z3 = IntegerModRing(3)
+    return [
+        (PowerOpContext(_torsion_ring(5, 3, 3), builtin_law("additive", Z), 2), ValueError,
+         "even torsion"),
+        (PowerOpContext(standard_ring(z3, 5, 3), builtin_law("additive", z3), 2), RingMismatch,
+         "no reduction mod 2 from Z/3"),
+        (symbolic_twin(default_context, 3)[1], RingMismatch,
+         "no reduction mod 2 from Z\\[a1,a2,a3\\]"),
+    ]
 
 
-def test_relation_core_runs_every_line():
-    # a line the slice grid never runs is a branch no context needs
+def test_relation_core_runs_every_line(default_context):
+    # a line the slice grid and the refusals never run is a branch no context needs
     def drive():
         for grid in law_tau_torsion():
             for _, _, degree, ctx in slice_grid(*grid):
                 _relation_masks(degree, ctx)
+        with pytest.raises(ValueError, match="positive integer"):
+            _relation_masks(0, default_context)
+        for ctx, error, message in _refused_contexts(default_context):
+            with pytest.raises(error, match=message):
+                _relation_masks(3, ctx)
 
-    assert lines_never_run((_toggle_z_positive,), drive) == []
+    assert lines_never_run((_relation_masks,), drive) == []
+
+
+def test_relation_table_needs_a_numeric_context(default_context):
+    # the table reads the law and tau mod 2, so the context's coefficients
+    # must be Z or Z/2n; a context over Z[a1..aD] is the reference's input,
+    # not the table's
+    for ctx, error, message in _refused_contexts(default_context):
+        with pytest.raises(error, match=message):
+            boolean_relations(3, ctx)
+    for ring in (IntegerModRing(2), IntegerModRing(6)):
+        ctx = PowerOpContext(standard_ring(ring, 5, 3), builtin_law("multiplicative", ring), 1)
+        sym, sym_ctx = symbolic_twin(ctx, 4)
+        assert _as_polynomials(boolean_relations(4, ctx)) == extract_relations(sym, sym_ctx)
 
 
 def test_search_runs_every_line(default_context):
@@ -448,17 +501,17 @@ def test_search_matches_brute_force_wide_grid(t_max, z_max, law):
 
 
 def test_search_computes_one_defect(monkeypatch):
-    # the search reads its rows off one set of defect factors
+    # the search reads its rows off one relation table
     import fglops.obstruction
 
     calls = []
-    real_factors = fglops.obstruction.defect_factors
+    real_masks = fglops.obstruction._relation_masks
 
-    def counting_factors(r, ctx):
+    def counting_masks(degree, ctx):
         calls.append(ctx)
-        return real_factors(r, ctx)
+        return real_masks(degree, ctx)
 
-    monkeypatch.setattr(fglops.obstruction, "defect_factors", counting_factors)
+    monkeypatch.setattr(fglops.obstruction, "_relation_masks", counting_masks)
     report = exhaustive_search(8, standard_context(Z, 9, 5))
     assert report.verdict == "unsatisfiable" and len(report.failures) == 2 ** 7
     assert len(calls) == 1
