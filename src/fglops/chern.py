@@ -107,13 +107,6 @@ class ChernSeries(Immutable):
     def degree(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def is_generic_symbolic(self) -> bool:
-        ring = self.coeff_ring
-        if not isinstance(ring, PolynomialRing) or ring.nvars != self.degree:
-            return False
-        return all(self.coeffs[i] == ring.gen(ring.names[i]) for i in range(self.degree))
-
     def value_at(self, root: Series) -> Series:
         """Evaluate 1 + a1*root + ... + aD*root^D in the root's ring."""
         if root.ring.coeff_ring != self.coeff_ring:

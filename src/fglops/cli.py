@@ -12,7 +12,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from .chern import ChernSeries, computation_one
 from .coefficients import IntegerRing, PolynomialRing, parse_int
-from .fgl import BUILTIN_LAWS, ViolatedAxiom, builtin_law, validate_law
+from .fgl import BUILTIN_DEGREE, BUILTIN_LAWS, ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
     exhaustive_search,
     extract_relations,  # unused here, but bench/tracing.py wraps it by this name
@@ -102,7 +102,7 @@ def _load_series(path: str):
 
 
 def _load_law(name_or_path: str, degree, coeff_ring):
-    """A built-in law at ``degree`` (20 if None), or a law file truncated to ``degree``.
+    """A built-in law at ``degree`` (``BUILTIN_DEGREE`` if None), or a law file truncated to it.
 
     A law file keeps its own truncation when ``degree`` is None, which must
     then be within ``FGLOPS_TRUNC_MAX``, and may not be asked for more.  A
@@ -110,7 +110,7 @@ def _load_law(name_or_path: str, degree, coeff_ring):
     before any series work; it is validated here, where it enters.
     """
     if name_or_path in BUILTIN_LAWS:
-        return builtin_law(name_or_path, coeff_ring, 20 if degree is None else degree)
+        return builtin_law(name_or_path, coeff_ring, BUILTIN_DEGREE if degree is None else degree)
     law = _load_series(name_or_path)
     truncs = [v.trunc for v in law.ring.variables]
     if degree is None:
@@ -313,7 +313,7 @@ _DESCRIPTION = (
     "exact arithmetic for truncated series, formal group laws, "
     "quadratic power operations and obstruction certificates"
 )
-_DEGREE_HELP = "truncation degree (default: a law file's own, else 20)"
+_DEGREE_HELP = f"truncation degree (default: a law file's own, else {BUILTIN_DEGREE})"
 _JSON = ("--json", None, False, "print JSON")
 _TRUNCS = (
     ("--t-trunc", parse_int, 5, "t truncation"),

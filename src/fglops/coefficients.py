@@ -539,9 +539,8 @@ class BooleanRing(Ring):
     each pair of masks (x_i^2 = x_i) and keeps the masks that occur an odd
     number of times, toggling each in a mutable set (:meth:`mul_add`) that
     :meth:`settle` freezes.  Reducing integer polynomials mod 2 with
-    x_i^2 = x_i is a ring homomorphism into this ring (:meth:`image`), so a
-    computation can run here from the start instead of being reduced at the
-    end.
+    x_i^2 = x_i is a ring homomorphism into this ring (:meth:`image`).  The
+    engine builds its relation table from bitsets, not from series here.
 
     Values print straight from their masks, in the order and text of
     PolynomialRing(Z/2, names): :meth:`order_key` sorts the masks and

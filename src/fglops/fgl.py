@@ -19,6 +19,7 @@ _AXIOM_LABELS = {
     "comm": "commutativity",
     "assoc": "associativity",
 }
+BUILTIN_DEGREE = 20  # a built-in law's truncation degree when none is asked for
 
 
 class ViolatedAxiom(ValueError):
@@ -38,12 +39,20 @@ def _check(axiom: str, diff: Series, decided=lambda exps: True) -> None:
 
 
 class FormalGroupLaw(Immutable):
-    """A formal group law over an exact coefficient ring: built in, or validated from input."""
+    """A formal group law F(x, y), built in or validated; its ring and degree are those of F."""
 
-    __slots__ = fields = ("coeff_ring", "degree", "series", "name")
+    __slots__ = fields = ("series", "name")
 
-    def __init__(self, coeff_ring: Ring, degree: int, series: Series, name: Optional[str] = None):
-        super().__init__(coeff_ring, degree, series, name)
+    def __init__(self, series: Series, name: Optional[str] = None):
+        super().__init__(series, name)
+
+    @property
+    def coeff_ring(self) -> Ring:
+        return self.series.ring.coeff_ring
+
+    @property
+    def degree(self) -> int:
+        return self.series.ring.variables[0].trunc
 
     @property
     def x_name(self) -> str:
@@ -86,10 +95,7 @@ class FormalGroupLaw(Immutable):
 
     def map_coefficients(self, coeff_ring: Ring, fn) -> "FormalGroupLaw":
         """The image law under a coefficient-ring homomorphism."""
-        ring = SeriesRing(coeff_ring, self.series.ring.variables)
-        return FormalGroupLaw(
-            coeff_ring, self.degree, self.series.map_coefficients(ring, fn), self.name
-        )
+        return FormalGroupLaw(self.series.map_coefficients(coeff_ring, fn), self.name)
 
 
 def validate_law(
@@ -141,26 +147,26 @@ def validate_law(
     right = F.substitute({vx.name: tx, vy.name: inner_yw}, target=tri)
     _check("assoc", left - right, lambda e: e[0] + e[1] < degree and e[1] + e[2] < degree)
 
-    return FormalGroupLaw(ring.coeff_ring, degree, F, name)
+    return FormalGroupLaw(F, name)
 
 
-def additive_law(coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
+def additive_law(coeff_ring: Ring, degree: int = BUILTIN_DEGREE) -> FormalGroupLaw:
     """F(x, y) = x + y."""
     ring = SeriesRing(coeff_ring, (SeriesVar("x", degree), SeriesVar("y", degree)))
-    return FormalGroupLaw(coeff_ring, degree, ring.gen("x") + ring.gen("y"), "additive")
+    return FormalGroupLaw(ring.gen("x") + ring.gen("y"), "additive")
 
 
-def multiplicative_law(coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
+def multiplicative_law(coeff_ring: Ring, degree: int = BUILTIN_DEGREE) -> FormalGroupLaw:
     """F(x, y) = x + y + xy, the unit-normalized multiplicative law."""
     ring = SeriesRing(coeff_ring, (SeriesVar("x", degree), SeriesVar("y", degree)))
     x, y = ring.gen("x"), ring.gen("y")
-    return FormalGroupLaw(coeff_ring, degree, x + y + x * y, "multiplicative")
+    return FormalGroupLaw(x + y + x * y, "multiplicative")
 
 
 BUILTIN_LAWS = {"additive": additive_law, "multiplicative": multiplicative_law}
 
 
-def builtin_law(name: str, coeff_ring: Ring, degree: int = 20) -> FormalGroupLaw:
+def builtin_law(name: str, coeff_ring: Ring, degree: int = BUILTIN_DEGREE) -> FormalGroupLaw:
     if name not in BUILTIN_LAWS:
         raise ValueError(f"unknown built-in law {name!r}")
     return BUILTIN_LAWS[name](coeff_ring, degree)

@@ -32,25 +32,25 @@ CLI reads.  One printer (:func:`_printed_rows`) turns it into
 (z^j*t^i label, polynomial text) rows in one pass over its distinct masks,
 in B_D print order: :func:`symbolic_table` returns those rows, and the
 search report keeps them.  :func:`boolean_relations` gives the table as
-rows of B_D values for library callers.  :func:`extract_relations` is the
-independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
-reduced at the end by :func:`multilinear_mod2`, with the same rows as
-PolynomialRing(Z/2, names) values.
+rows of B_D values for library callers.  :func:`extract_relations`, with
+the same arguments and refusals, is the independent reference: the defect
+over Z[a1..aD] (:func:`symbolic_twin`) reduced at the end by
+:func:`multilinear_mod2`, the same rows as PolynomialRing(Z/2) values.
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
 torsion 2 every z-positive coefficient is its image mod 2, so the verdict
 depends only on the a_i mod 2.  The exhaustive search gives a verdict on
 every integer candidate with a1 = 1 and remaining coefficients in {0, 1},
-which then covers all integer candidates, and certifies it with one failing
-monomial per candidate; it refuses other values of tau and of the z
-torsion.  A candidate's z-positive coefficients are the Boolean relations
-evaluated at it, so its failing monomial is the first relation, in (z, t)
-order, that evaluates to 1.  The search computes the mask-major table
+which then covers all integer candidates, and certifies it with a witness or
+with one failing monomial per candidate; it refuses other values of tau and
+of the z torsion.  A candidate's z-positive coefficients are the Boolean
+relations evaluated at it, so its failing monomial is the first relation, in
+(z, t) order, that evaluates to 1.  The search computes the mask-major table
 once, and no series arithmetic is done per candidate.  The rows read only
 a1..a_w, so it evaluates each mask on all 2^(w-1) prefixes at once, as a
 truth table with one bit per prefix, XORs it into the tables of its rows,
-and peels off each row's first failures in (z, t) order.  The report
-keeps one failing monomial per prefix, as the CLI writes them
+and peels off each row's first failures in (z, t) order.  The report keeps
+one failing monomial per prefix, as the CLI writes them
 (:meth:`ObstructionReport.failure_blocks`), and builds the per-candidate
 list only when it is read.
 """
@@ -116,29 +116,31 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     return [(exps, wrap(frozenset(masks))) for exps, masks in _rows(ctx.ring, bits_of, lambda m: m)]
 
 
+def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
+    """Refuse D < 1 and odd torsion (``ValueError``), and rings but Z, Z/2n (``RingMismatch``)."""
+    if not is_int(degree) or degree < 1:
+        raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
+    if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
+        raise ValueError("relations are read mod 2, which needs even torsion orders")
+    cr = ctx.ring.coeff_ring
+    if not (isinstance(cr, IntegerRing) or isinstance(cr, IntegerModRing) and cr.modulus % 2 == 0):
+        raise RingMismatch(f"no reduction mod 2 from {cr}")
+
+
 def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     """(B_D, the relation table mask-major: {monomial mask: bitset of packed keys}).
 
-    The context's coefficients must reduce mod 2, so they are Z or Z/2n
-    (``RingMismatch`` otherwise), and its torsion orders must be even.  A
-    series mod 2 is one int, with bit ``key`` set for each odd coefficient
-    at that packed key of the context ring.  A monomial factor is then a
-    left shift by its key, F^i an XOR of the shifts of F^(i-1) by the keys
-    of F, and an AND with the box of in-range keys truncates.  Each term of
-    the pair sum (the module docstring) goes into the bitset of its
-    monomial mask, and one AND per mask keeps the z-positive keys; masks
-    whose bitset is then empty are dropped.
+    A context :func:`_check_mod2` refuses raises.  A series mod 2 is one int,
+    with bit ``key`` set for each odd coefficient at that packed key of the
+    context ring.  A monomial factor is then a left shift by its key, F^i an
+    XOR of the shifts of F^(i-1) by the keys of F, and an AND with the box
+    of in-range keys truncates.  Each term of the pair sum (the module
+    docstring) goes into the bitset of its monomial mask, and one AND per
+    mask keeps the z-positive keys; masks whose bitset is then empty are
+    dropped.
     """
-    if not is_int(degree) or degree < 1:
-        raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
+    _check_mod2(degree, ctx)
     ring = ctx.ring
-    if any(v.torsion is not None and v.torsion % 2 for v in ring.variables):
-        raise ValueError("relations are read mod 2, which needs even torsion orders")
-    base = ring.coeff_ring
-    if not (
-        isinstance(base, IntegerRing) or isinstance(base, IntegerModRing) and base.modulus % 2 == 0
-    ):
-        raise RingMismatch(f"no reduction mod 2 from {base}")
     (t_var, z_var), z_offset = ring.variables, ring.layout.offsets[1]
     t_trunc, z_trunc = t_var.trunc, z_var.trunc
     t_row = (1 << t_trunc) - 1  # the keys of t^0..t^(T-1) at z^0
@@ -188,29 +190,23 @@ def _rows(ring: SeriesRing, bits_of, value) -> list:
     return [((key & t_field, key >> z_offset), vs) for key, vs in sorted(values_at.items())]
 
 
-def extract_relations(r: ChernSeries, ctx: PowerOpContext) -> list:
-    """Relations on the a_i, computed over Z[a1..aD] and reduced at the end.
+def extract_relations(degree: int, ctx: PowerOpContext) -> list:
+    """Relations on a1..aD, computed over Z[a1..aD] and reduced at the end.
 
-    The reference for :func:`boolean_relations`, independent of
-    :class:`BooleanRing`: the defect of the generic symbolic candidate over
-    its context (:func:`symbolic_twin`), then :func:`multilinear_mod2` of
-    each z-positive coefficient.  Returns the same rows in the same order,
-    (monomial exponents, multilinear F2 polynomial) pairs in
-    PolynomialRing(Z/2, names).
+    The reference for :func:`boolean_relations`, taking and refusing the
+    same arguments, independent of :class:`BooleanRing`: the defect of the
+    generic candidate in the context rebuilt over Z[a1..aD]
+    (:func:`symbolic_twin`), then :func:`multilinear_mod2` of each
+    z-positive coefficient.  The same rows in the same order, (monomial
+    exponents, multilinear F2 polynomial) pairs in PolynomialRing(Z/2).
     """
-    if not r.is_generic_symbolic:
-        raise ValueError("relation extraction needs the generic symbolic candidate")
-    if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
-        raise ValueError("relations are read mod 2, which needs even torsion orders")
-    rows = []
-    for exps, coef in delta(r, ctx).items():
-        if exps[1] and (reduced := multilinear_mod2(coef)):
-            rows.append((exps, reduced))
-    rows.sort(key=lambda row: (row[0][1], row[0][0]))
-    return rows
+    _check_mod2(degree, ctx)
+    defect = delta(*symbolic_twin(degree, ctx))
+    rows = [(e, mod2) for e, c in defect.items() if e[1] and (mod2 := multilinear_mod2(c))]
+    return sorted(rows, key=lambda row: (row[0][1], row[0][0]))
 
 
-def symbolic_twin(ctx: PowerOpContext, degree: int):
+def symbolic_twin(degree: int, ctx: PowerOpContext):
     """The generic candidate of this degree and the context rebuilt over Z[a1..aD]."""
     candidate = ChernSeries.symbolic(degree)
     poly_ring = candidate.coeff_ring
@@ -258,26 +254,32 @@ def _printed_rows(ring: SeriesRing, boolean: BooleanRing, bits_of) -> list:
 
 
 class ObstructionReport(Immutable):
-    """Search certificate: the relation table, as printed, plus a verdict.
+    """Search certificate: the relation table, as printed, plus a witness or the failures.
 
     ``relations``: the (z^j*t^i label, polynomial text) rows, in (z, t)
-    order, as :func:`symbolic_table` gives them; ``failing``: the failing
-    monomial of each prefix a1..a_w with a1 = 1, in candidate order, or
-    None when satisfiable; ``tail``: D - w.
+    order, as :func:`symbolic_table` gives them; ``tail``: D - w.  Exactly
+    one of ``witness`` (a candidate no relation fails) and ``failing`` (the
+    failing monomial of each prefix a1..a_w with a1 = 1, in candidate order)
+    is given, as a tuple, or ``ValueError``; it decides the :attr:`verdict`.
     """
 
-    __slots__ = fields = ("ring", "relations", "verdict", "witness", "failing", "tail")
+    __slots__ = fields = ("ring", "relations", "witness", "failing", "tail")
 
     def __init__(
         self,
         ring: SeriesRing,
         relations: tuple,
-        verdict: str,
         witness: Optional[tuple] = None,
         failing: Optional[tuple] = None,
         tail: int = 0,
     ):
-        super().__init__(ring, relations, verdict, witness, failing, tail)
+        if (witness is None) == (failing is None) or not isinstance(witness or failing, tuple):
+            raise ValueError("a report holds exactly one of a witness and the failures, as a tuple")
+        super().__init__(ring, relations, witness, failing, tail)
+
+    @property
+    def verdict(self) -> str:
+        return "satisfiable" if self.witness is not None else "unsatisfiable"
 
     @property
     def failures(self) -> Optional[tuple]:
@@ -415,7 +417,6 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     return ObstructionReport(
         ring=ring,
         relations=tuple(_printed_rows(ring, boolean, bits_of)),
-        verdict="satisfiable" if witness is not None else "unsatisfiable",
         witness=witness,
         failing=failing,
         tail=degree - width,

@@ -430,9 +430,10 @@ class Series:
         h = self.ring.one - self * u
         return h.power_sum(itertools.repeat(1)) * u
 
-    def map_coefficients(self, target_ring: SeriesRing, fn) -> "Series":
-        """Rebuild the series over ``target_ring``, mapping each coefficient."""
-        return Series(target_ring, {e: fn(c) for e, c in self.terms.items()})
+    def map_coefficients(self, coeff_ring: Ring, fn) -> "Series":
+        """The image series over ``coeff_ring``, the same variables, each coefficient mapped."""
+        target = SeriesRing(coeff_ring, self.ring.variables)
+        return Series(target, {e: fn(c) for e, c in self.terms.items()})
 
     def specialize(self, assignment: Mapping[str, int]) -> "Series":
         """Evaluate polynomial coefficients at integer points.

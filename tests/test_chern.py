@@ -56,10 +56,7 @@ def test_refusals(call, error, fragment):
 def test_symbolic_candidate():
     r = ChernSeries.symbolic(3)
     assert r.degree == 3
-    assert r.is_generic_symbolic
     assert r.coeffs[1] == r.coeff_ring.gen("a2")
-    numeric = ChernSeries([1, 0, 0])
-    assert not numeric.is_generic_symbolic
     with pytest.raises(UnitViolation):
         ring = PolynomialRing(Z, ("a1", "a2"))
         ChernSeries([ring.gen("a1") * ring.gen("a2"), ring.gen("a2")], ring)

@@ -5,6 +5,7 @@ import pytest
 from fglops import (
     IntegerModRing,
     IntegerRing,
+    FormalGroupLaw,
     PolynomialRing,
     PowerOpContext,
     RingMismatch,
@@ -84,9 +85,13 @@ def test_power_op_rejects_multivariate(default_context):
      "exactly two variables"),
     (lambda: PowerOpContext(standard_ring(Z), additive_law(IntegerModRing(4)), 2), RingMismatch,
      "share a coefficient ring"),
+    # a law's coefficient ring is its series' ring
+    (lambda: PowerOpContext(standard_ring(IntegerModRing(2)),
+                            FormalGroupLaw(additive_law(Z).series), 2),
+     RingMismatch, "share a coefficient ring"),
     (lambda: PowerOpContext(standard_ring(Z), additive_law(Z), IntegerModRing(4).one),
      RingMismatch, "transfer scalar"),
-], ids=["one-variable", "law-ring", "tau-ring"])
+], ids=["one-variable", "law-ring", "law-series-ring", "tau-ring"])
 def test_context_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()

@@ -13,7 +13,7 @@ import tokenize
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-DESCRIBED = {"boolean_relations(3, ctx)", "extract_relations(generic, sym_ctx)"}
+DESCRIBED = {"boolean_relations(3, ctx)", "extract_relations(3, ctx)"}
 
 
 def tour_block() -> str:

@@ -26,7 +26,6 @@ from fglops import (
     exhaustive_search,
     extract_relations,
     standard_context,
-    symbolic_twin,
 )
 from fglops.cli import _json_relations, main
 from fglops.obstruction import symbolic_table
@@ -42,10 +41,9 @@ def _power(name: str, e: int) -> str:
 
 def reference_rows(degree, ctx) -> list:
     """(label, polynomial text) of each relation, from the defect over Z[a1..aD]."""
-    sym, sym_ctx = symbolic_twin(ctx, degree)
     return [
         ("*".join(p for p in (_power("z", j), _power("t", i)) if p) or "1", str(poly))
-        for (i, j), poly in extract_relations(sym, sym_ctx)
+        for (i, j), poly in extract_relations(degree, ctx)
     ]
 
 

@@ -133,6 +133,18 @@ def test_failure_blocks_refuse_satisfiable_report():
         exhaustive_search(4, standard_context(Z, 5, 1)).failure_blocks()
 
 
+def test_report_holds_a_witness_or_failures():
+    # the verdict is read off whichever of the two a report holds
+    ring = standard_context(Z, 5, 3).ring
+    assert ObstructionReport(ring, (), witness=(1,)).verdict == "satisfiable"
+    failed = ObstructionReport(ring, (), failing=((1, 2),))
+    assert failed.verdict == "unsatisfiable"
+    assert failed.to_json()["failures"] == [{"candidate": [1], "monomial": "z^2*t"}]
+    for witness, failing in (((1,), ((1, 2),)), (None, None), ("satisfiable", None)):
+        with pytest.raises(ValueError, match="exactly one"):
+            ObstructionReport(ring, (), witness=witness, failing=failing)
+
+
 @pytest.mark.parametrize("rows", [1, 200, 300])
 def test_owners_reads_each_prefix_row(rows):
     # one deciding row, and hundreds, each owning scattered prefixes

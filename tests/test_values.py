@@ -20,13 +20,14 @@ from fglops import (
     ObstructionReport,
     PolynomialRing,
     PowerOpContext,
+    Ring,
     SeriesRing,
     SeriesVar,
     additive_law,
     exhaustive_search,
     standard_context,
 )
-from fglops.coefficients import coeff_ring_to_json
+from fglops.coefficients import Immutable, coeff_ring_to_json
 
 
 def _law(degree=3):
@@ -51,15 +52,31 @@ def _values():
         lambda: _ring(),
         lambda: _ring(4),
         lambda: _law(),
-        lambda: FormalGroupLaw(IntegerRing(), 3, _law().series),
+        lambda: FormalGroupLaw(_law().series),
         lambda: PowerOpContext(_ring(), _law(), 2),
-        lambda: ObstructionReport(_ring(), (), "satisfiable", witness=(1,)),
-        lambda: ObstructionReport(_ring(), (), "unsatisfiable", failing=()),
+        lambda: ObstructionReport(_ring(), (), witness=(1,)),
+        lambda: ObstructionReport(_ring(), (), failing=()),
         lambda: ChernSeries([1, 1]),
         lambda: ChernSeries([1, 1], IntegerModRing(3)),
         lambda: ChernSeries.symbolic(2),
         lambda: ChernSeries(BooleanRing(("a1", "a2")).gens()),
     ]
+
+
+def _value_classes():
+    """The package's value classes: every subclass of Immutable but Ring, walked recursively."""
+    found, todo = set(), [Immutable]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("fglops") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found - {Ring}
+
+
+def test_every_value_class_is_made():
+    # the tests below draw from _values(), so a new value class joins them
+    assert _value_classes() == {type(make()) for make in _values()}
 
 
 def test_equal_values_hash_alike_and_unequal_values_differ():
@@ -87,12 +104,12 @@ def test_keyword_construction_and_defaults():
     ring = _ring()
     assert PolynomialRing(base=IntegerRing(), names=["a"]).names == ("a",)
     assert SeriesRing(coeff_ring=IntegerRing(), variables=list(ring.variables)) == ring
-    law = FormalGroupLaw(coeff_ring=IntegerRing(), degree=3, series=_law().series)
-    assert law.name is None
+    law = FormalGroupLaw(series=_law().series)
+    assert law.name is None and law.coeff_ring == IntegerRing() and law.degree == 3
     ctx = PowerOpContext(ring=ring, law=_law(), tau=2)
     assert ctx.tau == 2 and ctx.tau.ring == IntegerRing()
-    report = ObstructionReport(ring=ring, relations=(), verdict="satisfiable")
-    assert report.witness is None and report.failures is None
+    report = ObstructionReport(ring=ring, relations=(), witness=(1,))
+    assert report.failing is None and report.failures is None
     with pytest.raises(TypeError):
         IntegerRing(2)
     with pytest.raises(TypeError):
@@ -140,8 +157,7 @@ def test_repr_text():
     )
     assert repr(_ring()) == ring_text
     law_text = (
-        "FormalGroupLaw(coeff_ring=IntegerRing(), degree=3, "
-        "series=Series(x + y over Z[[x,y]]/(x^3, y^3)), name='additive')"
+        "FormalGroupLaw(series=Series(x + y over Z[[x,y]]/(x^3, y^3)), name='additive')"
     )
     assert repr(_law()) == law_text
     assert repr(PowerOpContext(_ring(), _law(), 2)) == (
@@ -151,7 +167,7 @@ def test_repr_text():
     report = exhaustive_search(2, standard_context(IntegerRing(), 3, 2))
     assert repr(report) == (
         f"ObstructionReport(ring={ring_text}, relations=(('z*t^2', 'a1*a2+a1'),), "
-        "verdict='satisfiable', witness=(1, 1), failing=None, tail=0)"
+        "witness=(1, 1), failing=None, tail=0)"
     )
 
 
