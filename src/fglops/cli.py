@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import gc
 import itertools
-import json
 import os
 import sys
 import types
-from json.encoder import encode_basestring_ascii as _json_string
 
-from .chern import ChernSeries, computation_one
+from .chern import ChernSeries, coefficient_names, computation_one
 from .coefficients import IntegerRing, PolynomialRing, parse_int
 from .fgl import BUILTIN_DEGREE, BUILTIN_LAWS, ViolatedAxiom, builtin_law, validate_law
 from .obstruction import (
@@ -93,6 +91,8 @@ def _symbolic_products(degree: int, t_trunc: int, z_trunc: int) -> int:
 
 
 def _load_series(path: str):
+    import json  # here, not at the top: the obstruct requests never load it
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle, parse_int=parse_int)
@@ -129,11 +129,24 @@ def _load_law(name_or_path: str, degree, coeff_ring):
     return validate_law(law, degree=degree)
 
 
+def _plain(texts) -> bool:
+    """Whether ``json.dumps`` writes every text made of these texts' characters as it is.
+
+    It escapes '"', '\\' and every character outside printable ASCII, and
+    writes any other character unchanged.
+    """
+    chars = "".join(texts)
+    return chars.isascii() and chars.isprintable() and '"' not in chars and "\\" not in chars
+
+
 def _json_relations(rows) -> str:
-    """(label, polynomial) rows as list items in the layout of ``json.dumps(indent=2)``."""
+    """(label, polynomial) rows as list items in the layout of ``json.dumps(indent=2)``.
+
+    The texts are quoted as they are, which the caller has shown sound
+    with :func:`_plain`.
+    """
     return ",\n".join(
-        f'    {{\n      "monomial": {_json_string(label)},\n'
-        f'      "poly": {_json_string(poly)}\n    }}'
+        f'    {{\n      "monomial": "{label}",\n      "poly": "{poly}"\n    }}'
         for label, poly in rows
     )
 
@@ -144,7 +157,7 @@ def _json_relations(rows) -> str:
 _JSON_FAILURES = (
     '    {\n      "candidate": [\n        ',
     ",\n        ",
-    lambda label: f'\n      ],\n      "monomial": {_json_string(label)}\n    }}',
+    lambda label: f'\n      ],\n      "monomial": "{label}"\n    }}',
     ",\n",
 )
 _TEXT_FAILURES = ("  [", ",", lambda label: f"] fails at {label}\n", "")
@@ -174,23 +187,31 @@ def _failure_blocks(report, layout):
         yield head + (stop + between + head).join(tails) + stop
 
 
-def _emit_json(obj: dict, failures=None) -> None:
-    """Print ``json.dumps(obj, indent=2)`` for a non-empty dict ``obj``.
+def _emit_json(obj: dict) -> None:
+    """Print ``json.dumps(obj, indent=2)``: a series or a law check's result."""
+    import json  # here, not at the top: the obstruct requests never load it
 
-    With ``indent`` the encoder runs in pure Python, which is slow on the
-    rows of a relation table.  A non-empty list under "relations" holds
-    (label, polynomial) rows, written by :func:`_json_relations`; every
-    other value goes through ``json.dumps``.  ``failures``, if given, are
-    the blocks of a search report's failure rows (:func:`_failure_blocks`),
+    print(json.dumps(obj, indent=2))
+
+
+def _emit_obstruct(truncation: dict, rows, verdict=None, witness=None, failures=None) -> None:
+    """Print an ``obstruct`` document as ``json.dumps(obj, indent=2)`` would, without ``json``.
+
+    The keys are "verdict" (if given), "truncation", "relations" (the
+    (label, polynomial) rows, through :func:`_json_relations`), then
+    "witness", a list of ints, if given.  ``failures``, if given, are the
+    blocks of a search report's failure rows (:func:`_failure_blocks`),
     written one at a time as the list under a last key, "failures".
     """
-    pieces = []
-    for key, value in obj.items():
-        pieces += (",\n" if pieces else "{\n", f"  {_json_string(key)}: ")
-        if key == "relations" and value:
-            pieces += ("[\n", _json_relations(value), "\n  ]")
-        else:
-            pieces.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    pieces = ["{\n"]
+    if verdict is not None:
+        pieces.append(f'  "verdict": "{verdict}",\n')
+    pieces.append('  "truncation": {')
+    pieces.append(",".join(f'\n    "{key}": {n}' for key, n in truncation.items()))
+    pieces.append('\n  },\n  "relations": ')
+    pieces += ("[\n", _json_relations(rows), "\n  ]") if rows else ("[]",)
+    if witness is not None:
+        pieces.append(',\n  "witness": [\n    ' + ",\n    ".join(map(str, witness)) + "\n  ]")
     if failures is None:
         # written piece by piece: joining them would copy the whole document again
         print(*pieces, "\n}", sep="")
@@ -285,21 +306,25 @@ def cmd_obstruct(args) -> int:
         raise ValueError(f"search degree {args.degree} exceeds {_SEARCH_DEGREE_MAX} (2^(D-1) rows)")
     ctx = standard_context(IntegerRing(), args.t_trunc, args.z_trunc)
     truncation = {"z": args.z_trunc, "t": args.t_trunc}
+    # every label and polynomial text is made of the ring's names, the
+    # coefficient names, digits and "^*+": checked once, for the whole table
+    alphabet = [*ctx.ring.names(), *coefficient_names(args.degree), "0123456789^*+"]
+    if args.json and not _plain(alphabet):
+        raise ValueError("the relation texts would need JSON escapes")
     if args.symbolic:
         rows = symbolic_table(args.degree, ctx)
         if args.json:
-            _emit_json({"truncation": truncation, "relations": rows})
+            _emit_obstruct(truncation, rows)
         else:
             sys.stdout.writelines(f"{label}: {poly}\n" for label, poly in rows)
         return 0
     report = exhaustive_search(args.degree, ctx)
     if args.json:
-        obj = {"verdict": report.verdict, "truncation": truncation, "relations": report.relations}
         if report.witness is not None:
-            obj["witness"] = list(report.witness)
-            _emit_json(obj)
+            _emit_obstruct(truncation, report.relations, report.verdict, report.witness)
         else:
-            _emit_json(obj, _failure_blocks(report, _JSON_FAILURES))
+            _emit_obstruct(truncation, report.relations, report.verdict,
+                           failures=_failure_blocks(report, _JSON_FAILURES))
     elif report.witness is not None:
         print(f"SATISFIABLE: witness [{','.join(map(str, report.witness))}]")
     else:

@@ -544,8 +544,8 @@ class BooleanRing(Ring):
 
     Values print straight from their masks, in the order and text of
     PolynomialRing(Z/2, names): :meth:`order_key` sorts the masks and
-    :meth:`mask_text` writes each one, for a value here and for a whole
-    relation table alike.
+    :meth:`mask_text` writes each one.  The engine's relation table is
+    built in that order, and its tests hold it to :meth:`order_key`.
     """
 
     __slots__ = fields = ("names",)

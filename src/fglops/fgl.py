@@ -39,11 +39,24 @@ def _check(axiom: str, diff: Series, decided=lambda exps: True) -> None:
 
 
 class FormalGroupLaw(Immutable):
-    """A formal group law F(x, y), built in or validated; its ring and degree are those of F."""
+    """A formal group law F(x, y), built in or validated; its ring and degree are those of F.
+
+    F is a series in two torsion-free variables with one truncation degree,
+    or ``ValueError``: the degree is read off x alone, and :meth:`n_series`
+    works in a torsion-free ring of its own.
+    """
 
     __slots__ = fields = ("series", "name")
 
     def __init__(self, series: Series, name: Optional[str] = None):
+        variables = series.ring.variables
+        if len(variables) != 2:
+            raise ValueError("a formal group law is a series in exactly two variables")
+        vx, vy = variables
+        if vx.trunc != vy.trunc:
+            raise ValueError("both law variables must share one truncation degree")
+        if vx.torsion is not None or vy.torsion is not None:
+            raise ValueError("law variables must be torsion-free")
         super().__init__(series, name)
 
     @property
@@ -103,18 +116,14 @@ def validate_law(
 ) -> FormalGroupLaw:
     """Check the law axioms, returning the validated law or raising ViolatedAxiom.
 
+    A series :class:`FormalGroupLaw` refuses raises ``ValueError`` first.
     With ``degree`` the law is first truncated to that degree, which must
     not exceed the series' own truncation; the axioms are then checked to
     that degree only.
     """
+    law = FormalGroupLaw(F, name)
     ring = F.ring
-    if ring.nvars != 2:
-        raise ValueError("a formal group law is a series in exactly two variables")
     vx, vy = ring.variables
-    if vx.trunc != vy.trunc:
-        raise ValueError("both law variables must share one truncation degree")
-    if vx.torsion is not None or vy.torsion is not None:
-        raise ValueError("law variables must be torsion-free")
     if degree is not None and degree != vx.trunc:
         if degree > vx.trunc:
             raise ValueError(
@@ -123,6 +132,7 @@ def validate_law(
         vx, vy = SeriesVar(vx.name, degree), SeriesVar(vy.name, degree)
         F = F.in_ring(SeriesRing(ring.coeff_ring, (vx, vy)))
         ring = F.ring
+        law = FormalGroupLaw(F, name)
     degree = vx.trunc
 
     for kept, dropped in ((vx, vy), (vy, vx)):
@@ -147,7 +157,7 @@ def validate_law(
     right = F.substitute({vx.name: tx, vy.name: inner_yw}, target=tri)
     _check("assoc", left - right, lambda e: e[0] + e[1] < degree and e[1] + e[2] < degree)
 
-    return FormalGroupLaw(F, name)
+    return law
 
 
 def additive_law(coeff_ring: Ring, degree: int = BUILTIN_DEGREE) -> FormalGroupLaw:

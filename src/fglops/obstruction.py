@@ -26,15 +26,17 @@ i < j, of which only k >= 1 is z-positive.  Each a_i*a_k is a monomial mask
 of B_D and each series beside it a product of powers of F, t and z with
 coefficients in F2, so :func:`_relation_masks` computes the table from the
 powers of F mod 2 alone, each one int with a bit per odd coefficient at
-its packed key, one bitset of row keys per monomial mask; the integer
-polynomials and the B_D series never form.  That table is the one form the
-CLI reads.  One printer (:func:`_printed_rows`) turns it into
-(z^j*t^i label, polynomial text) rows in one pass over its distinct masks,
-in B_D print order: :func:`symbolic_table` returns those rows, and the
-search report keeps them.  :func:`boolean_relations` gives the table as
-rows of B_D values for library callers.  :func:`extract_relations`, with
-the same arguments and refusals, is the independent reference: the defect
-over Z[a1..aD] (:func:`symbolic_twin`) reduced at the end by
+its row key j*m + i for z^j*t^i, one bitset of row keys per monomial mask;
+the integer polynomials and the B_D series never form.  That table is the
+one form the CLI reads, and it is built in B_D print order
+(:meth:`BooleanRing.order_key`), so nothing sorts it.  One printer
+(:func:`_printed_rows`) turns it into (z^j*t^i label, polynomial text)
+rows in one pass over its masks, each mask's text made once from its
+indices: :func:`symbolic_table` returns those rows, and the search report
+keeps them.  :func:`boolean_relations` gives the table as rows of B_D
+values for library callers.  :func:`extract_relations`, with the same
+arguments and refusals, is the independent reference: the defect over
+Z[a1..aD] (:func:`symbolic_twin`) reduced at the end by
 :func:`multilinear_mod2`, the same rows as PolynomialRing(Z/2) values.
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
@@ -111,9 +113,9 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     ordered by (z-degree, t-degree): the rows of :func:`_relation_masks`,
     read by :func:`_rows`.
     """
-    boolean, bits_of = _relation_masks(degree, ctx)
-    wrap = boolean.wrap
-    return [(exps, wrap(frozenset(masks))) for exps, masks in _rows(ctx.ring, bits_of, lambda m: m)]
+    boolean, table = _relation_masks(degree, ctx)
+    masks = [sum(1 << (i - 1) for i in idx) for idx, _ in table]
+    return [(exps, boolean.wrap(frozenset(ms))) for exps, ms in _rows(ctx.ring, table, masks)]
 
 
 def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
@@ -128,66 +130,110 @@ def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
 
 
 def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
-    """(B_D, the relation table mask-major: {monomial mask: bitset of packed keys}).
+    """(B_D, the relation table: (indices, bitset of row keys) pairs, in print order).
 
-    A context :func:`_check_mod2` refuses raises.  A series mod 2 is one int,
-    with bit ``key`` set for each odd coefficient at that packed key of the
-    context ring.  A monomial factor is then a left shift by its key, F^i an
-    XOR of the shifts of F^(i-1) by the keys of F, and an AND with the box
-    of in-range keys truncates.  Each term of the pair sum (the module
-    docstring) goes into the bitset of its monomial mask, and one AND per
-    mask keeps the z-positive keys; masks whose bitset is then empty are
-    dropped.
+    A context :func:`_check_mod2` refuses raises.  A series mod 2 is one int
+    with bit j*T + i set when its z^j*t^i coefficient is odd, T being the t
+    truncation, so key order is (z, t) order.  A monomial factor z^b*t^a is
+    a left shift by b*T + a of the keys whose t exponent stays below T - a
+    (``cols[a]``), F^i an XOR of such shifts of F^(i-1), one per odd term
+    of F, and an AND with the box of in-range keys truncates.
+
+    An entry's indices are those of its monomial mask, ascending, with
+    a_0 = 1 left out: (i, k) for a_i*a_k.  Its bitset is the z-positive part
+    of the terms of the pair sum (the module docstring) at that mask: for
+    i < k both ordered pairs, F^i*t^k + P^i*z^k + F^k*t^i + P^k*z^i; for a
+    single a_k the pairs (0, k), (k, 0) and (k, k), which leave
+    z^k + F^k + P^k*z^k there, since t^k has no z-positive part and
+    P^k = t^k*F^k comes twice.  The transfer terms of odd tau go in by
+    mask.  Masks whose bitset is empty are left out, and mask 0 always is:
+    its terms are 1 + 1.
+
+    The entries come in :meth:`BooleanRing.order_key` order, with no sort:
+    popcount descending, then exponent vector ascending, which for one
+    popcount is the index tuple descending.  So the transfer terms' masks
+    of three indices come first (odd tau only), then the pairs by i
+    descending, then k descending, then the singles by k descending.
     """
     _check_mod2(degree, ctx)
     ring = ctx.ring
-    (t_var, z_var), z_offset = ring.variables, ring.layout.offsets[1]
-    t_trunc, z_trunc = t_var.trunc, z_var.trunc
+    t_trunc, z_trunc = (v.trunc for v in ring.variables)
     t_row = (1 << t_trunc) - 1  # the keys of t^0..t^(T-1) at z^0
-    box = sum(t_row << (j << z_offset) for j in range(z_trunc))
-    law_keys = [key for key, c in ctx.tensor_root.packed_terms.items() if c % 2]
-    powers = [1]  # F^0..F^D mod 2, up to the first zero one
+    box = (1 << t_trunc * z_trunc) - 1
+    z_positive = box ^ t_row
+    cols = [box // t_row * (t_row >> a) for a in range(t_trunc)]
+    z_keys = [b * t_trunc for b in range(z_trunc)]
+    unpack = ring.layout.unpack
+    law = [unpack(key) for key, c in ctx.tensor_root.packed_terms.items() if c % 2]
+    powers = [1]  # F^0..F^D mod 2; after the first zero one, all are zero
     while len(powers) <= degree and powers[-1]:
         f = powers[-1]
-        powers.append(functools.reduce(operator.xor, [f << key for key in law_keys], 0) & box)
-    mask = [(1 << i) >> 1 for i in range(degree + 1)]  # a_i is bit i - 1; a_0 = 1, no bit
-    table = collections.defaultdict(int)
-    for i, f in enumerate(powers):
-        # P^i = t^i*F^i is zero for i >= T, where the shift could carry into z
-        p = f << i if i < t_trunc else 0
-        for k in range(min(degree + 1, max(t_trunc, z_trunc))):
-            # a t shift by k < T stays in its z row: the t field has a spare top bit
-            v = f << k if k < t_trunc else 0
-            if k < z_trunc:
-                v ^= p << (k << z_offset)
-            table[mask[i] | mask[k]] ^= v
+        shifts = [(f & cols[a]) << a + z_keys[b] for a, b in law]
+        powers.append(functools.reduce(operator.xor, shifts, 0) & box)
+    powers += [0] * (degree + 1 - len(powers))
+    # P^i = t^i*F^i, zero for i >= T
+    lifts = [(f & cols[i]) << i if i < t_trunc else 0 for i, f in enumerate(powers)]
+    transfer = collections.defaultdict(int)  # the odd-tau terms, by mask indices
     if ctx.tau.value % 2:
         for j in range(1, min(degree + 1, t_trunc)):
             for i in range(min(j, t_trunc - j)):
                 for k in range(1, min(degree + 1, z_trunc)):
-                    table[mask[i] | mask[j] | mask[k]] ^= 1 << (i + j + (k << z_offset))
-    z_positive = box ^ t_row
-    bits_of = {m: bits for m, v in table.items() if (bits := v & z_positive)}
-    return BooleanRing(coefficient_names(degree)), bits_of
+                    transfer[tuple(sorted({i, j, k} - {0}))] ^= 1 << (i + j + z_keys[k])
+    table = [(idx, transfer[idx]) for idx in sorted(transfer, reverse=True) if len(idx) == 3]
+    for i in range(degree - 1, 0, -1):
+        f_i, p_i = powers[i], lifts[i]
+        for k in range(degree, i, -1):
+            v = (powers[k] & cols[i]) << i if i < t_trunc else 0
+            if k < t_trunc:
+                v ^= (f_i & cols[k]) << k
+            if k < z_trunc:
+                v ^= p_i << z_keys[k]
+            if i < z_trunc:
+                v ^= lifts[k] << z_keys[i]
+            if transfer:
+                v ^= transfer[(i, k)]
+            if v := v & z_positive:
+                table.append(((i, k), v))
+    for k in range(degree, 0, -1):
+        v = powers[k]
+        if k < z_trunc:
+            v ^= (lifts[k] ^ 1) << z_keys[k]
+        if transfer:
+            v ^= transfer[(k,)]
+        if v := v & z_positive:
+            table.append(((k,), v))
+    return BooleanRing(coefficient_names(degree)), table
 
 
-def _rows(ring: SeriesRing, bits_of, value) -> list:
-    """The rows of a mask-major table, as ((i, j), values) for z^j*t^i in (z, t) order.
+def _values_by_key(ring: SeriesRing, table, values) -> list:
+    """The values of a relation table's rows, as a list indexed by row key.
 
-    ``bits_of`` maps monomial masks to bitsets of packed keys of ``ring``.
-    ``value`` is called once per mask, in ``bits_of`` order, and a row's
-    values are those of its masks, in that order.
+    ``table`` holds (indices, bitset of row keys) pairs, keyed as in
+    :func:`_relation_masks`, and ``values`` one value per pair.  The list
+    at a key holds the values of the masks whose bitset has that key, in
+    table order.  Each bitset's keys are read top bit first, clearing each
+    with a power of two made once per table, not once per key.
     """
-    values_at = collections.defaultdict(list)
-    for m, bits in bits_of.items():
-        v = value(m)
-        while bits:  # top bit first
-            key = bits.bit_length() - 1
-            bits ^= 1 << key
-            values_at[key].append(v)
-    # z is the high key field, so key order is (z-degree, t-degree) order
-    t_field, z_offset = ring.layout.masks[0], ring.layout.offsets[1]
-    return [((key & t_field, key >> z_offset), vs) for key, vs in sorted(values_at.items())]
+    t_var, z_var = ring.variables
+    size = t_var.trunc * z_var.trunc
+    tops = [0] + [1 << key for key in range(size)]  # tops[n]: the top bit of an n-bit int
+    values_at = [[] for _ in range(size + 1)]
+    for (_, bits), v in zip(table, values):
+        while bits:
+            bits ^= tops[n := bits.bit_length()]
+            values_at[n].append(v)
+    return values_at[1:]  # the top bit of an n-bit int has key n - 1
+
+
+def _rows(ring: SeriesRing, table, values) -> list:
+    """The rows of a relation table, as ((i, j), values) for z^j*t^i in (z, t) order.
+
+    ``values`` holds one value per table entry; a row's values are those of
+    its masks, in table order (:func:`_values_by_key`).
+    """
+    t_trunc = ring.variables[0].trunc
+    values_at = _values_by_key(ring, table, values)
+    return [(divmod(key, t_trunc)[::-1], vs) for key, vs in enumerate(values_at) if vs]
 
 
 def extract_relations(degree: int, ctx: PowerOpContext) -> list:
@@ -214,16 +260,17 @@ def symbolic_twin(degree: int, ctx: PowerOpContext):
 
 
 def _monomial_labels(ring: SeriesRing) -> list:
-    """labels[j][i]: the z^j*t^i text of exponents (i, j) of ``ring``; "1" for (0, 0).
+    """The z^j*t^i text of each exponent pair (i, j) of ``ring``; "1" for (0, 0).
 
-    Each z and t part is made once.
+    The text of (i, j) is at index j*T + i, T the t truncation: the labels
+    of the relation table's row keys.  Each z and t part is made once.
     """
     t_var, z_var = ring.variables
     t_parts = [monomial_text((t_var.name,), (i,)) for i in range(t_var.trunc)]
-    labels = [[part or "1" for part in t_parts]]
+    labels = [part or "1" for part in t_parts]
     for j in range(1, z_var.trunc):
         z_part = monomial_text((z_var.name,), (j,))
-        labels.append([z_part] + [f"{z_part}*{part}" for part in t_parts[1:]])
+        labels += [z_part] + [f"{z_part}*{part}" for part in t_parts[1:]]
     return labels
 
 
@@ -238,19 +285,19 @@ def symbolic_table(degree: int, ctx: PowerOpContext) -> list:
     return _printed_rows(ctx.ring, *_relation_masks(degree, ctx))
 
 
-def _printed_rows(ring: SeriesRing, boolean: BooleanRing, bits_of) -> list:
-    """The rows of a mask-major table as (z^j*t^i label, polynomial text), in (z, t) order.
+def _printed_rows(ring: SeriesRing, boolean: BooleanRing, table) -> list:
+    """The rows of a relation table as (z^j*t^i label, polynomial text), in (z, t) order.
 
-    ``bits_of`` maps monomial masks of ``boolean`` to bitsets of packed keys
-    of ``ring``.  The distinct masks are walked once (:func:`_rows`), in
-    :meth:`BooleanRing.order_key` order, each mask's text made once; then
-    each row is labelled.
+    ``table`` is :func:`_relation_masks`' list, already in print order, so
+    each mask's text is made once, straight from its indices, and the texts
+    gathered at each row key (:func:`_values_by_key`) are joined and
+    labelled.
     """
-    ordered = {m: bits_of[m] for m in sorted(bits_of, key=boolean.order_key)}
+    names = ("1", *boolean.names)  # a_0 = 1 is never an index
+    texts = ["*".join([names[i] for i in idx]) for idx, _ in table]
     labels = _monomial_labels(ring)
-    return [
-        (labels[j][i], "+".join(texts)) for (i, j), texts in _rows(ring, ordered, boolean.mask_text)
-    ]
+    values_at = _values_by_key(ring, table, texts)
+    return [(labels[key], "+".join(vs)) for key, vs in enumerate(values_at) if vs]
 
 
 class ObstructionReport(Immutable):
@@ -325,8 +372,8 @@ class ObstructionReport(Immutable):
 
     def _labels(self, monomials) -> dict:
         """The z^j*t^i label of each of these monomial exponents."""
-        labels = _monomial_labels(self.ring)
-        return {(i, j): labels[j][i] for i, j in monomials}
+        labels, t_trunc = _monomial_labels(self.ring), self.ring.variables[0].trunc
+        return {(i, j): labels[j * t_trunc + i] for i, j in monomials}
 
 
 def _owners(deciding: list, size: int) -> list:
@@ -384,8 +431,8 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     if {e: c for e, c in ctx.tensor_root.terms.items() if not e[1]} != ctx.t.terms:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
-    boolean, bits_of = _relation_masks(degree, ctx)
-    width = max([1] + [m.bit_length() for m in bits_of])
+    boolean, table = _relation_masks(degree, ctx)
+    width = max([1] + [idx[-1] for idx, _ in table])
     size = 1 << (width - 1)
     undecided = everything = (1 << size) - 1
     # a_k is bit w - k of the prefix index: runs of 2^(w-k) zeros, then ones
@@ -394,12 +441,10 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
         run = 1 << (width - k)
         tables.append(everything // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
 
-    def truth_table(m):  # the AND of the tables of the mask's coefficients
-        factors = [table for i, table in enumerate(tables) if m >> i & 1]
-        return functools.reduce(operator.and_, factors, everything)
-
+    # a mask's truth table is the AND of the tables of its coefficients
+    truths = [functools.reduce(operator.and_, [tables[i - 1] for i in idx]) for idx, _ in table]
     deciding = []  # (exponents, the prefixes at which that row is the first 1)
-    for exps, row_tables in _rows(ring, bits_of, truth_table):
+    for exps, row_tables in _rows(ring, table, truths):
         fresh = functools.reduce(operator.xor, row_tables) & undecided
         if fresh:
             deciding.append((exps, fresh))
@@ -416,7 +461,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     return ObstructionReport(
         ring=ring,
-        relations=tuple(_printed_rows(ring, boolean, bits_of)),
+        relations=tuple(_printed_rows(ring, boolean, table)),
         witness=witness,
         failing=failing,
         tail=degree - width,

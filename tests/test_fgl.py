@@ -4,6 +4,7 @@ import random
 import pytest
 
 from fglops import (
+    FormalGroupLaw,
     IntegerModRing,
     IntegerRing,
     PolynomialRing,
@@ -209,3 +210,29 @@ def test_law_ring_shape_checks():
     torsion = SeriesRing(Z, (SeriesVar("x", 20), SeriesVar("y", 20, 2)))
     with pytest.raises(ValueError):
         validate_law(torsion.gen("x") + torsion.gen("y"))
+
+
+@pytest.mark.parametrize("variables, message", [
+    ((SeriesVar("x", 6), SeriesVar("y", 3)), "share one truncation"),
+    ((SeriesVar("x", 6), SeriesVar("y", 6, 2)), "torsion-free"),
+    ((SeriesVar("x", 6, 4), SeriesVar("y", 6)), "torsion-free"),
+    ((SeriesVar("x", 6), SeriesVar("y", 6), SeriesVar("w", 6)), "exactly two variables"),
+], ids=["unequal-truncations", "y-torsion", "x-torsion", "three-variables"])
+def test_law_constructor_refuses_bad_rings(variables, message):
+    # a law built directly, not through validate_law, is held to the same
+    # shape: over Z[[x,y]]/(x^6, y^3) the Lorentz law would report degree 6
+    # and give [2](x) = 2x - 2x^3 + x^5, where the truth is 2x - 2x^3 + 2x^5
+    ring = SeriesRing(Z, variables)
+    terms = {exps + (0,) * (len(variables) - 2): c for exps, c in lorentz_terms(6).items()}
+    series = ring.from_terms({e: c for e, c in terms.items()
+                              if all(x < v.trunc for x, v in zip(e, variables))})
+    with pytest.raises(ValueError, match=message):
+        FormalGroupLaw(series)
+    with pytest.raises(ValueError, match=message):
+        validate_law(series)
+
+
+def test_lorentz_two_series_at_one_truncation():
+    law = FormalGroupLaw(_law_ring(6).from_terms(lorentz_terms(6)))
+    x = law.n_series(2).ring.gen("x")
+    assert law.n_series(2) == 2 * x - 2 * x**3 + 2 * x**5

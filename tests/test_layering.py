@@ -26,6 +26,11 @@ Only ``cli.py`` imports ``gc``: the garbage collector's policy belongs to
 the entry point that owns the process, and a library call changes no
 process state.
 
+No module imports ``json`` when it is imported, only inside the functions
+that read a file or print a series or a law check: every request pays for
+the package's imports, and the ``obstruct`` requests write their JSON
+without it.
+
 Only ``cli.py`` calls ``validate_law``, which ``fgl.py`` defines: a law is
 proved where it enters, as input or in ``fgl check``, and the built-in laws
 are constants that the engine never proves again.
@@ -173,16 +178,36 @@ def test_checker_flags_dead_private_names():
     ]
 
 
-def module_imports(source: str, module: str) -> list:
-    """The lines that import ``module`` or a name from it."""
+def _import_lines(nodes, module: str) -> list:
+    """The lines of those of ``nodes`` that import ``module`` or a name from it."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             found += [node.lineno for a in node.names if a.name.split(".")[0] == module]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             if node.module.split(".")[0] == module:
                 found.append(node.lineno)
     return found
+
+
+def module_imports(source: str, module: str) -> list:
+    """The lines that import ``module`` or a name from it."""
+    return _import_lines(ast.walk(ast.parse(source)), module)
+
+
+def import_time_imports(source: str, module: str) -> list:
+    """The lines that import ``module`` or a name from it when the source is imported.
+
+    That is every such line outside a function body; a class body runs at
+    import too.
+    """
+    nodes, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes.append(node)
+            todo += ast.iter_child_nodes(node)
+    return sorted(_import_lines(nodes, module))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -200,6 +225,28 @@ def test_checker_flags_gc_imports():
     )
     assert module_imports(source, "gc") == [1, 2, 6]
     assert module_imports("import os\n", "gc") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_json_when_imported(path):
+    assert import_time_imports(path.read_text(encoding="utf-8"), "json") == []
+
+
+def test_checker_flags_json_imports_at_import_time():
+    source = (
+        "import os, json as js\n"
+        "from json.encoder import encode_basestring_ascii\n"
+        "try:\n    import json\nexcept ImportError:\n    pass\n"
+        "class C:\n    from json import dumps\n"
+        "    def m(self):\n        import json\n"
+        "def f():\n    import json\n    return json\n"
+        "async def g():\n    from json import loads\n"
+        "from .json import helper\n"
+        "import jsonschema\n"
+    )
+    assert import_time_imports(source, "json") == [1, 2, 4, 8]
+    assert sorted(module_imports(source, "json")) == [1, 2, 4, 8, 10, 12, 15]
+    assert import_time_imports("import os\n", "json") == []
 
 
 def calls_of(source: str, name: str) -> list:

@@ -269,6 +269,35 @@ def test_sliced_rows_match_delta_at_bench_points(t_max, z_max, degree):
     assert len(rows) > 100
 
 
+def _assert_print_order(degree, ctx):
+    """The table :func:`_relation_masks` gives iterates in ``BooleanRing.order_key`` order."""
+    boolean, table = _relation_masks(degree, ctx)
+    for idx, bits in table:
+        assert bits and 0 < idx[0] and list(idx) == sorted(set(idx)) and idx[-1] <= degree, idx
+    masks = [sum(1 << (i - 1) for i in idx) for idx, _ in table]
+    keys = [boolean.order_key(m) for m in masks]
+    assert keys == sorted(set(keys))  # ascending, so each mask once
+    # the printer writes a mask's text from its indices
+    names = coefficient_names(degree)
+    assert ["*".join(names[i - 1] for i in idx) for idx, _ in table] == [
+        boolean.mask_text(m) for m in masks
+    ]
+
+
+@pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
+def test_relation_table_comes_in_print_order(law, tau, torsion):
+    # the table is built in one pass with no sort; the printer takes its
+    # order as print order, so it is held here to the order's definition.
+    # Odd tau puts masks of three indices first.
+    for _, _, degree, ctx in slice_grid(law, tau, torsion):
+        _assert_print_order(degree, ctx)
+
+
+@pytest.mark.parametrize("t_max, z_max, degree", BENCH_POINTS)
+def test_relation_table_comes_in_print_order_at_bench_points(t_max, z_max, degree):
+    _assert_print_order(degree, standard_context(Z, t_max, z_max))
+
+
 def _refused_contexts(default_context) -> list:
     """(context, error type, message) for each context the relation table refuses."""
     z3 = IntegerModRing(3)

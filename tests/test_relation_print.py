@@ -27,7 +27,8 @@ from fglops import (
     extract_relations,
     standard_context,
 )
-from fglops.cli import _json_relations, main
+from fglops.chern import coefficient_names
+from fglops.cli import _json_relations, _plain, main
 from fglops.obstruction import symbolic_table
 from test_obstruction import law_tau_torsion, slice_grid
 
@@ -65,6 +66,17 @@ def _cli_rows(capsys, t, z, degree) -> tuple:
     text_rows = [tuple(line.split(": ")) for line in text.splitlines()]
     assert text == "".join(f"{label}: {poly}\n" for label, poly in text_rows)
     return json_rows, text_rows
+
+
+def test_plain_texts_are_what_json_dumps_leaves_alone():
+    # the CLI quotes row texts as they are once _plain has passed their
+    # characters: json.dumps escapes '"', '\\' and every character outside
+    # printable ASCII, and _plain refuses exactly those
+    for code in range(0x800):
+        char = chr(code)
+        assert _plain([char]) == (json.dumps(char) == f'"{char}"'), repr(char)
+    assert _plain(["t", "z", *coefficient_names(64), "0123456789^*+"])
+    assert not _plain(["a1", 'a"2']) and not _plain(["t", "z\n"])
 
 
 @pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
