@@ -146,13 +146,13 @@ def computation_one(
     """The class r(t +_F z) * r(t) / r(z) in a two-variable quotient ring.
 
     The first ring variable is the line coordinate t, the second the
-    torsion coordinate z; the law defaults to additive, making the tensor
-    root t + z.
+    torsion coordinate z; the law defaults to additive, built to the
+    larger of their truncations, making the tensor root t + z.
     """
     if ring.nvars < 2:
         raise ValueError("computation_one needs a ring with two variables")
     if law is None:
-        law = additive_law(ring.coeff_ring)
+        law = additive_law(ring.coeff_ring, max(v.trunc for v in ring.variables[:2]))
     t = ring.gen(ring.variables[0].name)
     z = ring.gen(ring.variables[1].name)
     tensor_root = law.formal_sum(t, z)

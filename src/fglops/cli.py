@@ -267,7 +267,6 @@ def cmd_powerop(args) -> int:
         raise ValueError("power operation input must be univariate")
     pos = next(iter(positions)) if positions else 0
     lifted = ring.from_terms({(exps[pos], 0): c for exps, c in f.terms.items()})
-    # F(t, z) reads the law's terms x^i y^j with i < t-trunc and j < z-trunc
     law = _load_law(args.fgl, max(args.t_trunc, args.z_trunc), ring.coeff_ring)
     ctx = PowerOpContext(ring, law, args.tau)
     _print_series(ctx.power_op(lifted), args.json)
@@ -423,15 +422,19 @@ def _print_help(text: str) -> int:
     return 0
 
 
+def _is_option(token: str) -> bool:  # "-", "-3" and "-1,0" are values
+    return token[:1] == "-" and token != "-" and not token[1:2].isdecimal()
+
+
 def parse(parser: dict, argv: list):
     """(handler, args) for ``argv``; (a printer, the help text) when it asks for help.
 
     The grammar is argparse's: ``--flag value`` or ``--flag=value``; a
     unique prefix names an option, and an exact name wins over a prefix; a
-    valued option takes the next token as it is; ``-`` and ``-`` followed
-    by a digit are positionals; ``--`` ends the options; a repeated option
-    keeps its last value.  Every refusal is a :class:`ValueError` naming
-    the command and the token.
+    token that starts with ``-`` is an option unless it is ``-`` or ``-``
+    and a digit, and a valued option takes the next token if it is no
+    option; ``--`` ends the options; a repeated option keeps its last value.
+    Every refusal is a :class:`ValueError` naming the command and the token.
     """
     words = ()
     while words not in parser:
@@ -452,7 +455,7 @@ def parse(parser: dict, argv: list):
     ended = False
     rest = iter(argv[len(words):])
     for token in rest:
-        if ended or token[:1] != "-" or token == "-" or token[1:2].isdecimal():
+        if ended or not _is_option(token):
             given.append(token)
             continue
         if token == "--":
@@ -476,7 +479,7 @@ def parse(parser: dict, argv: list):
             continue
         if not eq:
             value = next(rest, None)
-            if value is None:
+            if value is None or _is_option(value):
                 raise ValueError(f"{name}: {flag} needs a value")
         try:
             values[_dest(flag)] = convert(value)

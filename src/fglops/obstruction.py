@@ -27,17 +27,18 @@ of B_D and each series beside it a product of powers of F, t and z with
 coefficients in F2, so :func:`_relation_masks` computes the table from the
 powers of F mod 2 alone, each one int with a bit per odd coefficient at
 its row key j*m + i for z^j*t^i, one bitset of row keys per monomial mask;
-the integer polynomials and the B_D series never form.  That table is the
-one form the CLI reads, and it is built in B_D print order
-(:meth:`BooleanRing.order_key`), so nothing sorts it.  One printer
-(:func:`_printed_rows`) turns it into (z^j*t^i label, polynomial text)
-rows in one pass over its masks, each mask's text made once from its
-indices: :func:`symbolic_table` returns those rows, and the search report
-keeps them.  :func:`boolean_relations` gives the table as rows of B_D
-values for library callers.  :func:`extract_relations`, with the same
-arguments and refusals, is the independent reference: the defect over
-Z[a1..aD] (:func:`symbolic_twin`) reduced at the end by
-:func:`multilinear_mod2`, the same rows as PolynomialRing(Z/2) values.
+F mod 2 is read off the law's terms, and F(t, z), the integer polynomials
+and the B_D series never form.  That table is the one form the CLI reads,
+and it is built in B_D print order (:meth:`BooleanRing.order_key`), so
+nothing sorts it.  One printer (:func:`_printed_rows`) turns it into
+(z^j*t^i label, polynomial text) rows in one pass over its masks, each
+mask's text made once from its indices: :func:`symbolic_table` returns
+those rows, and the search report keeps them.  :func:`boolean_relations`
+gives the table as rows of B_D values for library callers.
+:func:`extract_relations`, with the same arguments and refusals, is the
+independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
+reduced at the end by :func:`multilinear_mod2`, the same rows as
+PolynomialRing(Z/2) values.
 
 Search.  With tau = 2 the z^0 part of every defect is zero, and with z
 torsion 2 every z-positive coefficient is its image mod 2, so the verdict
@@ -59,7 +60,6 @@ list only when it is read.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import operator
@@ -113,9 +113,10 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
     ordered by (z-degree, t-degree): the rows of :func:`_relation_masks`,
     read by :func:`_rows`.
     """
-    boolean, table = _relation_masks(degree, ctx)
+    table = _relation_masks(degree, ctx)
+    wrap = BooleanRing(coefficient_names(degree)).wrap
     masks = [sum(1 << (i - 1) for i in idx) for idx, _ in table]
-    return [(exps, boolean.wrap(frozenset(ms))) for exps, ms in _rows(ctx.ring, table, masks)]
+    return [(exps, wrap(frozenset(ms))) for exps, ms in _rows(ctx.ring, table, masks)]
 
 
 def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
@@ -129,15 +130,15 @@ def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
         raise RingMismatch(f"no reduction mod 2 from {cr}")
 
 
-def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
-    """(B_D, the relation table: (indices, bitset of row keys) pairs, in print order).
+def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
+    """The relation table: (indices, bitset of row keys) pairs, in print order.
 
     A context :func:`_check_mod2` refuses raises.  A series mod 2 is one int
     with bit j*T + i set when its z^j*t^i coefficient is odd, T being the t
     truncation, so key order is (z, t) order.  A monomial factor z^b*t^a is
     a left shift by b*T + a of the keys whose t exponent stays below T - a
     (``cols[a]``), F^i an XOR of such shifts of F^(i-1), one per odd term
-    of F, and an AND with the box of in-range keys truncates.
+    x^a*y^b of the law inside the box, and an AND with the box truncates.
 
     An entry's indices are those of its monomial mask, ascending, with
     a_0 = 1 left out: (i, k) for a_i*a_k.  Its bitset is the z-positive part
@@ -145,9 +146,12 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     i < k both ordered pairs, F^i*t^k + P^i*z^k + F^k*t^i + P^k*z^i; for a
     single a_k the pairs (0, k), (k, 0) and (k, k), which leave
     z^k + F^k + P^k*z^k there, since t^k has no z-positive part and
-    P^k = t^k*F^k comes twice.  The transfer terms of odd tau go in by
-    mask.  Masks whose bitset is empty are left out, and mask 0 always is:
-    its terms are 1 + 1.
+    P^k = t^k*F^k comes twice.  With odd tau the transfer terms go in by
+    mask, those inside the box, all distinct monomials: a mask p < q < r
+    gets t^(p+q)*z^r + t^(p+r)*z^q + t^(q+r)*z^p, a pair i < k gets
+    t^i*z^k + t^k*z^i + t^(i+k)*z^i + t^(i+k)*z^k, and a single k gets
+    t^k*z^k.  Masks whose bitset is empty are left out, and mask 0 always
+    is: its terms are 1 + 1.
 
     The entries come in :meth:`BooleanRing.order_key` order, with no sort:
     popcount descending, then exponent vector ascending, which for one
@@ -156,15 +160,16 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     descending, then k descending, then the singles by k descending.
     """
     _check_mod2(degree, ctx)
-    ring = ctx.ring
-    t_trunc, z_trunc = (v.trunc for v in ring.variables)
+    t_trunc, z_trunc = (v.trunc for v in ctx.ring.variables)
     t_row = (1 << t_trunc) - 1  # the keys of t^0..t^(T-1) at z^0
     box = (1 << t_trunc * z_trunc) - 1
     z_positive = box ^ t_row
     cols = [box // t_row * (t_row >> a) for a in range(t_trunc)]
     z_keys = [b * t_trunc for b in range(z_trunc)]
-    unpack = ring.layout.unpack
-    law = [unpack(key) for key, c in ctx.tensor_root.packed_terms.items() if c % 2]
+
+    def term(a, b):  # the key bit of t^a*z^b, or 0 outside the box
+        return 1 << a + z_keys[b] if a < t_trunc and b < z_trunc else 0
+    law = [e for e, c in ctx.law.series.terms.items() if c.value % 2 and term(*e)]
     powers = [1]  # F^0..F^D mod 2; after the first zero one, all are zero
     while len(powers) <= degree and powers[-1]:
         f = powers[-1]
@@ -173,13 +178,14 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
     powers += [0] * (degree + 1 - len(powers))
     # P^i = t^i*F^i, zero for i >= T
     lifts = [(f & cols[i]) << i if i < t_trunc else 0 for i, f in enumerate(powers)]
-    transfer = collections.defaultdict(int)  # the odd-tau terms, by mask indices
-    if ctx.tau.value % 2:
-        for j in range(1, min(degree + 1, t_trunc)):
-            for i in range(min(j, t_trunc - j)):
-                for k in range(1, min(degree + 1, z_trunc)):
-                    transfer[tuple(sorted({i, j, k} - {0}))] ^= 1 << (i + j + z_keys[k])
-    table = [(idx, transfer[idx]) for idx in sorted(transfer, reverse=True) if len(idx) == 3]
+    odd_tau = ctx.tau.value % 2
+    table = []
+    if odd_tau:  # some term of p < q < r is in the box only if p < Z and p + q < T
+        for p in range(min(degree, z_trunc - 1), 0, -1):
+            for q in range(min(degree, t_trunc - 1 - p), p, -1):
+                for r in range(min(degree, max(z_trunc, t_trunc - p) - 1), q, -1):
+                    if v := term(p + q, r) | term(p + r, q) | term(q + r, p):
+                        table.append(((p, q, r), v))
     for i in range(degree - 1, 0, -1):
         f_i, p_i = powers[i], lifts[i]
         for k in range(degree, i, -1):
@@ -190,19 +196,19 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> tuple:
                 v ^= p_i << z_keys[k]
             if i < z_trunc:
                 v ^= lifts[k] << z_keys[i]
-            if transfer:
-                v ^= transfer[(i, k)]
+            if odd_tau:
+                v ^= term(i, k) | term(k, i) | term(i + k, i) | term(i + k, k)
             if v := v & z_positive:
                 table.append(((i, k), v))
     for k in range(degree, 0, -1):
         v = powers[k]
         if k < z_trunc:
             v ^= (lifts[k] ^ 1) << z_keys[k]
-        if transfer:
-            v ^= transfer[(k,)]
+        if odd_tau:
+            v ^= term(k, k)
         if v := v & z_positive:
             table.append(((k,), v))
-    return BooleanRing(coefficient_names(degree)), table
+    return table
 
 
 def _values_by_key(ring: SeriesRing, table, values) -> list:
@@ -282,10 +288,10 @@ def symbolic_table(degree: int, ctx: PowerOpContext) -> list:
     value made on the way; the polynomial of a row is the text of its
     :func:`boolean_relations` coefficient.
     """
-    return _printed_rows(ctx.ring, *_relation_masks(degree, ctx))
+    return _printed_rows(ctx.ring, degree, _relation_masks(degree, ctx))
 
 
-def _printed_rows(ring: SeriesRing, boolean: BooleanRing, table) -> list:
+def _printed_rows(ring: SeriesRing, degree: int, table) -> list:
     """The rows of a relation table as (z^j*t^i label, polynomial text), in (z, t) order.
 
     ``table`` is :func:`_relation_masks`' list, already in print order, so
@@ -293,7 +299,7 @@ def _printed_rows(ring: SeriesRing, boolean: BooleanRing, table) -> list:
     gathered at each row key (:func:`_values_by_key`) are joined and
     labelled.
     """
-    names = ("1", *boolean.names)  # a_0 = 1 is never an index
+    names = ("1", *coefficient_names(degree))  # a_0 = 1 is never an index
     texts = ["*".join([names[i] for i in idx]) for idx, _ in table]
     labels = _monomial_labels(ring)
     values_at = _values_by_key(ring, table, texts)
@@ -426,12 +432,12 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     z_torsion = ring.variables[1].torsion
     if z_torsion != 2:
         raise ValueError(f"the exhaustive search needs z torsion 2, got {z_torsion}")
-    # F(t, 0) = t makes the z^0 part of every defect r(t)^2 - r(t)^2; a law
-    # object built without validate_law need not satisfy it
-    if {e: c for e, c in ctx.tensor_root.terms.items() if not e[1]} != ctx.t.terms:
+    # F(t, 0) = t, from the law's y-free terms, zeroes the z^0 part of every
+    # defect r(t)^2 - r(t)^2; a law built without validate_law may fail it
+    if ring.from_terms({e: c for e, c in ctx.law.series.terms.items() if not e[1]}) != ctx.t:
         raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
 
-    boolean, table = _relation_masks(degree, ctx)
+    table = _relation_masks(degree, ctx)
     width = max([1] + [idx[-1] for idx, _ in table])
     size = 1 << (width - 1)
     undecided = everything = (1 << size) - 1
@@ -461,7 +467,7 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
 
     return ObstructionReport(
         ring=ring,
-        relations=tuple(_printed_rows(ring, boolean, table)),
+        relations=tuple(_printed_rows(ring, degree, table)),
         witness=witness,
         failing=failing,
         tail=degree - width,

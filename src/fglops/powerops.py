@@ -37,12 +37,13 @@ class PowerOpContext(Immutable):
             raise ValueError("a power operation context needs exactly two variables")
         if law.coeff_ring != ring.coeff_ring:
             raise RingMismatch("law and series ring must share a coefficient ring")
+        if law.degree < max(v.trunc for v in ring.variables):  # F(t, z) would lose terms
+            raise ValueError(f"a law of degree {law.degree} is too short for {ring}")
         if not isinstance(tau, Coefficient):
             tau = ring.coeff_ring.coefficient(tau)
         if tau.ring != ring.coeff_ring:
             raise RingMismatch("transfer scalar must live in the coefficient ring")
-        z_var = ring.variables[1]
-        if law.is_additive and z_var.torsion == 2 and tau != 2:
+        if law.is_additive and ring.variables[1].torsion == 2 and tau != 2:
             raise ValueError(
                 "the transfer scalar is forced to 2 for the additive law with 2-torsion"
             )
@@ -117,8 +118,8 @@ def standard_context(
     law: Optional[FormalGroupLaw] = None,
     tau: Union[Coefficient, int] = 2,
 ) -> PowerOpContext:
-    """The default context: additive law over the standard ring, tau = 2."""
+    """The default context: additive law to the truncation of the standard ring, tau = 2."""
     ring = standard_ring(coeff_ring, t_trunc, z_trunc)
     if law is None:
-        law = additive_law(ring.coeff_ring)
+        law = additive_law(ring.coeff_ring, max(t_trunc, z_trunc))
     return PowerOpContext(ring, law, tau)

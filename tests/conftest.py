@@ -3,12 +3,33 @@ import types
 
 import pytest
 
-from fglops import IntegerRing, standard_context
+from fglops import (
+    Coefficient,
+    IntegerModRing,
+    IntegerRing,
+    PolynomialRing,
+    RingMismatch,
+    standard_context,
+)
 
 
 def to_plain(series):
     """Series over integer coefficients -> plain {exps: int} dict."""
     return {exps: c.value for exps, c in series.terms.items()}
+
+
+def boolean_polynomial(ring, coef):
+    """A value of the BooleanRing ``ring`` as the same polynomial over Z/2.
+
+    Bit i of a monomial mask is the exponent of ``ring.names[i]``; the
+    result lives in PolynomialRing(Z/2, ring.names) and is ordered by that
+    ring alone.
+    """
+    if coef.ring != ring:
+        raise RingMismatch(f"coefficient in {coef.ring} is not in {ring}")
+    n = len(ring.names)
+    exps = {tuple((m >> i) & 1 for i in range(n)): 1 for m in coef.value}
+    return Coefficient(PolynomialRing(IntegerModRing(2), ring.names), exps)
 
 
 def lorentz_terms(degree):

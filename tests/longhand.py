@@ -3,14 +3,10 @@
 These deliberately avoid the engine's Series machinery: coefficients are
 raw ints keyed by (t_exp, z_exp), multiplication is a bare double loop, and
 the quotient rules (truncation, 2-torsion on z) are applied by hand.
-:func:`boolean_polynomial` reads a Boolean ring value off its bitmasks into
-the engine's polynomial ring, so that Boolean results can be compared with
-the integer pipeline.
+Nothing here imports the engine.
 """
 
 import math
-
-from fglops import Coefficient, IntegerModRing, PolynomialRing, RingMismatch
 
 
 def normalize(terms, t_max=5, z_max=3, z_torsion=2):
@@ -199,16 +195,3 @@ def naive_substitute(f, images, specs):
             out[key] = out.get(key, 0) + c * v
     return naive_normalize(out, specs)
 
-
-def boolean_polynomial(ring, coef):
-    """A value of the BooleanRing ``ring`` as the same polynomial over Z/2.
-
-    Bit i of a monomial mask is the exponent of ``ring.names[i]``; the
-    result lives in PolynomialRing(Z/2, ring.names) and is ordered by that
-    ring alone.
-    """
-    if coef.ring != ring:
-        raise RingMismatch(f"coefficient in {coef.ring} is not in {ring}")
-    n = len(ring.names)
-    exps = {tuple((m >> i) & 1 for i in range(n)): 1 for m in coef.value}
-    return Coefficient(PolynomialRing(IntegerModRing(2), ring.names), exps)

@@ -145,9 +145,11 @@ def test_any_argv_exits_0_1_or_2(argv):
 @settings(deadline=None, max_examples=400)
 @given(_argv())
 # rare in the draws: a "-" and digit positional that is accepted, a value
-# that starts with "-", a "--" that ends the options, the last of two values
+# that starts with "-", an option where a value belongs, a "--" that ends
+# the options, the last of two values
 @example(["fgl", "nseries", "additive", "-0"])
 @example(["chern", "--co", "-1,0", "--t", "3", "--json"])
+@example(["chern", "--coeffs", "--json", "--c", "1"])
 @example(["fgl", "check", "--json", "--", "law.json"])
 @example(["obstruct", "--sea", "--degree", "9", "--deg=2"])
 def test_argv_gives_the_argparse_answer(argv):

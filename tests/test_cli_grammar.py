@@ -50,6 +50,9 @@ def test_help_names_every_option(argv, words):
     (["obstruct", "--s"], ["obstruct", "'--s'"]),
     (["powerop", "t.json", "--t", "3"], ["powerop", "'--t'"]),
     (["obstruct", "--search", "--degree"], ["obstruct", "--degree"]),
+    (["powerop", "t.json", "--fgl", "--json"], ["powerop", "--fgl"]),
+    (["chern", "--coeffs", "--json", "--c", "1"], ["chern", "--coeffs"]),
+    (["obstruct", "--search", "--degree", "--", "3"], ["obstruct", "--degree"]),
     (["obstruct", "--search", "--json=1"], ["obstruct", "'--json=1'"]),
     (["obstruct", "--search", "--json="], ["obstruct", "'--json='"]),
     (["fgl", "check"], ["fgl check", "LAW"]),
@@ -83,7 +86,8 @@ def test_options_as_argparse_read_them():
         ["obstruct", "--search", "--degree", " 3 "],
     ):
         assert _run(argv) == expected, argv
-    # a valued option takes the next token as it is, even one starting with "-"
+    # a valued option takes the next token when it is no option: "-" and a
+    # digit is a value, as in a list with a negative a1
     assert _run(["chern", "--coeffs", "-1,0"])[:2] == _run(["chern", "--coeffs=-1,0"])[:2]
     assert _run(["chern", "--co", "-1,0"])[0] == 0
     assert _run(["chern", "--coeffs", "--json"])[:2] == (2, "")

@@ -15,7 +15,7 @@ from fglops import (
     multilinear_mod2,
     parse_coefficient,
 )
-from longhand import boolean_polynomial
+from conftest import boolean_polynomial
 
 Z = IntegerRing()
 F2 = IntegerModRing(2)

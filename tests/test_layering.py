@@ -34,6 +34,13 @@ without it.
 Only ``cli.py`` calls ``validate_law``, which ``fgl.py`` defines: a law is
 proved where it enters, as input or in ``fgl check``, and the built-in laws
 are constants that the engine never proves again.
+
+``obstruction.py`` names neither ``packed_terms`` nor ``layout``: the
+relation table reads the law's terms as exponent pairs, not a series'
+packed keys.
+
+``tests/longhand.py`` imports nothing from ``fglops``: it is the oracle
+the engine is checked against, so it shares no code with it.
 """
 
 import ast
@@ -44,6 +51,7 @@ import pytest
 from test_bench_names import LAYERS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fglops"
+LONGHAND = Path(__file__).resolve().parent / "longhand.py"
 
 
 def _private(name: str) -> bool:
@@ -287,3 +295,34 @@ def test_checker_flags_law_proofs():
     )
     assert calls_of(source, "validate_law") == [4, 6, 8]
     assert calls_of("import fglops\n", "validate_law") == []
+
+
+def identifiers(source: str, names) -> list:
+    """(line, name) for each bare name or attribute in ``names`` that the source uses."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in names:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_relation_table_reads_no_packed_keys():
+    source = (PACKAGE / "obstruction.py").read_text(encoding="utf-8")
+    assert identifiers(source, {"packed_terms", "layout"}) == []
+
+
+def test_checker_flags_packed_key_names():
+    source = (
+        "\"\"\"Reads no layout.\"\"\"\n"
+        "def f(ctx, layout=None):\n"
+        "    keys = ctx.tensor_root.packed_terms\n"
+        "    return ctx.ring.layout.unpack, layout, 'packed_terms'\n"
+    )
+    assert identifiers(source, {"packed_terms", "layout"}) == [
+        (3, "packed_terms"), (4, "layout"), (4, "layout")
+    ]
+
+
+def test_longhand_imports_nothing_from_fglops():
+    assert module_imports(LONGHAND.read_text(encoding="utf-8"), "fglops") == []

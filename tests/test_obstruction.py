@@ -29,8 +29,8 @@ from fglops import (
 )
 from fglops.chern import coefficient_names
 from fglops.obstruction import _relation_masks, _rows
-from conftest import dense_law_terms, lines_never_run, lorentz_terms, to_plain
-from longhand import boolean_polynomial, delta_longhand
+from conftest import boolean_polynomial, dense_law_terms, lines_never_run, lorentz_terms, to_plain
+from longhand import delta_longhand
 
 Z = IntegerRing()
 F2 = IntegerModRing(2)
@@ -171,7 +171,8 @@ def test_boolean_relations_match_integer_reduction(law, tau):
     points = [(rng.randint(2, 12), rng.randint(1, 7), rng.randint(1, 10)) for _ in range(8)]
     points += [(5, 3, 9), (4, 2, 7), (33, 17, 32)]  # D > t, then the largest point
     for t_max, z_max, degree in points:
-        ctx = standard_context(Z, t_max, z_max, law=builtin_law(law, Z), tau=tau)
+        fgl = builtin_law(law, Z, max(t_max, z_max))
+        ctx = standard_context(Z, t_max, z_max, law=fgl, tau=tau)
         relations = extract_relations(degree, ctx)
         assert _as_polynomials(boolean_relations(degree, ctx)) == relations, (t_max, z_max, degree)
         names = coefficient_names(degree)
@@ -271,7 +272,7 @@ def test_sliced_rows_match_delta_at_bench_points(t_max, z_max, degree):
 
 def _assert_print_order(degree, ctx):
     """The table :func:`_relation_masks` gives iterates in ``BooleanRing.order_key`` order."""
-    boolean, table = _relation_masks(degree, ctx)
+    boolean, table = BooleanRing(coefficient_names(degree)), _relation_masks(degree, ctx)
     for idx, bits in table:
         assert bits and 0 < idx[0] and list(idx) == sorted(set(idx)) and idx[-1] <= degree, idx
     masks = [sum(1 << (i - 1) for i in idx) for idx, _ in table]

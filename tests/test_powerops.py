@@ -16,8 +16,9 @@ from fglops import (
     multiplicative_law,
     standard_context,
     standard_ring,
+    validate_law,
 )
-from conftest import to_plain
+from conftest import lorentz_terms, to_plain
 from longhand import power_op_longhand
 
 Z = IntegerRing()
@@ -95,6 +96,22 @@ def test_power_op_rejects_multivariate(default_context):
 def test_context_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def _lorentz(degree):
+    ring = SeriesRing(Z, (SeriesVar("x", degree), SeriesVar("y", degree)))
+    return validate_law(ring.from_terms(lorentz_terms(degree)), name="lorentz")
+
+
+def test_context_refuses_a_law_shorter_than_its_ring():
+    # F(t, z) and the relation table read only the law's terms below its
+    # degree: a shorter law would drop the terms (x + y)/(1 + xy) has there
+    with pytest.raises(ValueError, match="law of degree 4 is too short for Z"):
+        PowerOpContext(standard_ring(Z, 9, 5), _lorentz(4), 2)
+    assert PowerOpContext(standard_ring(Z, 9, 5), _lorentz(9), 2).law.degree == 9
+    # the built-in law of a standard context is built to the ring's truncation
+    assert standard_context(Z, 3, 40).law.degree == 40
+    assert standard_context(Z, 64, 2).law.degree == 64
 
 
 def test_standard_ring_defaults_to_integers():

@@ -21,7 +21,9 @@ import pytest
 
 from fglops import (
     BooleanRing,
+    FormalGroupLaw,
     IntegerRing,
+    Series,
     boolean_relations,
     exhaustive_search,
     extract_relations,
@@ -149,6 +151,23 @@ def test_symbolic_json_does_not_format_values(monkeypatch, capsys):
     assert capsys.readouterr().out == expected
     rows = json.loads(expected)["relations"]
     assert [(row["monomial"], row["poly"]) for row in rows] == standard_reference(63, 31, 62)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--symbolic", "--json", "--t-trunc", "63", "--z-trunc", "31", "--degree", "62"],
+    ["--search", "--json", "--t-trunc", "5", "--z-trunc", "3", "--degree", "12"],
+])
+def test_obstruct_forms_no_tensor_root(monkeypatch, capsys, argv):
+    # the table reads F mod 2 off the law's own terms: no obstruct request
+    # substitutes the law or forms F(t, z)
+    expected = main(["obstruct", *argv]), capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("F(t, z) formed")
+
+    monkeypatch.setattr(Series, "substitute", refuse)
+    monkeypatch.setattr(FormalGroupLaw, "formal_sum", refuse)
+    assert (main(["obstruct", *argv]), capsys.readouterr()) == expected
 
 
 @pytest.mark.parametrize("collecting", [True, False])

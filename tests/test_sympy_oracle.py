@@ -73,7 +73,8 @@ def sympy_relations(t_trunc, z_trunc, degree, law):
     (3, 2, 6), (5, 3, 3), (9, 5, 8), (17, 9, 10), (17, 2, 12), (2, 9, 8), (33, 17, 12),
 ])
 def test_relations_match_sympy(t_trunc, z_trunc, degree, law):
-    ctx = standard_context(IntegerRing(), t_trunc, z_trunc, law=builtin_law(law, IntegerRing()))
+    fgl = builtin_law(law, IntegerRing(), max(t_trunc, z_trunc))
+    ctx = standard_context(IntegerRing(), t_trunc, z_trunc, law=fgl)
     ours = [(exps, coef.value) for exps, coef in boolean_relations(degree, ctx)]
     assert ours == sympy_relations(t_trunc, z_trunc, degree, law)
     assert ours  # every point here has relations
