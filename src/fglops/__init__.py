@@ -32,7 +32,7 @@ from .fgl import (
     validate_law,
 )
 from .powerops import PowerOpContext, standard_context, standard_ring
-from .chern import ChernSeries, UnitViolation, chern_of_line_sum, computation_one
+from .chern import ChernSeries, UnitViolation, computation_one
 from .obstruction import (
     ObstructionReport,
     boolean_relations,
@@ -74,7 +74,6 @@ __all__ = [
     "standard_ring",
     "ChernSeries",
     "UnitViolation",
-    "chern_of_line_sum",
     "computation_one",
     "ObstructionReport",
     "boolean_relations",

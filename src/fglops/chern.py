@@ -1,4 +1,4 @@
-"""Total Chern class candidates and their values on sums of line bundles."""
+"""Total Chern class candidates and computation one, r(t +_F z) * r(t) / r(z)."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from .coefficients import (
     RingMismatch,
     is_int,
 )
-from .fgl import FormalGroupLaw, additive_law
-from .series import Series, SeriesRing
+from .powerops import PowerOpContext
+from .series import Series
 
 
 class UnitViolation(ValueError):
@@ -118,42 +118,6 @@ class ChernSeries(Immutable):
         return f"ChernSeries(1 + {body})"
 
 
-def chern_of_line_sum(
-    r: ChernSeries,
-    roots: Sequence[Series],
-    signs: Sequence[int],
-    ring: Optional[SeriesRing] = None,
-) -> Series:
-    """Whitney product of r over Chern roots; negative signs divide."""
-    if len(roots) != len(signs):
-        raise ValueError("roots and signs must have equal length")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
-    if not roots:
-        if ring is None:
-            raise ValueError("a target ring is required for the empty sum")
-        return ring.one
-    acc = roots[0].ring.one
-    for root, sign in zip(roots, signs):
-        value = r.value_at(root)
-        acc = acc * (value if sign == 1 else value.invert())
-    return acc
-
-
-def computation_one(
-    r: ChernSeries, ring: SeriesRing, law: Optional[FormalGroupLaw] = None
-) -> Series:
-    """The class r(t +_F z) * r(t) / r(z) in a two-variable quotient ring.
-
-    The first ring variable is the line coordinate t, the second the
-    torsion coordinate z; the law defaults to additive, built to the
-    larger of their truncations, making the tensor root t + z.
-    """
-    if ring.nvars < 2:
-        raise ValueError("computation_one needs a ring with two variables")
-    if law is None:
-        law = additive_law(ring.coeff_ring, max(v.trunc for v in ring.variables[:2]))
-    t = ring.gen(ring.variables[0].name)
-    z = ring.gen(ring.variables[1].name)
-    tensor_root = law.formal_sum(t, z)
-    return chern_of_line_sum(r, [tensor_root, t, z], [1, 1, -1])
+def computation_one(r: ChernSeries, ctx: PowerOpContext) -> Series:
+    """The class r(t +_F z) * r(t) / r(z), read off the context's t, z and F(t, z)."""
+    return r.value_at(ctx.tensor_root) * r.value_at(ctx.t) * r.value_at(ctx.z).invert()

@@ -16,7 +16,7 @@ from .obstruction import (
     extract_relations,  # unused here, but bench/tracing.py wraps it by this name
     symbolic_table,
 )
-from .powerops import PowerOpContext, standard_context, standard_ring
+from .powerops import standard_context
 from .series import series_from_json, series_to_json
 
 # obstruct --search prints 2^(D-1) failure rows, and the search is fast,
@@ -261,14 +261,14 @@ def cmd_fgl_nseries(args) -> int:
 def cmd_powerop(args) -> int:
     _check_trunc(args.t_trunc, args.z_trunc)
     f = _load_series(args.series)
-    ring = standard_ring(f.ring.coeff_ring, args.t_trunc, args.z_trunc)
+    coeff_ring = f.ring.coeff_ring
     positions = {i for exps in f.terms for i, e in enumerate(exps) if e}
     if len(positions) > 1:
         raise ValueError("power operation input must be univariate")
     pos = next(iter(positions)) if positions else 0
-    lifted = ring.from_terms({(exps[pos], 0): c for exps, c in f.terms.items()})
-    law = _load_law(args.fgl, max(args.t_trunc, args.z_trunc), ring.coeff_ring)
-    ctx = PowerOpContext(ring, law, args.tau)
+    law = _load_law(args.fgl, max(args.t_trunc, args.z_trunc), coeff_ring)
+    ctx = standard_context(coeff_ring, args.t_trunc, args.z_trunc, law, args.tau)
+    lifted = ctx.ring.from_terms({(exps[pos], 0): c for exps, c in f.terms.items()})
     _print_series(ctx.power_op(lifted), args.json)
     return 0
 
@@ -292,8 +292,8 @@ def cmd_chern(args) -> int:
         values = [parse_int(part) for part in args.coeffs.split(",")]
         coeff_ring = IntegerRing()
         candidate = ChernSeries(values, coeff_ring)
-    ring = standard_ring(coeff_ring, args.t_trunc, args.z_trunc)
-    _print_series(computation_one(candidate, ring), args.json)
+    ctx = standard_context(coeff_ring, args.t_trunc, args.z_trunc)
+    _print_series(computation_one(candidate, ctx), args.json)
     return 0
 
 

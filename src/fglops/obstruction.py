@@ -314,6 +314,9 @@ class ObstructionReport(Immutable):
     one of ``witness`` (a candidate no relation fails) and ``failing`` (the
     failing monomial of each prefix a1..a_w with a1 = 1, in candidate order)
     is given, as a tuple, or ``ValueError``; it decides the :attr:`verdict`.
+    A witness is 0/1 entries starting with a1 = 1; ``failing`` has 2^(w-1)
+    entries, each the exponents (i, j) of a z-positive monomial z^j*t^i of
+    the ring, or ``ValueError``.
     """
 
     __slots__ = fields = ("ring", "relations", "witness", "failing", "tail")
@@ -328,6 +331,15 @@ class ObstructionReport(Immutable):
     ):
         if (witness is None) == (failing is None) or not isinstance(witness or failing, tuple):
             raise ValueError("a report holds exactly one of a witness and the failures, as a tuple")
+        if witness is not None and (witness[:1] != (1,) or not set(witness) <= {0, 1}):
+            raise ValueError(f"a witness is 0/1 entries starting with a1 = 1, got {witness}")
+        if failing is not None:
+            if not failing or len(failing) & (len(failing) - 1):
+                raise ValueError(f"a report fails 2^(w-1) prefixes, got {len(failing)}")
+            t_trunc, z_trunc = (v.trunc for v in ring.variables)
+            for i, j in set(failing):
+                if not (0 <= i < t_trunc and 1 <= j < z_trunc):
+                    raise ValueError(f"failing exponents {(i, j)} name no z-positive monomial")
         super().__init__(ring, relations, witness, failing, tail)
 
     @property

@@ -47,13 +47,12 @@ def computation_one_unit_candidate(t_max=5, z_max=3):
     return mul(mul(one_tz, one_t, t_max, z_max), inv_one_z, t_max, z_max)
 
 
-def delta_longhand(coeffs, t_max=5, z_max=3, law="additive"):
-    """Defect of the integer candidate (a1, ..., aD), expanded by hand.
+def _candidate_values(a, law):
+    """r(t), r(z) and r(F(t, z)) for r = 1 + a1 x + ..., unreduced.
 
     ``law`` is "additive", F(t, z) = t + z, or "multiplicative",
-    F(t, z) = t + z + tz; in both P(t) = t*F(t, z) and tau = 2.
+    F(t, z) = t + z + tz.
     """
-    a = list(coeffs)
     r_t = {(0, 0): 1}
     for i, ai in enumerate(a, start=1):
         r_t[(i, 0)] = r_t.get((i, 0), 0) + ai
@@ -74,6 +73,36 @@ def delta_longhand(coeffs, t_max=5, z_max=3, law="additive"):
                     key = (i - k, j + k)
                     c = math.comb(i, j) * math.comb(i - j, k)
                     r_tz[key] = r_tz.get(key, 0) + ai * c
+    return r_t, r_z, r_tz
+
+
+def computation_one_longhand(coeffs, t_max=5, z_max=3, law="additive"):
+    """r(F(t, z)) * r(t) / r(z) for the integer candidate (a1, ..., aD), by hand.
+
+    r(z) = 1 + u with u nilpotent (z^z_max = 0), so its inverse is the
+    geometric series 1 - u + u^2 - ... up to u^(z_max - 1).
+    """
+    r_t, r_z, r_tz = _candidate_values(list(coeffs), law)
+    u = normalize({k: c for k, c in r_z.items() if k != (0, 0)}, t_max, z_max)
+    inverse, power = {(0, 0): 1}, {(0, 0): 1}
+    for k in range(1, z_max):
+        power = mul(power, u, t_max, z_max)
+        for key, c in power.items():
+            inverse[key] = inverse.get(key, 0) + (-1) ** k * c
+    inverse = normalize(inverse, t_max, z_max)
+    assert mul(normalize(r_z, t_max, z_max), inverse, t_max, z_max) == {(0, 0): 1}
+    numerator = mul(normalize(r_tz, t_max, z_max), normalize(r_t, t_max, z_max), t_max, z_max)
+    return mul(numerator, inverse, t_max, z_max)
+
+
+def delta_longhand(coeffs, t_max=5, z_max=3, law="additive"):
+    """Defect of the integer candidate (a1, ..., aD), expanded by hand.
+
+    ``law`` is "additive", F(t, z) = t + z, or "multiplicative",
+    F(t, z) = t + z + tz; in both P(t) = t*F(t, z) and tau = 2.
+    """
+    a = list(coeffs)
+    r_t, r_z, r_tz = _candidate_values(a, law)
     lhs = mul(
         normalize(r_tz, t_max, z_max), normalize(r_t, t_max, z_max), t_max, z_max
     )

@@ -22,7 +22,6 @@ from fglops import (
     extract_relations,
     multiplicative_law,
     standard_context,
-    standard_ring,
     symbolic_twin,
 )
 from conftest import to_plain
@@ -101,7 +100,7 @@ def test_criterion_4_negative_control():
 
 
 def test_criterion_5_computation_one_oracle():
-    result = computation_one(ChernSeries([1, 0, 0]), standard_ring(Z))
+    result = computation_one(ChernSeries([1, 0, 0]), standard_context(Z))
     oracle = computation_one_unit_candidate()
     assert to_plain(result) == oracle
     assert oracle == {

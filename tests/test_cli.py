@@ -23,7 +23,6 @@ from fglops import (
     series_from_json,
     series_to_json,
     standard_context,
-    standard_ring,
 )
 from fglops.cli import _symbolic_products, main
 from fglops.obstruction import symbolic_table
@@ -777,7 +776,6 @@ def test_chern_symbolic_budget_admits_small_requests(capsys):
 def test_symbolic_products_bound_the_output(degree, t_trunc, z_trunc):
     # every monomial of the output comes from one of the counted products
     candidate = ChernSeries.symbolic(degree)
-    ring = standard_ring(candidate.coeff_ring, t_trunc, z_trunc)
-    out = computation_one(candidate, ring)
+    out = computation_one(candidate, standard_context(candidate.coeff_ring, t_trunc, z_trunc))
     monomials = sum(len(coef.value) for coef in out.terms.values())
     assert 0 < monomials <= _symbolic_products(degree, t_trunc, z_trunc)

@@ -35,6 +35,10 @@ Only ``cli.py`` calls ``validate_law``, which ``fgl.py`` defines: a law is
 proved where it enters, as input or in ``fgl check``, and the built-in laws
 are constants that the engine never proves again.
 
+Only ``powerops.py`` and ``fgl.py`` call ``formal_sum``: F(t, z) is built
+by the context that fixes the law and the ring, and by the law itself for
+[n](x), so no caller can pair a ring with a law too short for it.
+
 ``obstruction.py`` names neither ``packed_terms`` nor ``layout``: the
 relation table reads the law's terms as exponent pairs, not a series'
 packed keys.
@@ -280,6 +284,12 @@ def test_only_the_cli_proves_laws(path):
                if isinstance(n, ast.FunctionDef) and n.name == "validate_law"]
     assert bool(defines) == (path.name == "fgl.py")
     assert bool(calls_of(source, "validate_law")) == (path.name == "cli.py")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_context_and_the_law_form_sums(path):
+    source = path.read_text(encoding="utf-8")
+    assert bool(calls_of(source, "formal_sum")) == (path.name in ("powerops.py", "fgl.py"))
 
 
 def test_checker_flags_law_proofs():

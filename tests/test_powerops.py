@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fglops import (
+    ChernSeries,
     IntegerModRing,
     IntegerRing,
     FormalGroupLaw,
@@ -13,6 +14,7 @@ from fglops import (
     SeriesVar,
     additive_law,
     builtin_law,
+    computation_one,
     multiplicative_law,
     standard_context,
     standard_ring,
@@ -109,6 +111,11 @@ def test_context_refuses_a_law_shorter_than_its_ring():
     with pytest.raises(ValueError, match="law of degree 4 is too short for Z"):
         PowerOpContext(standard_ring(Z, 9, 5), _lorentz(4), 2)
     assert PowerOpContext(standard_ring(Z, 9, 5), _lorentz(9), 2).law.degree == 9
+    # computation_one reads F(t, z) off a context, so it never sees the short
+    # law, and any law at least as long as the ring gives one value
+    r = ChernSeries([1, 1])
+    values = {computation_one(r, standard_context(Z, 9, 5, _lorentz(d))) for d in (9, 12)}
+    assert len(values) == 1 and values != {computation_one(r, standard_context(Z, 9, 5))}
     # the built-in law of a standard context is built to the ring's truncation
     assert standard_context(Z, 3, 40).law.degree == 40
     assert standard_context(Z, 64, 2).law.degree == 64

@@ -143,6 +143,19 @@ def test_report_holds_a_witness_or_failures():
     for witness, failing in (((1,), ((1, 2),)), (None, None), ("satisfiable", None)):
         with pytest.raises(ValueError, match="exactly one"):
             ObstructionReport(ring, (), witness=witness, failing=failing)
+    # no failures, a count no prefix set has, a1 = 0 or not 0/1, a monomial off the box
+    for witness, failing, fragment in (
+        (None, (), "2\\^\\(w-1\\) prefixes, got 0"),
+        (None, ((1, 2),) * 3, "got 3"),
+        ((0, 1), None, "starting with a1 = 1"),
+        ((1, 2), None, "0/1 entries"),
+        (None, ((5, 1),), "\\(5, 1\\) name no"),
+        (None, ((-1, 1),), "name no"),
+        (None, ((1, 0),), "name no"),
+        (None, ((1, 1), (1, 3)), "\\(1, 3\\) name no"),
+    ):
+        with pytest.raises(ValueError, match=fragment):
+            ObstructionReport(ring, (), witness=witness, failing=failing)
 
 
 @pytest.mark.parametrize("rows", [1, 200, 300])

@@ -406,7 +406,7 @@ def test_power_sum_and_substitute_run_every_line(default_context):
         for F in laws:
             validate_law(F).n_series(1500)
         r = ChernSeries([1, 1, 2])
-        computation_one(r, default_context.ring)
+        computation_one(r, default_context)
         delta(r, default_context)
         # the default target and unassigned variables
         assert t.substitute({}) == t.substitute({"z": TZ.gen("z")}) == t

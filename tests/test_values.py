@@ -55,7 +55,7 @@ def _values():
         lambda: FormalGroupLaw(_law().series),
         lambda: PowerOpContext(_ring(), _law(), 2),
         lambda: ObstructionReport(_ring(), (), witness=(1,)),
-        lambda: ObstructionReport(_ring(), (), failing=()),
+        lambda: ObstructionReport(_ring(), (), failing=((0, 1),)),
         lambda: ChernSeries([1, 1]),
         lambda: ChernSeries([1, 1], IntegerModRing(3)),
         lambda: ChernSeries.symbolic(2),
