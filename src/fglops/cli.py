@@ -268,6 +268,8 @@ def cmd_powerop(args) -> int:
     pos = next(iter(positions)) if positions else 0
     law = _load_law(args.fgl, max(args.t_trunc, args.z_trunc), coeff_ring)
     ctx = standard_context(coeff_ring, args.t_trunc, args.z_trunc, law, args.tau)
+    if ctx.law.is_additive and ctx.tau != 2:  # z has torsion 2 in the standard ring
+        raise ValueError("the transfer scalar is forced to 2 for the additive law with 2-torsion")
     lifted = ctx.ring.from_terms({(exps[pos], 0): c for exps, c in f.terms.items()})
     _print_series(ctx.power_op(lifted), args.json)
     return 0

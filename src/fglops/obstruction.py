@@ -16,19 +16,22 @@ satisfy.  Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
     Z[a][[t, z]]/(2z, z^k, t^m) -> B_D[[t, z]]/(z^k, t^m),
     B_D = F2[a1..aD]/(a_i^2 + a_i),
 
-and it commutes with the power operation.  With a_0 = 1 and P = t*F(t, z),
-the defect r(F)*r(t) - P(r(t))*r(z) therefore maps to the pair sum
+and it commutes with the power operation.  The table is read at tau = 2
+only, the one check :func:`_check_mod2` makes: at any other tau the z^0
+part of every defect is (2 - tau)*sum over i < j of a_i*a_j*t^(i+j), whose
+t coefficient (2 - tau)*a1 fails every candidate before the table is read.
+At tau = 2 the transfer terms of P(r(t)) are even, so with a_0 = 1 and
+P = t*F(t, z) the defect r(F)*r(t) - P(r(t))*r(z) maps to the pair sum
 
-    sum over 0 <= i, k <= D of a_i*a_k*(F^i*t^k + P^i*z^k),
+    sum over 0 <= i, k <= D of a_i*a_k*(F^i*t^k + P^i*z^k).
 
-plus, when tau is odd, the transfer terms a_i*a_j*a_k*t^(i+j)*z^k with
-i < j, of which only k >= 1 is z-positive.  Each a_i*a_k is a monomial mask
-of B_D and each series beside it a product of powers of F, t and z with
-coefficients in F2, so :func:`_relation_masks` computes the table from the
-powers of F mod 2 alone, each one int with a bit per odd coefficient at
-its row key j*m + i for z^j*t^i, one bitset of row keys per monomial mask;
-F mod 2 is read off the law's terms, and F(t, z), the integer polynomials
-and the B_D series never form.  That table is the one form the CLI reads,
+Each a_i*a_k is a monomial mask of B_D and each series beside it a
+product of powers of F, t and z with coefficients in F2, so
+:func:`_relation_masks` computes the table from the powers of F mod 2
+alone, each one int with a bit per odd coefficient at its row key
+j*m + i for z^j*t^i, one bitset of row keys per monomial mask; F mod 2 is
+read off the law's terms, and F(t, z), the integer polynomials and the B_D
+series never form.  That table is the one form the CLI reads,
 and it is built in B_D print order (:meth:`BooleanRing.order_key`), so
 nothing sorts it.  One printer (:func:`_printed_rows`) turns it into
 (z^j*t^i label, polynomial text) rows in one pass over its masks, each
@@ -120,7 +123,10 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
 
 
 def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
-    """Refuse D < 1 and odd torsion (``ValueError``), and rings but Z, Z/2n (``RingMismatch``)."""
+    """Refuse D < 1, odd torsion, tau != 2 (``ValueError``), rings but Z, Z/2n (``RingMismatch``).
+
+    tau is compared in the coefficient ring, so tau = 0 passes over Z/2.
+    """
     if not is_int(degree) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
     if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
@@ -128,6 +134,8 @@ def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
     cr = ctx.ring.coeff_ring
     if not (isinstance(cr, IntegerRing) or isinstance(cr, IntegerModRing) and cr.modulus % 2 == 0):
         raise RingMismatch(f"no reduction mod 2 from {cr}")
+    if ctx.tau != 2:
+        raise ValueError(f"relations are read at tau = 2, got {ctx.tau}")
 
 
 def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
@@ -146,17 +154,12 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
     i < k both ordered pairs, F^i*t^k + P^i*z^k + F^k*t^i + P^k*z^i; for a
     single a_k the pairs (0, k), (k, 0) and (k, k), which leave
     z^k + F^k + P^k*z^k there, since t^k has no z-positive part and
-    P^k = t^k*F^k comes twice.  With odd tau the transfer terms go in by
-    mask, those inside the box, all distinct monomials: a mask p < q < r
-    gets t^(p+q)*z^r + t^(p+r)*z^q + t^(q+r)*z^p, a pair i < k gets
-    t^i*z^k + t^k*z^i + t^(i+k)*z^i + t^(i+k)*z^k, and a single k gets
-    t^k*z^k.  Masks whose bitset is empty are left out, and mask 0 always
-    is: its terms are 1 + 1.
+    P^k = t^k*F^k comes twice.  Masks whose bitset is empty are left out,
+    and mask 0 always is: its terms are 1 + 1.
 
     The entries come in :meth:`BooleanRing.order_key` order, with no sort:
     popcount descending, then exponent vector ascending, which for one
-    popcount is the index tuple descending.  So the transfer terms' masks
-    of three indices come first (odd tau only), then the pairs by i
+    popcount is the index tuple descending.  So the pairs come first, by i
     descending, then k descending, then the singles by k descending.
     """
     _check_mod2(degree, ctx)
@@ -166,10 +169,8 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
     z_positive = box ^ t_row
     cols = [box // t_row * (t_row >> a) for a in range(t_trunc)]
     z_keys = [b * t_trunc for b in range(z_trunc)]
-
-    def term(a, b):  # the key bit of t^a*z^b, or 0 outside the box
-        return 1 << a + z_keys[b] if a < t_trunc and b < z_trunc else 0
-    law = [e for e, c in ctx.law.series.terms.items() if c.value % 2 and term(*e)]
+    law = [(a, b) for (a, b), c in ctx.law.series.terms.items()
+           if c.value % 2 and a < t_trunc and b < z_trunc]
     powers = [1]  # F^0..F^D mod 2; after the first zero one, all are zero
     while len(powers) <= degree and powers[-1]:
         f = powers[-1]
@@ -178,14 +179,7 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
     powers += [0] * (degree + 1 - len(powers))
     # P^i = t^i*F^i, zero for i >= T
     lifts = [(f & cols[i]) << i if i < t_trunc else 0 for i, f in enumerate(powers)]
-    odd_tau = ctx.tau.value % 2
     table = []
-    if odd_tau:  # some term of p < q < r is in the box only if p < Z and p + q < T
-        for p in range(min(degree, z_trunc - 1), 0, -1):
-            for q in range(min(degree, t_trunc - 1 - p), p, -1):
-                for r in range(min(degree, max(z_trunc, t_trunc - p) - 1), q, -1):
-                    if v := term(p + q, r) | term(p + r, q) | term(q + r, p):
-                        table.append(((p, q, r), v))
     for i in range(degree - 1, 0, -1):
         f_i, p_i = powers[i], lifts[i]
         for k in range(degree, i, -1):
@@ -196,16 +190,12 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
                 v ^= p_i << z_keys[k]
             if i < z_trunc:
                 v ^= lifts[k] << z_keys[i]
-            if odd_tau:
-                v ^= term(i, k) | term(k, i) | term(i + k, i) | term(i + k, k)
             if v := v & z_positive:
                 table.append(((i, k), v))
     for k in range(degree, 0, -1):
         v = powers[k]
         if k < z_trunc:
             v ^= (lifts[k] ^ 1) << z_keys[k]
-        if odd_tau:
-            v ^= term(k, k)
         if v := v & z_positive:
             table.append(((k,), v))
     return table
@@ -310,13 +300,13 @@ class ObstructionReport(Immutable):
     """Search certificate: the relation table, as printed, plus a witness or the failures.
 
     ``relations``: the (z^j*t^i label, polynomial text) rows, in (z, t)
-    order, as :func:`symbolic_table` gives them; ``tail``: D - w.  Exactly
-    one of ``witness`` (a candidate no relation fails) and ``failing`` (the
-    failing monomial of each prefix a1..a_w with a1 = 1, in candidate order)
-    is given, as a tuple, or ``ValueError``; it decides the :attr:`verdict`.
-    A witness is 0/1 entries starting with a1 = 1; ``failing`` has 2^(w-1)
-    entries, each the exponents (i, j) of a z-positive monomial z^j*t^i of
-    the ring, or ``ValueError``.
+    order, as :func:`symbolic_table` gives them; ``tail``: D - w >= 0.
+    Exactly one of ``witness`` (a candidate no relation fails) and
+    ``failing`` (the failing monomial of each prefix a1..a_w with a1 = 1, in
+    candidate order) is given, as a tuple, or ``ValueError``; it decides the
+    :attr:`verdict`.  A witness is D > ``tail`` 0/1 entries starting with
+    a1 = 1; ``failing`` has 2^(w-1) entries, each the exponents (i, j) of a
+    z-positive monomial z^j*t^i of the ring, or ``ValueError``.
     """
 
     __slots__ = fields = ("ring", "relations", "witness", "failing", "tail")
@@ -331,8 +321,12 @@ class ObstructionReport(Immutable):
     ):
         if (witness is None) == (failing is None) or not isinstance(witness or failing, tuple):
             raise ValueError("a report holds exactly one of a witness and the failures, as a tuple")
+        if not is_int(tail) or tail < 0:
+            raise ValueError(f"a report's tail D - w is a non-negative integer, got {tail!r}")
         if witness is not None and (witness[:1] != (1,) or not set(witness) <= {0, 1}):
             raise ValueError(f"a witness is 0/1 entries starting with a1 = 1, got {witness}")
+        if witness is not None and len(witness) <= tail:
+            raise ValueError(f"a witness has D = w + {tail} > {tail} entries, got {witness}")
         if failing is not None:
             if not failing or len(failing) & (len(failing) - 1):
                 raise ValueError(f"a report fails 2^(w-1) prefixes, got {len(failing)}")
@@ -439,8 +433,6 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     ring = ctx.ring
     if not isinstance(ring.coeff_ring, IntegerRing):
         raise ValueError("the exhaustive search runs over integer coefficients")
-    if ctx.tau != 2:
-        raise ValueError(f"the exhaustive search needs tau = 2, got {ctx.tau}")
     z_torsion = ring.variables[1].torsion
     if z_torsion != 2:
         raise ValueError(f"the exhaustive search needs z torsion 2, got {z_torsion}")

@@ -12,9 +12,10 @@ Both halves are power sums (:meth:`Series.power_sum`) on the context's
 cached roots P(t) and t.  Constants obey P(a) = a^2.  The transfer-corrected
 sum rule P(f + g) = P(f) + P(g) + tau*f*g holds when tau = 2 and 2z = 0;
 for any other tau it fails already at f = g = 1, where P(2) = 4 but
-P(1) + P(1) + tau = 2 + tau.  When F is additive and z carries 2-torsion
-the transfer scalar is pinned to 2; restricted to z = 0 the operation is
-then exactly the squaring map f |-> f^2.
+P(1) + P(1) + tau = 2 + tau.  With tau = 2, restricted to z = 0 the
+operation is exactly the squaring map f |-> f^2.  A context takes any tau
+of its coefficient ring, so its image under a coefficient map builds
+whenever it does.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class PowerOpContext(Immutable):
             tau = ring.coeff_ring.coefficient(tau)
         if tau.ring != ring.coeff_ring:
             raise RingMismatch("transfer scalar must live in the coefficient ring")
-        if law.is_additive and ring.variables[1].torsion == 2 and tau != 2:
-            raise ValueError(
-                "the transfer scalar is forced to 2 for the additive law with 2-torsion"
-            )
         super().__init__(ring, law, tau)
 
     @cached_property

@@ -43,6 +43,10 @@ by the context that fixes the law and the ring, and by the law itself for
 relation table reads the law's terms as exponent pairs, not a series'
 packed keys.
 
+Within ``obstruction.py`` only ``_check_mod2`` reads ``.tau``: the
+relation tables and the search read tau = 2 only, and one check refuses
+every other tau for all of them.
+
 ``tests/longhand.py`` imports nothing from ``fglops``: it is the oracle
 the engine is checked against, so it shares no code with it.
 """
@@ -332,6 +336,42 @@ def test_checker_flags_packed_key_names():
     assert identifiers(source, {"packed_terms", "layout"}) == [
         (3, "packed_terms"), (4, "layout"), (4, "layout")
     ]
+
+
+def attribute_reads_outside(source: str, attr: str, function: str) -> list:
+    """The lines that read ``.attr`` outside every function named ``function``."""
+    tree = ast.parse(source)
+    inside = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+        and isinstance(node.ctx, ast.Load) and node.lineno not in inside
+    )
+
+
+def test_only_the_mod2_check_reads_tau():
+    source = (PACKAGE / "obstruction.py").read_text(encoding="utf-8")
+    assert attribute_reads_outside(source, "tau", "_check_mod2") == []
+
+
+def test_checker_flags_tau_reads():
+    source = (
+        "\"\"\"Reads ctx.tau only in the check.\"\"\"\n"
+        "def _check_mod2(degree, ctx):\n"
+        "    if ctx.tau != 2:\n        raise ValueError('tau = 2')\n"
+        "def _relation_masks(degree, ctx):\n"
+        "    odd = ctx.tau.value % 2\n"
+        "    def term(a):\n        return a * ctx.tau\n"
+        "    ctx.tau = 2\n"
+        "    return getattr(ctx, 'tau'), (lambda c: c.tau)(ctx)\n"
+    )
+    assert attribute_reads_outside(source, "tau", "_check_mod2") == [6, 8, 10]
+    assert attribute_reads_outside(source, "tau", "_relation_masks") == [3]
 
 
 def test_longhand_imports_nothing_from_fglops():

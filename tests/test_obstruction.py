@@ -28,7 +28,7 @@ from fglops import (
     validate_law,
 )
 from fglops.chern import coefficient_names
-from fglops.obstruction import _relation_masks, _rows
+from fglops.obstruction import _relation_masks, _rows, symbolic_table
 from conftest import boolean_polynomial, dense_law_terms, lines_never_run, lorentz_terms, to_plain
 from longhand import delta_longhand
 
@@ -166,13 +166,19 @@ def _as_polynomials(relations):
 ])
 def test_boolean_relations_match_integer_reduction(law, tau):
     # boolean_relations computes over F2[a]/(a_i^2 + a_i) from the start; it must
-    # give the rows, polynomials and order of the defect over Z[a] reduced at the end
+    # give the rows, polynomials and order of the defect over Z[a] reduced at the end.
+    # Both read tau = 2 only, and refuse any other tau alike.
     rng = random.Random(f"{law}-{tau}")
     points = [(rng.randint(2, 12), rng.randint(1, 7), rng.randint(1, 10)) for _ in range(8)]
     points += [(5, 3, 9), (4, 2, 7), (33, 17, 32)]  # D > t, then the largest point
     for t_max, z_max, degree in points:
         fgl = builtin_law(law, Z, max(t_max, z_max))
         ctx = standard_context(Z, t_max, z_max, law=fgl, tau=tau)
+        if tau != 2:
+            for read in (boolean_relations, extract_relations):
+                with pytest.raises(ValueError, match="tau = 2"):
+                    read(degree, ctx)
+            continue
         relations = extract_relations(degree, ctx)
         assert _as_polynomials(boolean_relations(degree, ctx)) == relations, (t_max, z_max, degree)
         names = coefficient_names(degree)
@@ -206,13 +212,11 @@ def _law(name):
 
 
 def law_tau_torsion():
-    # the additive law with z torsion 2 pins tau to 2
     return [
         (law, tau, torsion)
         for law in ("additive", "multiplicative", *TERM_LAWS)
         for tau in (0, 1, 2, 3)
         for torsion in (None, 2, 4)
-        if not (law == "additive" and torsion == 2 and tau != 2)
     ]
 
 
@@ -239,23 +243,28 @@ def slice_grid(law, tau, torsion) -> list:
     ]
 
 
-# the dense law is x + y mod 2, so with z torsion 2 its image in B_D, where
-# _delta_rows runs, pins tau to 2 as well; tests/test_relation_print.py
-# holds those points to extract_relations
-DELTA_GRID = [
-    (law, tau, torsion)
-    for law, tau, torsion in law_tau_torsion()
-    if not (law == "dense" and torsion == 2 and tau % 2)
-]
+def table_points(law, tau, torsion, *reads) -> list:
+    """The points of :func:`slice_grid` with a relation table: all at tau = 2, none else.
+
+    At any other tau each of ``reads`` must refuse each point's context.
+    """
+    points = slice_grid(law, tau, torsion)
+    if tau == 2:
+        return points
+    for _, _, degree, ctx in points:
+        for read in reads:
+            with pytest.raises(ValueError, match="tau = 2"):
+                read(degree, ctx)
+    return []
 
 
-@pytest.mark.parametrize("law, tau, torsion", DELTA_GRID)
+@pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
 def test_sliced_rows_match_delta(law, tau, torsion):
     # boolean_relations writes the rows from the powers of F mod 2, without
     # forming the defect; the rows must be the z-positive terms of the
-    # defect itself, in (z, t) order.  Odd tau puts several masks in one
-    # term; truncations 1 and 2 and D > t are included.
-    for t_max, z_max, degree, ctx in slice_grid(law, tau, torsion):
+    # defect itself, in (z, t) order.  Truncations 1 and 2 and D > t are
+    # included.
+    for t_max, z_max, degree, ctx in table_points(law, tau, torsion, boolean_relations):
         assert boolean_relations(degree, ctx) == _delta_rows(degree, ctx), (t_max, z_max, degree)
 
 
@@ -288,9 +297,8 @@ def _assert_print_order(degree, ctx):
 @pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
 def test_relation_table_comes_in_print_order(law, tau, torsion):
     # the table is built in one pass with no sort; the printer takes its
-    # order as print order, so it is held here to the order's definition.
-    # Odd tau puts masks of three indices first.
-    for _, _, degree, ctx in slice_grid(law, tau, torsion):
+    # order as print order, so it is held here to the order's definition
+    for _, _, degree, ctx in table_points(law, tau, torsion, _relation_masks):
         _assert_print_order(degree, ctx)
 
 
@@ -316,7 +324,7 @@ def test_relation_core_runs_every_line(default_context):
     # a line the slice grid and the refusals never run is a branch no context needs
     def drive():
         for grid in law_tau_torsion():
-            for _, _, degree, ctx in slice_grid(*grid):
+            for _, _, degree, ctx in table_points(*grid, _relation_masks):
                 _relation_masks(degree, ctx)
         with pytest.raises(ValueError, match="positive integer"):
             _relation_masks(0, default_context)
@@ -328,16 +336,16 @@ def test_relation_core_runs_every_line(default_context):
 
 
 def test_relation_table_needs_a_numeric_context(default_context):
-    # the table reads the law and tau mod 2, so the context's coefficients
-    # must be Z or Z/2n; a context over Z[a1..aD] is the twin the reference
-    # builds, not an input, and the reference refuses what the table does
+    # the table reads the law mod 2, so the context's coefficients must be
+    # Z or Z/2n; a context over Z[a1..aD] is the twin the reference builds,
+    # not an input, and the reference refuses what the table does
     for ctx, error, message in _refused_contexts(default_context):
         with pytest.raises(error, match=message):
             boolean_relations(3, ctx)
         with pytest.raises(error, match=message):
             extract_relations(3, ctx)
-    for ring in (IntegerModRing(2), IntegerModRing(6)):
-        ctx = PowerOpContext(standard_ring(ring, 5, 3), builtin_law("multiplicative", ring), 1)
+    for ring, tau in ((IntegerModRing(2), 0), (IntegerModRing(6), 2)):
+        ctx = PowerOpContext(standard_ring(ring, 5, 3), builtin_law("multiplicative", ring), tau)
         assert _as_polynomials(boolean_relations(4, ctx)) == extract_relations(4, ctx)
 
 
@@ -466,17 +474,32 @@ def test_search_witness_is_first_zero_defect():
     assert report.witness[reach:] == (0, 0, 0)
 
 
-@pytest.mark.parametrize("tau", [1, 3])
+@pytest.mark.parametrize("tau", [0, 1, 3])
 def test_search_refuses_tau_other_than_2(tau):
     # with tau != 2 the z^0 part of the defect is (2 - tau)*t + ...: it reads
-    # the a_i beyond mod 2, so {0, 1} candidates no longer cover the integers
-    ctx = standard_context(Z, law=builtin_law("multiplicative", Z), tau=tau)
-    for tail in itertools.product((0, 1), repeat=2):
-        d = delta(ChernSeries([1, *tail]), ctx)
-        assert d.coefficient_of((1, 0)) == 2 - tau
-        assert min(d.terms, key=lambda e: (e[1], e[0])) == (1, 0)
-    with pytest.raises(ValueError, match="tau = 2"):
-        exhaustive_search(3, ctx)
+    # the a_i beyond mod 2, so {0, 1} candidates no longer cover the integers,
+    # and every candidate fails at t before any z-positive row is read.  The
+    # search and the three table entry points refuse the context through one
+    # check, made in the coefficient ring, where tau = 0 is 2 over Z/2.
+    rng = random.Random(tau)
+    entries = (boolean_relations, symbolic_table, extract_relations, exhaustive_search)
+    for law in ("additive", "multiplicative"):
+        ctx = standard_context(Z, law=builtin_law(law, Z), tau=tau)
+        for tail in itertools.product((0, 1), repeat=2):
+            d = delta(ChernSeries([1, *tail]), ctx)
+            assert d.coefficient_of((1, 0)) == 2 - tau
+            assert min(d.terms, key=lambda e: (e[1], e[0])) == (1, 0)
+        cand = [1] + [rng.randint(-3, 3) for _ in range(3)]
+        assert delta(ChernSeries(cand), ctx).coefficient_of((1, 0)) == 2 - tau
+        for entry in entries:
+            with pytest.raises(ValueError, match="relations are read at tau = 2, got"):
+                entry(3, ctx)
+    ctx = standard_context(F2, law=builtin_law("multiplicative", F2), tau=0)
+    relations = extract_relations(4, ctx)
+    assert relations and _as_polynomials(boolean_relations(4, ctx)) == relations
+    assert [row for _, row in symbolic_table(4, ctx)] == [str(poly) for _, poly in relations]
+    with pytest.raises(ValueError, match="integer coefficients"):  # not its tau
+        exhaustive_search(4, ctx)
 
 
 @pytest.mark.parametrize("torsion", [4, None])

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from fglops import (
+    BooleanRing,
     ChernSeries,
     IntegerModRing,
     IntegerRing,
@@ -20,7 +22,8 @@ from fglops import (
     standard_ring,
     validate_law,
 )
-from conftest import lorentz_terms, to_plain
+from fglops.cli import main
+from conftest import dense_law_terms, lorentz_terms, to_plain
 from longhand import power_op_longhand
 
 Z = IntegerRing()
@@ -125,11 +128,40 @@ def test_standard_ring_defaults_to_integers():
     assert standard_ring() == standard_ring(Z)
 
 
-def test_transfer_scalar_pinned_for_additive_two_torsion():
-    with pytest.raises(ValueError):
-        standard_context(Z, tau=3)
+def _series_file(tmp_path, coeff, terms) -> str:
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({
+        "ring": {"coeff": coeff, "vars": [{"name": "t", "trunc": 5}]},
+        "terms": [{"exp": [e], "coef": c} for e, c in terms],
+    }))
+    return str(path)
+
+
+def test_transfer_scalar_pinned_for_additive_two_torsion(tmp_path, capsys):
+    # powerop pins tau to 2 for the additive law, whose z has torsion 2;
+    # tau is compared in the coefficient ring, so tau = 0 is 2 over Z/2
+    argv = ["powerop", _series_file(tmp_path, "Z", [(1, "1"), (2, "3")])]
+    assert main([*argv, "--fgl", "additive", "--tau", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the transfer scalar is forced to 2 for the additive law with 2-torsion\n"
+    )
     # other laws may choose any scalar
-    standard_context(Z, law=multiplicative_law(Z), tau=3)
+    assert main([*argv, "--fgl", "multiplicative", "--tau", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["powerop", _series_file(tmp_path, "Z/2", [(1, "1")]), "--tau", "0"]) == 0
+    assert capsys.readouterr() == ("t^2 + t*z\n", "")
+
+
+def test_context_image_keeps_any_tau():
+    # the library pins no tau: the dense law is x + y mod 2, so a tau = 1
+    # context over Z maps into B_D, where its law is additive
+    ring = SeriesRing(Z, (SeriesVar("x", 8), SeriesVar("y", 8)))
+    dense = validate_law(ring.from_terms(dense_law_terms(8)), name="dense")
+    boolean = BooleanRing(("a1", "a2"))
+    image = PowerOpContext(standard_ring(Z, 8, 4), dense, 1).map_coefficients(
+        boolean, boolean.image
+    )
+    assert image.law.is_additive and image.tau == boolean.one
 
 
 def test_multiplicativity_on_monomials(default_context):

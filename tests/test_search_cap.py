@@ -156,6 +156,17 @@ def test_report_holds_a_witness_or_failures():
     ):
         with pytest.raises(ValueError, match=fragment):
             ObstructionReport(ring, (), witness=witness, failing=failing)
+    # a tail that is no count, and a witness of D = w + tail entries no longer than its tail
+    for witness, failing, tail, fragment in (
+        (None, ((1, 2),), -1, "non-negative integer, got -1"),
+        ((1,), None, -1, "non-negative integer, got -1"),
+        (None, ((1, 2),), 1.5, "non-negative integer, got 1.5"),
+        ((1, 0), None, 5, "D = w \\+ 5 > 5 entries, got \\(1, 0\\)"),
+        ((1, 0, 0, 0, 0), None, 5, "> 5 entries"),
+    ):
+        with pytest.raises(ValueError, match=fragment):
+            ObstructionReport(ring, (), witness=witness, failing=failing, tail=tail)
+    assert ObstructionReport(ring, (), witness=(1,) + (0,) * 5, tail=5).verdict == "satisfiable"
 
 
 @pytest.mark.parametrize("rows", [1, 200, 300])
