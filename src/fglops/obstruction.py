@@ -16,8 +16,9 @@ satisfy.  Reducing mod 2 with a_i^2 = a_i is a ring homomorphism
     Z[a][[t, z]]/(2z, z^k, t^m) -> B_D[[t, z]]/(z^k, t^m),
     B_D = F2[a1..aD]/(a_i^2 + a_i),
 
-and it commutes with the power operation.  The table is read at tau = 2
-only, the one check :func:`_check_mod2` makes: at any other tau the z^0
+and it commutes with the power operation.  The tables and the search
+take one domain, the contexts :func:`_check_mod2` takes: z torsion 2,
+coefficients Z or Z/2n, tau = 2 and F(t, 0) = t.  At any other tau the z^0
 part of every defect is (2 - tau)*sum over i < j of a_i*a_j*t^(i+j), whose
 t coefficient (2 - tau)*a1 fails every candidate before the table is read.
 At tau = 2 the transfer terms of P(r(t)) are even, so with a_0 = 1 and
@@ -43,20 +44,20 @@ independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
 reduced at the end by :func:`multilinear_mod2`, the same rows as
 PolynomialRing(Z/2) values.
 
-Search.  With tau = 2 the z^0 part of every defect is zero, and with z
-torsion 2 every z-positive coefficient is its image mod 2, so the verdict
-depends only on the a_i mod 2.  The exhaustive search gives a verdict on
-every integer candidate with a1 = 1 and remaining coefficients in {0, 1},
-which then covers all integer candidates, and certifies it with a witness or
-with one failing monomial per candidate; it refuses other values of tau and
-of the z torsion.  A candidate's z-positive coefficients are the Boolean
-relations evaluated at it, so its failing monomial is the first relation, in
-(z, t) order, that evaluates to 1.  The search computes the mask-major table
-once, and no series arithmetic is done per candidate.  The rows read only
-a1..a_w, so it evaluates each mask on all 2^(w-1) prefixes at once, as a
-truth table with one bit per prefix, XORs it into the tables of its rows,
-and peels off each row's first failures in (z, t) order.  The report keeps
-one failing monomial per prefix, as the CLI writes them
+Search.  In that domain the z^0 part of every defect is zero, and every
+z-positive coefficient is 2-torsion, an element of F2 over Z and Z/2n
+alike, so the verdict depends only on the a_i mod 2.  The exhaustive
+search gives a verdict on every candidate with a1 = 1 and remaining
+coefficients in {0, 1}, which then covers all candidates, and certifies it
+with a witness or with one failing monomial per candidate.  A candidate's
+z-positive coefficients are the Boolean relations evaluated at it, so its
+failing monomial is the first relation, in (z, t) order, that evaluates to
+1.  The search computes the mask-major table once, and no series
+arithmetic is done per candidate.  The rows read only a1..a_w, so it
+evaluates each mask on all 2^(w-1) prefixes at once, as a truth table with
+one bit per prefix, XORs it into the tables of its rows, and peels off
+each row's first failures in (z, t) order.  The report keeps one failing
+monomial per prefix, as the CLI writes them
 (:meth:`ObstructionReport.failure_blocks`), and builds the per-candidate
 list only when it is read.
 """
@@ -123,19 +124,28 @@ def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
 
 
 def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
-    """Refuse D < 1, odd torsion, tau != 2 (``ValueError``), rings but Z, Z/2n (``RingMismatch``).
+    """Refuse every context outside the obstruction's domain, in this order.
 
-    tau is compared in the coefficient ring, so tau = 0 passes over Z/2.
+    D >= 1; the standard ring's shape, t torsion-free and z torsion 2;
+    coefficients Z or Z/2n (else ``RingMismatch``); tau = 2, compared in
+    the coefficient ring, so tau = 0 passes over Z/2; and F(t, 0) = t, read
+    off the law's y-free terms below the t truncation.  Each other failure
+    raises ``ValueError``.
     """
     if not is_int(degree) or degree < 1:
         raise ValueError(f"candidate degree must be a positive integer, got {degree!r}")
-    if any(v.torsion is not None and v.torsion % 2 for v in ctx.ring.variables):
-        raise ValueError("relations are read mod 2, which needs even torsion orders")
+    torsions = [v.torsion for v in ctx.ring.variables]
+    if torsions != [None, 2]:
+        raise ValueError(f"relations are read with t torsion-free and z torsion 2, got {torsions}")
     cr = ctx.ring.coeff_ring
     if not (isinstance(cr, IntegerRing) or isinstance(cr, IntegerModRing) and cr.modulus % 2 == 0):
         raise RingMismatch(f"no reduction mod 2 from {cr}")
     if ctx.tau != 2:
         raise ValueError(f"relations are read at tau = 2, got {ctx.tau}")
+    t_trunc = ctx.ring.variables[0].trunc
+    unit = {a: c.value for (a, b), c in ctx.law.series.terms.items() if not b and a < t_trunc}
+    if unit != ({1: 1} if t_trunc > 1 else {}):
+        raise ValueError("relations are read for a law with F(t, 0) = t")
 
 
 def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
@@ -410,11 +420,8 @@ def _owners(deciding: list, size: int) -> list:
 def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     """Give a verdict on every candidate with a1 = 1, a_i in {0, 1}.
 
-    The context must have integer coefficients, tau = 2, z torsion 2 and a
-    law with F(t, 0) = t, or ``ValueError`` is raised: only then is the z^0
-    part of every defect zero and every z-positive coefficient read mod 2,
-    so that the a_i mod 2 decide the verdict and {0, 1} covers every integer
-    candidate.
+    It takes the contexts :func:`_check_mod2` takes, over Z and Z/2n alike,
+    where the a_i mod 2 decide the verdict (the module docstring, "Search").
     Candidates are ordered with the last coefficient varying fastest; each
     failure records the first nonzero monomial in (z-degree, t-degree)
     order.  That monomial is the first relation that evaluates to 1 at the
@@ -431,16 +438,6 @@ def exhaustive_search(degree: int, ctx: PowerOpContext) -> ObstructionReport:
     over, followed by zeros, is the witness.
     """
     ring = ctx.ring
-    if not isinstance(ring.coeff_ring, IntegerRing):
-        raise ValueError("the exhaustive search runs over integer coefficients")
-    z_torsion = ring.variables[1].torsion
-    if z_torsion != 2:
-        raise ValueError(f"the exhaustive search needs z torsion 2, got {z_torsion}")
-    # F(t, 0) = t, from the law's y-free terms, zeroes the z^0 part of every
-    # defect r(t)^2 - r(t)^2; a law built without validate_law may fail it
-    if ring.from_terms({e: c for e, c in ctx.law.series.terms.items() if not e[1]}) != ctx.t:
-        raise ValueError("the exhaustive search needs a law with F(t, 0) = t")
-
     table = _relation_masks(degree, ctx)
     width = max([1] + [idx[-1] for idx, _ in table])
     size = 1 << (width - 1)

@@ -43,9 +43,11 @@ by the context that fixes the law and the ring, and by the law itself for
 relation table reads the law's terms as exponent pairs, not a series'
 packed keys.
 
-Within ``obstruction.py`` only ``_check_mod2`` reads ``.tau``: the
-relation tables and the search read tau = 2 only, and one check refuses
-every other tau for all of them.
+Within ``obstruction.py`` only ``_check_mod2`` reads ``.tau`` or
+``.torsion``, and ``exhaustive_search`` has no ``raise``: the relation
+tables and the search take one domain (z torsion 2, coefficients Z or
+Z/2n, tau = 2, F(t, 0) = t), and one check refuses every context outside
+it for all of them.
 
 ``tests/longhand.py`` imports nothing from ``fglops``: it is the oracle
 the engine is checked against, so it shares no code with it.
@@ -372,6 +374,44 @@ def test_checker_flags_tau_reads():
     )
     assert attribute_reads_outside(source, "tau", "_check_mod2") == [6, 8, 10]
     assert attribute_reads_outside(source, "tau", "_relation_masks") == [3]
+
+
+def test_only_the_mod2_check_reads_torsion():
+    source = (PACKAGE / "obstruction.py").read_text(encoding="utf-8")
+    assert attribute_reads_outside(source, "torsion", "_check_mod2") == []
+
+
+def raises_in(source: str, function: str) -> list:
+    """The lines of the ``raise`` statements in every function named ``function``."""
+    return sorted(
+        node.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == function
+        for node in ast.walk(fn) if isinstance(node, ast.Raise)
+    )
+
+
+def test_the_search_refuses_nothing_itself():
+    source = (PACKAGE / "obstruction.py").read_text(encoding="utf-8")
+    assert raises_in(source, "exhaustive_search") == []
+
+
+def test_checker_flags_torsion_reads_and_raises():
+    source = (
+        "\"\"\"Raises only in the check.\"\"\"\n"
+        "def _check_mod2(degree, ctx):\n"
+        "    if [v.torsion for v in ctx.ring.variables] != [None, 2]:\n"
+        "        raise ValueError('z torsion 2')\n"
+        "def exhaustive_search(degree, ctx):\n"
+        "    if ctx.ring.variables[1].torsion != 2:\n"
+        "        raise ValueError('z torsion 2')\n"
+        "    def refuse():\n        raise RingMismatch\n"
+        "    return 'raise', refuse\n"
+    )
+    assert attribute_reads_outside(source, "torsion", "_check_mod2") == [6]
+    assert raises_in(source, "exhaustive_search") == [7, 9]
+    assert raises_in(source, "_check_mod2") == [4]
+    assert raises_in(source, "search") == []
 
 
 def test_longhand_imports_nothing_from_fglops():

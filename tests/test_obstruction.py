@@ -28,7 +28,7 @@ from fglops import (
     validate_law,
 )
 from fglops.chern import coefficient_names
-from fglops.obstruction import _relation_masks, _rows, symbolic_table
+from fglops.obstruction import _check_mod2, _relation_masks, _rows, symbolic_table
 from conftest import boolean_polynomial, dense_law_terms, lines_never_run, lorentz_terms, to_plain
 from longhand import delta_longhand
 
@@ -244,16 +244,18 @@ def slice_grid(law, tau, torsion) -> list:
 
 
 def table_points(law, tau, torsion, *reads) -> list:
-    """The points of :func:`slice_grid` with a relation table: all at tau = 2, none else.
+    """The points of :func:`slice_grid` with a relation table: all at tau = 2 and z torsion 2.
 
-    At any other tau each of ``reads`` must refuse each point's context.
+    At any other z torsion or tau each of ``reads`` must refuse each
+    point's context, for its torsion first: the torsion is checked before tau.
     """
     points = slice_grid(law, tau, torsion)
-    if tau == 2:
+    if (tau, torsion) == (2, 2):
         return points
+    message = "z torsion 2, got" if torsion != 2 else "relations are read at tau = 2, got"
     for _, _, degree, ctx in points:
         for read in reads:
-            with pytest.raises(ValueError, match="tau = 2"):
+            with pytest.raises(ValueError, match=message):
                 read(degree, ctx)
     return []
 
@@ -307,17 +309,49 @@ def test_relation_table_comes_in_print_order_at_bench_points(t_max, z_max, degre
     _assert_print_order(degree, standard_context(Z, t_max, z_max))
 
 
-def _refused_contexts(default_context) -> list:
-    """(context, error type, message) for each context the relation table refuses."""
+ENTRIES = (boolean_relations, symbolic_table, extract_relations, exhaustive_search)
+
+
+def _report_fields(report) -> tuple:
+    """A search report's fields but its ring: what a context over Z/2n shares with Z."""
+    return report.verdict, report.witness, report.failing, report.relations, report.tail
+
+
+def _law_without_unit() -> FormalGroupLaw:
+    """x + y + x^2, a law object with F(t, 0) = t + t^2 that validate_law would refuse."""
+    ring = SeriesRing(Z, (SeriesVar("x", 6), SeriesVar("y", 6)))
+    x, y = ring.gen("x"), ring.gen("y")
+    return FormalGroupLaw(x + y + x * x)
+
+
+def refused_contexts() -> dict:
+    """(context, error type, message) for each context outside the obstruction's domain.
+
+    Each breaks one condition of the domain; every entry point of
+    ``ENTRIES`` refuses each one through the one check.
+    """
     z3 = IntegerModRing(3)
-    return [
-        (PowerOpContext(_torsion_ring(5, 3, 3), builtin_law("additive", Z), 2), ValueError,
-         "even torsion"),
-        (PowerOpContext(standard_ring(z3, 5, 3), builtin_law("additive", z3), 2), RingMismatch,
-         "no reduction mod 2 from Z/3"),
-        (symbolic_twin(3, default_context)[1], RingMismatch,
-         "no reduction mod 2 from Z\\[a1,a2,a3\\]"),
-    ]
+    additive = builtin_law("additive", Z)
+    refused = {
+        f"z torsion {torsion}": (PowerOpContext(_torsion_ring(5, 3, torsion), additive, 2),
+                                 ValueError, f"z torsion 2, got \\[None, {torsion}\\]")
+        for torsion in (None, 3, 4)
+    }
+    t_torsion = SeriesRing(Z, (SeriesVar("t", 5, 2), SeriesVar("z", 3, 2)))
+    refused["t torsion 2"] = (PowerOpContext(t_torsion, additive, 2), ValueError,
+                              "t torsion-free and z torsion 2, got \\[2, 2\\]")
+    refused["Z/3"] = (PowerOpContext(standard_ring(z3, 5, 3), builtin_law("additive", z3), 2),
+                      RingMismatch, "no reduction mod 2 from Z/3")
+    refused["twin"] = (symbolic_twin(3, standard_context(Z))[1], RingMismatch,
+                       "no reduction mod 2 from Z\\[a1,a2,a3\\]")
+    refused["law without unit"] = (standard_context(Z, law=_law_without_unit()), ValueError,
+                                   "law with F\\(t, 0\\) = t")
+    for tau in (0, 1, 3):
+        refused[f"tau {tau}"] = (
+            standard_context(Z, law=builtin_law("multiplicative", Z), tau=tau), ValueError,
+            f"relations are read at tau = 2, got {tau}$",
+        )
+    return refused
 
 
 def test_relation_core_runs_every_line(default_context):
@@ -328,22 +362,20 @@ def test_relation_core_runs_every_line(default_context):
                 _relation_masks(degree, ctx)
         with pytest.raises(ValueError, match="positive integer"):
             _relation_masks(0, default_context)
-        for ctx, error, message in _refused_contexts(default_context):
+        for ctx, error, message in refused_contexts().values():
             with pytest.raises(error, match=message):
                 _relation_masks(3, ctx)
 
-    assert lines_never_run((_relation_masks,), drive) == []
+    assert lines_never_run((_relation_masks, _check_mod2), drive) == []
 
 
-def test_relation_table_needs_a_numeric_context(default_context):
-    # the table reads the law mod 2, so the context's coefficients must be
-    # Z or Z/2n; a context over Z[a1..aD] is the twin the reference builds,
-    # not an input, and the reference refuses what the table does
-    for ctx, error, message in _refused_contexts(default_context):
-        with pytest.raises(error, match=message):
-            boolean_relations(3, ctx)
-        with pytest.raises(error, match=message):
-            extract_relations(3, ctx)
+def test_relation_table_needs_a_numeric_context():
+    # one check states the domain: the three table entry points and the
+    # search refuse every context outside it, with the same error and text
+    for ctx, error, message in refused_contexts().values():
+        for entry in ENTRIES:
+            with pytest.raises(error, match=message):
+                entry(3, ctx)
     for ring, tau in ((IntegerModRing(2), 0), (IntegerModRing(6), 2)):
         ctx = PowerOpContext(standard_ring(ring, 5, 3), builtin_law("multiplicative", ring), tau)
         assert _as_polynomials(boolean_relations(4, ctx)) == extract_relations(4, ctx)
@@ -352,46 +384,41 @@ def test_relation_table_needs_a_numeric_context(default_context):
 def test_search_runs_every_line(default_context):
     # both verdicts, the early stop, the witness and each refusal; a line
     # none of them runs is a branch the search does not need
-    bad_law = SeriesRing(Z, (SeriesVar("x", 6), SeriesVar("y", 6)))
-    x, y = bad_law.gen("x"), bad_law.gen("y")
-    refused = [
-        (standard_context(IntegerModRing(4)), "integer coefficients"),
-        (standard_context(Z, law=builtin_law("multiplicative", Z), tau=3), "tau = 2"),
-        (PowerOpContext(_torsion_ring(5, 3, 4), builtin_law("additive", Z), 2),
-         "z torsion 2"),
-        (standard_context(Z, law=FormalGroupLaw(x + y + x * x)), "F\\(t, 0\\) = t"),
-    ]
-
     def drive():
         assert exhaustive_search(3, default_context).verdict == "unsatisfiable"
         assert exhaustive_search(3, standard_context(Z, z_trunc=1)).witness == (1, 0, 0)
         assert exhaustive_search(8, standard_context(Z, 3, 2)).verdict == "satisfiable"
-        for ctx, message in refused:
-            with pytest.raises(ValueError, match=message):
+        for ctx, error, message in refused_contexts().values():
+            with pytest.raises(error, match=message):
                 exhaustive_search(3, ctx)
 
     assert lines_never_run((exhaustive_search, _rows), drive) == []
 
 
 def test_extract_relations_checks_its_context(default_context):
+    # the checks run in one order: D, the ring's torsion, the coefficients,
+    # tau, F(t, 0) = t; a context that breaks two gets the first one's error
     for degree in (0, "3"):
-        with pytest.raises(ValueError, match="positive integer"):
-            boolean_relations(degree, default_context)
-    # mod 2 is a homomorphism from Z/4 but not from Z/3
-    for torsion, ok in ((4, True), (None, True), (3, False)):
-        ring = _torsion_ring(5, 3, torsion)
-        ctx = PowerOpContext(ring, builtin_law("additive", Z), 2)
-        if ok:
-            assert _as_polynomials(boolean_relations(3, ctx)) == extract_relations(3, ctx)
-        else:
-            with pytest.raises(ValueError, match="even torsion"):
-                extract_relations(3, ctx)
-            with pytest.raises(ValueError, match="even torsion"):
-                boolean_relations(3, ctx)
-    Z3 = IntegerModRing(3)
-    ctx = PowerOpContext(standard_ring(Z3, 5, 3), builtin_law("additive", Z3), 2)
-    with pytest.raises(RingMismatch, match="no reduction mod 2"):
-        boolean_relations(3, ctx)
+        for entry in ENTRIES:
+            with pytest.raises(ValueError, match="positive integer"):
+                entry(degree, default_context)
+    for ctx, _, _ in refused_contexts().values():
+        for entry in ENTRIES:
+            with pytest.raises(ValueError, match="positive integer"):
+                entry(0, ctx)
+    z3 = IntegerModRing(3)
+    twice = [
+        (PowerOpContext(SeriesRing(z3, (SeriesVar("t", 5), SeriesVar("z", 3, 4))),
+                        builtin_law("additive", z3), 1), ValueError, "z torsion 2, got"),
+        (PowerOpContext(standard_ring(z3), builtin_law("additive", z3), 1), RingMismatch,
+         "no reduction mod 2 from Z/3"),
+        (standard_context(Z, law=_law_without_unit(), tau=1), ValueError,
+         "relations are read at tau = 2, got"),
+    ]
+    for ctx, error, message in twice:
+        for entry in ENTRIES:
+            with pytest.raises(error, match=message):
+                entry(3, ctx)
 
 
 def test_multilinear_mod2():
@@ -432,7 +459,7 @@ def _brute_force_search(degree, ctx):
     failures = []
     for tail in itertools.product((0, 1), repeat=degree - 1):
         cand = (1, *tail)
-        d = delta(ChernSeries(list(cand)), ctx)
+        d = delta(ChernSeries(list(cand), ctx.ring.coeff_ring), ctx)
         if not d:
             return cand, None
         failures.append((cand, min(d.terms, key=lambda e: (e[1], e[0]))))
@@ -482,7 +509,6 @@ def test_search_refuses_tau_other_than_2(tau):
     # search and the three table entry points refuse the context through one
     # check, made in the coefficient ring, where tau = 0 is 2 over Z/2.
     rng = random.Random(tau)
-    entries = (boolean_relations, symbolic_table, extract_relations, exhaustive_search)
     for law in ("additive", "multiplicative"):
         ctx = standard_context(Z, law=builtin_law(law, Z), tau=tau)
         for tail in itertools.product((0, 1), repeat=2):
@@ -491,39 +517,62 @@ def test_search_refuses_tau_other_than_2(tau):
             assert min(d.terms, key=lambda e: (e[1], e[0])) == (1, 0)
         cand = [1] + [rng.randint(-3, 3) for _ in range(3)]
         assert delta(ChernSeries(cand), ctx).coefficient_of((1, 0)) == 2 - tau
-        for entry in entries:
+        for entry in ENTRIES:
             with pytest.raises(ValueError, match="relations are read at tau = 2, got"):
                 entry(3, ctx)
     ctx = standard_context(F2, law=builtin_law("multiplicative", F2), tau=0)
     relations = extract_relations(4, ctx)
     assert relations and _as_polynomials(boolean_relations(4, ctx)) == relations
     assert [row for _, row in symbolic_table(4, ctx)] == [str(poly) for _, poly in relations]
-    with pytest.raises(ValueError, match="integer coefficients"):  # not its tau
-        exhaustive_search(4, ctx)
+    integer = standard_context(Z, law=builtin_law("multiplicative", Z))
+    assert _report_fields(exhaustive_search(4, ctx)) == _report_fields(
+        exhaustive_search(4, integer))
 
 
 @pytest.mark.parametrize("torsion", [4, None])
 def test_search_refuses_z_torsion_other_than_2(torsion):
-    # at torsion 4 candidates equal mod 2 have different defects, so the
-    # mod-2 evaluation of the relations would not decide them
-    ctx = PowerOpContext(_torsion_ring(5, 3, torsion), builtin_law("additive", Z), 2)
-    if torsion == 4:
-        assert delta(ChernSeries([1, 0, 0]), ctx) != delta(ChernSeries([1, 2, 0]), ctx)
-    with pytest.raises(ValueError, match="z torsion 2"):
-        exhaustive_search(3, ctx)
+    # at torsion 4 or none, candidates equal mod 2 have different defects,
+    # so the mod-2 rows would decide neither the table nor the search
+    ctx, error, message = refused_contexts()[f"z torsion {torsion}"]
+    assert delta(ChernSeries([1, 0, 0]), ctx) != delta(ChernSeries([1, 2, 0]), ctx)
+    for entry in ENTRIES:
+        with pytest.raises(error, match=message):
+            entry(3, ctx)
 
 
 def test_search_refuses_law_without_unit():
     # x + y + x^2 is no formal group law: F(t, 0) = t + t^2 puts t^2 into the
     # z^0 part of the defect, which the relation rows do not see
-    law_ring = SeriesRing(Z, (SeriesVar("x", 6), SeriesVar("y", 6)))
-    x, y = law_ring.gen("x"), law_ring.gen("y")
-    ctx = standard_context(Z, law=FormalGroupLaw(x + y + x * x))
+    ctx, error, message = refused_contexts()["law without unit"]
     assert delta(ChernSeries([1, 0, 0]), ctx).coefficient_of((2, 0)) == 1
-    with pytest.raises(ValueError, match="F\\(t, 0\\) = t"):
-        exhaustive_search(3, ctx)
-    # at t_trunc = 1 the series t is zero, and so is F(t, 0)
-    assert exhaustive_search(3, standard_context(Z, 1, 2)).verdict == "satisfiable"
+    for entry in ENTRIES:
+        with pytest.raises(error, match=message):
+            entry(3, ctx)
+    # at t_trunc = 1 the series t is zero, and so is F(t, 0), for any law
+    for law in (None, ctx.law):
+        assert exhaustive_search(3, standard_context(Z, 1, 2, law=law)).verdict == "satisfiable"
+
+
+@pytest.mark.parametrize("law", ["additive", "multiplicative"])
+def test_search_over_z_mod_2n_matches_z(law):
+    # with 2z = 0 every z-positive coefficient lies in F2 over Z/2n as over Z,
+    # so the a_i mod 2 give the same report; up to D = 6 it is held to each
+    # candidate's own defect in that ring (tau = 0 is 2 over Z/2)
+    rng = random.Random(f"z-mod-2n-{law}")
+    points = [(rng.randint(1, 9), rng.randint(1, 5), rng.randint(1, 9)) for _ in range(6)]
+    points += [(5, 3, 6), (3, 2, 5), (7, 2, 9), (9, 5, 7), (6, 1, 4)]
+    verdicts = set()
+    for t_max, z_max, degree in points:
+        integer = standard_context(Z, t_max, z_max, law=builtin_law(law, Z))
+        expected = _report_fields(exhaustive_search(degree, integer))
+        verdicts.add(expected[0])
+        for ring, tau in ((F2, 0), (IntegerModRing(4), 2), (IntegerModRing(6), 2)):
+            ctx = standard_context(ring, t_max, z_max, law=builtin_law(law, ring), tau=tau)
+            report = exhaustive_search(degree, ctx)
+            assert _report_fields(report) == expected, (t_max, z_max, degree, ring)
+            if degree <= 6:
+                assert (report.witness, report.failures) == _brute_force_search(degree, ctx)
+    assert verdicts == {"satisfiable", "unsatisfiable"}
 
 
 @pytest.mark.parametrize("law", ["additive", "multiplicative"])

@@ -84,7 +84,7 @@ def test_plain_texts_are_what_json_dumps_leaves_alone():
 @pytest.mark.parametrize("law, tau, torsion", law_tau_torsion())
 def test_printed_rows_match_extract_relations_on_grid(law, tau, torsion):
     # every law and torsion of the grid, through the printer and the CLI's
-    # JSON row writer; both sides refuse tau != 2
+    # JSON row writer; both sides refuse tau != 2 and z torsion other than 2
     for t, z, degree, ctx in table_points(law, tau, torsion, symbolic_table, extract_relations):
         expected = reference_rows(degree, ctx)
         rows = symbolic_table(degree, ctx)
