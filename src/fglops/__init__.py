@@ -3,7 +3,6 @@ formal group laws, quadratic power operations, total Chern class
 candidates, and obstruction certificates."""
 
 from .coefficients import (
-    BooleanRing,
     Coefficient,
     IntegerModRing,
     IntegerRing,
@@ -46,7 +45,6 @@ from .obstruction import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BooleanRing",
     "Coefficient",
     "IntegerModRing",
     "IntegerRing",

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .coefficients import (
-    BooleanRing,
     Coefficient,
     Immutable,
     IntegerModRing,
@@ -42,8 +41,7 @@ class ChernSeries(Immutable):
     Numeric integer candidates require a1 in {1, -1}; modular candidates
     require a1 to be a unit.  Symbolic candidates take a1 to be either a
     unit constant or a single indeterminate, with the convention a1 = 1
-    mod 2 applied wherever torsion reduces coefficients; over a Boolean ring
-    a1 is 1 or a single indeterminate.
+    mod 2 applied wherever torsion reduces coefficients.
     """
 
     __slots__ = fields = ("coeffs", "coeff_ring")
@@ -89,10 +87,6 @@ class ChernSeries(Immutable):
                 raise UnitViolation(
                     f"symbolic a1 must be a single indeterminate, got {a1}"
                 )
-        elif isinstance(coeff_ring, BooleanRing):
-            masks = list(a1.value)  # 1 is the empty mask, an indeterminate one bit
-            if len(masks) != 1 or masks[0] & (masks[0] - 1):
-                raise UnitViolation(f"a1 = {a1} must be 1 or a single indeterminate")
         super().__init__(tuple(normalized), coeff_ring)
 
     @classmethod

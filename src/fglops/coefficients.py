@@ -1,6 +1,5 @@
 """Exact coefficient rings: arbitrary-precision integers, integers modulo n,
-sparse multivariate polynomial rings over either, and Boolean polynomial
-rings.
+and sparse multivariate polynomial rings over either.
 
 A ring object is an immutable descriptor that owns all arithmetic on raw
 values; :class:`Coefficient` pairs a ring with one raw value kept in
@@ -11,15 +10,13 @@ canonical normal form.  Raw encodings per ring:
   PolynomialRing  tuple of (exponent tuple, base value) pairs, sorted by
                   total degree descending then exponent tuple ascending,
                   with no zero base values
-  BooleanRing     frozenset of monomial bitmasks (multilinear, over F2)
 
 Because values are always normal forms, structural equality decides ring
 equality questions and every value is hashable and freely shareable.  The
 one exception is a sum being accumulated, a *working value*: an unreduced
-int over Z/n, a dict of unsorted terms over a polynomial ring, a mutable
-set of masks over a Boolean ring, put in normal form once the sum is
-complete.  :class:`Ring` states the raw-value protocol every ring
-implements and the working-value contract.
+int over Z/n or a dict of unsorted terms over a polynomial ring, put in
+normal form once the sum is complete.  :class:`Ring` states the raw-value
+protocol every ring implements and the working-value contract.
 """
 
 from __future__ import annotations
@@ -528,158 +525,6 @@ class PolynomialRing(Ring):
                 exps[self.names.index(name)] += parse_int(exp) if exp else 1
             terms.append((exps, coef))
         return self.normalize(terms)
-
-
-class BooleanRing(Ring):
-    """The Boolean polynomial ring F2[x1..xn]/(x_i^2 + x_i).
-
-    A value is a frozenset of monomial bitmasks, bit i standing for the
-    indeterminate ``names[i]``: multilinear polynomials over F2, the
-    functions on {0, 1}^n.  Sums are symmetric differences; a product ORs
-    each pair of masks (x_i^2 = x_i) and keeps the masks that occur an odd
-    number of times, toggling each in a mutable set (:meth:`mul_add`) that
-    :meth:`settle` freezes.  Reducing integer polynomials mod 2 with
-    x_i^2 = x_i is a ring homomorphism into this ring (:meth:`image`).  The
-    engine builds its relation table from bitsets, not from series here.
-
-    Values print straight from their masks, in the order and text of
-    PolynomialRing(Z/2, names): :meth:`order_key` sorts the masks and
-    :meth:`mask_text` writes each one.  The engine's relation table is
-    built in that order, and its tests hold it to :meth:`order_key`.
-    """
-
-    __slots__ = fields = ("names",)
-
-    def __init__(self, names):
-        super().__init__(PolynomialRing(IntegerModRing(2), names).names)  # checks the names
-
-    def __str__(self) -> str:
-        return f"F2[{','.join(self.names)}]/(x^2+x)"
-
-    def gen(self, name: str) -> "Coefficient":
-        return self.wrap(frozenset((1 << self.names.index(name),)))
-
-    gens = PolynomialRing.gens
-
-    def image(self, coef: "Coefficient") -> "Coefficient":
-        """The image of an integer or polynomial coefficient: mod 2, x_i^2 = x_i.
-
-        The source is Z, Z/n with n even, or a polynomial ring over one of
-        them in the same indeterminates.
-        """
-        ring = coef.ring
-        if isinstance(ring, PolynomialRing):
-            if ring.names != self.names:
-                raise RingMismatch(f"cannot map {ring} into {self}")
-            base, terms = ring.base, coef.value
-        else:
-            base, terms = ring, (((0,) * len(self.names), coef.value),)
-        if not (
-            isinstance(base, IntegerRing)
-            or isinstance(base, IntegerModRing) and base.modulus % 2 == 0
-        ):
-            raise RingMismatch(f"no reduction mod 2 from {ring}")
-        acc: set = set()
-        for exps, c in terms:
-            if c % 2:
-                acc ^= {sum(1 << i for i, e in enumerate(exps) if e)}
-        return self.wrap(frozenset(acc))
-
-    def order_key(self, m: int) -> int:
-        """The int that sorts monomial masks in print order.
-
-        That order is PolynomialRing's: total degree (popcount) descending,
-        then exponent vector ascending.  The exponent of names[i] is bit i,
-        so the n-bit reversal of the mask orders exponent vectors ascending;
-        above it, n - popcount orders popcount descending.  The reversal
-        takes one step per set bit, and table masks have few.
-        """
-        n = len(self.names)
-        key = (n - m.bit_count()) << n
-        while m:
-            low = m & -m
-            key |= 1 << (n - low.bit_length())
-            m ^= low
-        return key
-
-    def mask_text(self, m: int) -> str:
-        """The ``a1*a3``-style text of a monomial mask, ``1`` for the empty one."""
-        names = self.names
-        factors = []
-        while m:
-            low = m & -m
-            factors.append(names[low.bit_length() - 1])
-            m ^= low
-        return "*".join(factors) or "1"
-
-    def normalize(self, value):
-        if isinstance(value, int):
-            return self.from_int(value)
-        n = len(self.names)
-        acc: set = set()
-        for m in value:
-            if not is_int(m) or not 0 <= m < 1 << n:
-                raise ValueError(f"monomial masks must be integers in [0, 2^{n}), got {m!r}")
-            acc ^= {m}
-        return frozenset(acc)
-
-    def from_int(self, n: int):
-        return frozenset((0,)) if _Z.normalize(n) % 2 else frozenset()
-
-    def add(self, a, b):
-        return a ^ b
-
-    def neg(self, a):
-        return a
-
-    mul = PolynomialRing.mul
-
-    def mul_add(self, acc, a, b):
-        # a working value is a mutable set, toggled in place; a canonical
-        # frozenset is copied first
-        if acc is None:
-            acc = set()
-        elif type(acc) is not set:
-            acc = set(acc)
-        for x in a:
-            for y in b:
-                m = x | y
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
-        return acc
-
-    # frozenset() of a frozenset is that same object
-    settle = staticmethod(frozenset)
-
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def is_unit(self, a) -> bool:
-        # every element is idempotent, and an idempotent unit is 1
-        return a == {0}
-
-    def invert(self, a):
-        if a == {0}:
-            return a
-        raise NotAUnit(f"{self.format_value(a)} is not a unit in {self}")
-
-    def is_nilpotent(self, a) -> bool:
-        return not a
-
-    def reduce_mod(self, a, m: int):
-        # 2 = 0 here: an even m kills nothing and an odd m is a unit
-        return a if m % 2 == 0 else frozenset()
-
-    def format_value(self, a) -> str:
-        if not a:
-            return "0"
-        return "+".join(map(self.mask_text, sorted(a, key=self.order_key)))
-
-    def parse_value(self, text: str):
-        ring = PolynomialRing(IntegerModRing(2), self.names)
-        return self.image(ring.wrap(ring.parse_value(text))).value
 
 
 CoefficientValue = Union[int, Mapping, Iterable]

@@ -32,13 +32,14 @@ product of powers of F, t and z with coefficients in F2, so
 alone, each one int with a bit per odd coefficient at its row key
 j*m + i for z^j*t^i, one bitset of row keys per monomial mask; F mod 2 is
 read off the law's terms, and F(t, z), the integer polynomials and the B_D
-series never form.  That table is the one form the CLI reads,
-and it is built in B_D print order (:meth:`BooleanRing.order_key`), so
-nothing sorts it.  One printer (:func:`_printed_rows`) turns it into
+series never form.  That table is the one form of a relation the engine
+holds, and it is built in print order, the term order of
+PolynomialRing(Z/2): popcount descending, then exponent vector ascending;
+so nothing sorts it.  One printer (:func:`_printed_rows`) turns it into
 (z^j*t^i label, polynomial text) rows in one pass over its masks, each
 mask's text made once from its indices: :func:`symbolic_table` returns
 those rows, and the search report keeps them.  :func:`boolean_relations`
-gives the table as rows of B_D values for library callers.
+gives the table as rows of monomial mask sets for library callers.
 :func:`extract_relations`, with the same arguments and refusals, is the
 independent reference: the defect over Z[a1..aD] (:func:`symbolic_twin`)
 reduced at the end by :func:`multilinear_mod2`, the same rows as
@@ -70,7 +71,6 @@ import operator
 from typing import Optional
 
 from .coefficients import (
-    BooleanRing,
     Coefficient,
     Immutable,
     IntegerModRing,
@@ -109,18 +109,18 @@ def multilinear_mod2(coef: Coefficient) -> Coefficient:
 
 
 def boolean_relations(degree: int, ctx: PowerOpContext) -> list:
-    """Relations on a1..aD as values of the Boolean ring F2[a1..aD]/(a_i^2 + a_i).
+    """Relations on a1..aD as elements of B_D = F2[a1..aD]/(a_i^2 + a_i).
 
     ``degree`` is the candidate degree D and ``ctx`` the numeric context.
-    Returns (monomial exponents, B_D coefficient) pairs for the nonzero
-    z-positive coefficients of the defect of the generic candidate,
+    Returns (monomial exponents, frozenset of monomial masks) pairs for the
+    nonzero z-positive coefficients of the defect of the generic candidate,
     ordered by (z-degree, t-degree): the rows of :func:`_relation_masks`,
-    read by :func:`_rows`.
+    read by :func:`_rows`.  Bit k - 1 of a mask stands for a_k; a set is
+    the sum of its monomials.
     """
     table = _relation_masks(degree, ctx)
-    wrap = BooleanRing(coefficient_names(degree)).wrap
     masks = [sum(1 << (i - 1) for i in idx) for idx, _ in table]
-    return [(exps, wrap(frozenset(ms))) for exps, ms in _rows(ctx.ring, table, masks)]
+    return [(exps, frozenset(ms)) for exps, ms in _rows(ctx.ring, table, masks)]
 
 
 def _check_mod2(degree: int, ctx: PowerOpContext) -> None:
@@ -167,10 +167,11 @@ def _relation_masks(degree: int, ctx: PowerOpContext) -> list:
     P^k = t^k*F^k comes twice.  Masks whose bitset is empty are left out,
     and mask 0 always is: its terms are 1 + 1.
 
-    The entries come in :meth:`BooleanRing.order_key` order, with no sort:
-    popcount descending, then exponent vector ascending, which for one
-    popcount is the index tuple descending.  So the pairs come first, by i
-    descending, then k descending, then the singles by k descending.
+    The entries come in print order, with no sort: the term order of
+    PolynomialRing(Z/2), popcount descending, then exponent vector
+    ascending, which for one popcount is the index tuple descending.  So
+    the pairs come first, by i descending, then k descending, then the
+    singles by k descending.
     """
     _check_mod2(degree, ctx)
     t_trunc, z_trunc = (v.trunc for v in ctx.ring.variables)
@@ -246,7 +247,7 @@ def extract_relations(degree: int, ctx: PowerOpContext) -> list:
     """Relations on a1..aD, computed over Z[a1..aD] and reduced at the end.
 
     The reference for :func:`boolean_relations`, taking and refusing the
-    same arguments, independent of :class:`BooleanRing`: the defect of the
+    same arguments, independent of the mask table: the defect of the
     generic candidate in the context rebuilt over Z[a1..aD]
     (:func:`symbolic_twin`), then :func:`multilinear_mod2` of each
     z-positive coefficient.  The same rows in the same order, (monomial
@@ -284,9 +285,9 @@ def symbolic_table(degree: int, ctx: PowerOpContext) -> list:
     """The relation table of the generic candidate of this degree in ``ctx``, as printed.
 
     (monomial label, polynomial text) pairs in (z, t) order, printed by
-    :func:`_printed_rows` straight from :func:`_relation_masks` with no B_D
-    value made on the way; the polynomial of a row is the text of its
-    :func:`boolean_relations` coefficient.
+    :func:`_printed_rows` straight from :func:`_relation_masks`; the
+    polynomial of a row is its :func:`boolean_relations` mask set written
+    as a polynomial over Z/2.
     """
     return _printed_rows(ctx.ring, degree, _relation_masks(degree, ctx))
 

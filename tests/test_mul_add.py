@@ -2,17 +2,15 @@
 
 Series products, power sums and substitutions accumulate each coefficient
 with ``mul_add`` and settle it once.  The grid checks those three operations
-against ``tests/longhand.py`` over Z, Z/n, Z[a1..a3], Z/4[a,b] and B_3.
+against ``tests/longhand.py`` over Z, Z/n, Z[a1..a3] and Z/4[a,b].
 
 The oracle splits a series into integer series, one per monomial label of
 its coefficients: () over Z and Z/n, an exponent vector over the polynomial
-rings and over B_3, whose values are read through ``boolean_polynomial``.  A
-product of two series is then the sum, over pairs of labels, of longhand
-integer products (``naive_convolution``), filed under the combined label.
-Labels add over polynomial rings and combine by maximum over B_3, where
-a_i^2 = a_i.  Z/n, Z/4[a,b] and B_3 are images of the integer computation:
-each coefficient is reduced at the end modulo gcd(n, torsion), with n = 4
-for Z/4[a,b] and 2 for B_3.
+rings.  A product of two series is then the sum, over pairs of labels, of
+longhand integer products (``naive_convolution``), filed under the sum of
+the labels.  Z/n and Z/4[a,b] are images of the integer computation: each
+coefficient is reduced at the end modulo gcd(n, torsion), with n = 4 for
+Z/4[a,b].
 """
 
 import math
@@ -21,7 +19,6 @@ import random
 import pytest
 
 from fglops import (
-    BooleanRing,
     Coefficient,
     IntegerModRing,
     IntegerRing,
@@ -31,21 +28,16 @@ from fglops import (
     boolean_relations,
     standard_context,
 )
-from conftest import boolean_polynomial
 from longhand import naive_convolution, naive_normalize
 
 Z = IntegerRing()
-NAMES = ("a1", "a2", "a3")
-PZ3 = PolynomialRing(Z, NAMES)
-B3 = BooleanRing(NAMES)
-# (ring, modulus of the oracle's final reduction, label combination)
+PZ3 = PolynomialRing(Z, ("a1", "a2", "a3"))
+# (ring, modulus of the oracle's final reduction)
 KINDS = {
-    "Z": (Z, 0, None),
-    **{f"Z/{n}": (IntegerModRing(n), n, None) for n in (3, 4, 6, 8)},
-    "Z[a1,a2,a3]": (PZ3, 0, lambda x, y: tuple(map(sum, zip(x, y)))),
-    "Z/4[a,b]": (PolynomialRing(IntegerModRing(4), ("a", "b")), 4,
-                 lambda x, y: tuple(map(sum, zip(x, y)))),
-    "B3": (B3, 2, lambda x, y: tuple(map(max, zip(x, y)))),
+    "Z": (Z, 0),
+    **{f"Z/{n}": (IntegerModRing(n), n) for n in (3, 4, 6, 8)},
+    "Z[a1,a2,a3]": (PZ3, 0),
+    "Z/4[a,b]": (PolynomialRing(IntegerModRing(4), ("a", "b")), 4),
 }
 POLYNOMIAL_KINDS = ("Z[a1,a2,a3]", "Z/4[a,b]")
 TORSIONS = (None, 2, 3, 4, 6)
@@ -53,17 +45,17 @@ SEEDS = range(6)
 
 
 def _combine(kind):
-    return KINDS[kind][2] or (lambda x, y: ())
+    if kind in POLYNOMIAL_KINDS:
+        return lambda x, y: tuple(map(sum, zip(x, y)))
+    return lambda x, y: ()
 
 
 def _zero_label(kind):
-    return (0,) * len(KINDS[kind][0].names) if KINDS[kind][2] else ()
+    return (0,) * len(KINDS[kind][0].names) if kind in POLYNOMIAL_KINDS else ()
 
 
 def _random_value(rng, kind) -> dict:
     """A coefficient as {label: int}."""
-    if kind == "B3":
-        return {tuple(rng.randint(0, 1) for _ in NAMES): 1 for _ in range(rng.randint(1, 3))}
     if kind in POLYNOMIAL_KINDS:
         return {tuple(rng.randint(0, 2) for _ in KINDS[kind][0].names): rng.randint(-4, 4)
                 for _ in range(rng.randint(1, 3))}
@@ -72,17 +64,12 @@ def _random_value(rng, kind) -> dict:
 
 def _coefficient(kind, value: dict) -> Coefficient:
     ring = KINDS[kind][0]
-    if kind == "B3":
-        return Coefficient(ring, [sum(1 << i for i, x in enumerate(label) if x)
-                                  for label, c in value.items() if c % 2])
     if kind in POLYNOMIAL_KINDS:
         return Coefficient(ring, value)
     return Coefficient(ring, value.get((), 0))
 
 
 def _labelled(kind, coef: Coefficient) -> dict:
-    if kind == "B3":
-        return dict(boolean_polynomial(B3, coef).value)
     if kind in POLYNOMIAL_KINDS:
         return dict(coef.value)
     return {(): coef.value}
@@ -237,28 +224,6 @@ def test_mul_add_is_add_of_mul_and_settle_fixes_canonical_values(kind):
         assert ring.settle(working) == ring.add(ring.mul(a, b), ring.mul(c, d))
 
 
-def _boolean_series_values(series) -> list:
-    return [coef.value for coef in series.terms.values()]
-
-
-def test_boolean_series_keep_only_frozensets():
-    ring = SeriesRing(B3, (SeriesVar("t", 5), SeriesVar("z", 3, 2)))
-    t, z = ring.gen("t"), ring.gen("z")
-    a1, a2, a3 = B3.gens()
-    f = ring.one + ring.constant(a1) * t + ring.constant(a2 + a3) * t * z
-    g = ring.constant(a1 * a2) * z + t
-    results = {
-        "add": f + g, "sub": f - g, "neg": -f, "mul": f * g, "scalar": f * (a1 + a3),
-        "int": 3 * f, "pow": f ** 3, "power_sum": g.power_sum([a1, a2, 1, a3]),
-        "substitute": f.substitute({"t": t + g, "z": z}), "invert": f.invert(),
-        "constructed": ring.from_terms({(1, 1): a1, (2, 0): a2 + a2}),
-    }
-    for name, series in results.items():
-        values = _boolean_series_values(series)
-        assert values and all(type(v) is frozenset for v in values), name
-    assert f * f.invert() == ring.one
-
-
 def test_boolean_relations_keep_only_frozensets():
     rows = boolean_relations(6, standard_context(Z, 9, 5))
-    assert rows and all(type(coef.value) is frozenset for _, coef in rows)
+    assert rows and all(type(masks) is frozenset for _, masks in rows)

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from fglops import (
-    BooleanRing,
     ChernSeries,
+    Coefficient,
     FormalGroupLaw,
     IntegerModRing,
     IntegerRing,
@@ -28,8 +28,9 @@ from fglops import (
     validate_law,
 )
 from fglops.chern import coefficient_names
+from fglops.coefficients import monomial_text
 from fglops.obstruction import _check_mod2, _relation_masks, _rows, symbolic_table
-from conftest import boolean_polynomial, dense_law_terms, lines_never_run, lorentz_terms, to_plain
+from conftest import dense_law_terms, lines_never_run, lorentz_terms, to_plain
 from longhand import delta_longhand
 
 Z = IntegerRing()
@@ -156,16 +157,24 @@ def test_relations_predict_numeric_failures(default_context):
                 assert actual_val == expected, (exps, values)
 
 
-def _as_polynomials(relations):
-    """Boolean relation rows with each coefficient read into PolynomialRing(Z/2)."""
-    return [(exps, boolean_polynomial(coef.ring, coef)) for exps, coef in relations]
+def _as_polynomials(degree, relations):
+    """Mask-set rows with each set read into PolynomialRing(Z/2, a1..aD).
+
+    Bit k - 1 of a mask is the exponent of a_k; the polynomial is built and
+    ordered by that ring alone.
+    """
+    ring = PolynomialRing(F2, coefficient_names(degree))
+    return [
+        (exps, Coefficient(ring, {tuple(m >> k & 1 for k in range(degree)): 1 for m in masks}))
+        for exps, masks in relations
+    ]
 
 
 @pytest.mark.parametrize("law, tau", [
     ("additive", 2), ("multiplicative", 1), ("multiplicative", 2), ("multiplicative", 3),
 ])
 def test_boolean_relations_match_integer_reduction(law, tau):
-    # boolean_relations computes over F2[a]/(a_i^2 + a_i) from the start; it must
+    # boolean_relations reads the mask table mod 2 from the start; it must
     # give the rows, polynomials and order of the defect over Z[a] reduced at the end.
     # Both read tau = 2 only, and refuse any other tau alike.
     rng = random.Random(f"{law}-{tau}")
@@ -180,19 +189,12 @@ def test_boolean_relations_match_integer_reduction(law, tau):
                     read(degree, ctx)
             continue
         relations = extract_relations(degree, ctx)
-        assert _as_polynomials(boolean_relations(degree, ctx)) == relations, (t_max, z_max, degree)
+        rows = _as_polynomials(degree, boolean_relations(degree, ctx))
+        assert rows == relations, (t_max, z_max, degree)
         names = coefficient_names(degree)
         assert all(poly.ring == PolynomialRing(F2, names) for _, poly in relations)
         if (t_max, z_max, degree) == (33, 17, 32):
             assert len(relations) > 400
-
-
-def _delta_rows(degree, ctx):
-    """The relation rows read off the whole defect: delta over B_D, its z-positive terms."""
-    boolean = BooleanRing(coefficient_names(degree))
-    defect = delta(ChernSeries(boolean.gens(), boolean), ctx.map_coefficients(boolean, boolean.image))
-    rows = [(exps, coef) for exps, coef in defect.terms.items() if exps[1]]
-    return sorted(rows, key=lambda row: (row[0][1], row[0][0]))
 
 
 # laws given by their terms below a degree, on small grid points only
@@ -264,35 +266,43 @@ def table_points(law, tau, torsion, *reads) -> list:
 def test_sliced_rows_match_delta(law, tau, torsion):
     # boolean_relations writes the rows from the powers of F mod 2, without
     # forming the defect; the rows must be the z-positive terms of the
-    # defect itself, in (z, t) order.  Truncations 1 and 2 and D > t are
-    # included.
+    # defect itself, computed over Z[a] and reduced mod 2 at the end
+    # (extract_relations), in (z, t) order.  Truncations 1 and 2 and D > t
+    # are included.
     for t_max, z_max, degree, ctx in table_points(law, tau, torsion, boolean_relations):
-        assert boolean_relations(degree, ctx) == _delta_rows(degree, ctx), (t_max, z_max, degree)
+        rows = _as_polynomials(degree, boolean_relations(degree, ctx))
+        assert rows == extract_relations(degree, ctx), (t_max, z_max, degree)
 
 
 BENCH_POINTS = [(17, 9, 16), (33, 17, 32), (49, 25, 48), (63, 31, 62)]
 
 
+@functools.cache
+def standard_relations(t_max, z_max, degree) -> list:
+    """:func:`extract_relations` in the standard context, made once per point."""
+    return extract_relations(degree, standard_context(Z, t_max, z_max))
+
+
 @pytest.mark.parametrize("t_max, z_max, degree", BENCH_POINTS)
 def test_sliced_rows_match_delta_at_bench_points(t_max, z_max, degree):
-    ctx = standard_context(Z, t_max, z_max)
-    rows = boolean_relations(degree, ctx)
-    assert rows == _delta_rows(degree, ctx)
+    rows = boolean_relations(degree, standard_context(Z, t_max, z_max))
+    assert _as_polynomials(degree, rows) == standard_relations(t_max, z_max, degree)
     assert len(rows) > 100
 
 
 def _assert_print_order(degree, ctx):
-    """The table :func:`_relation_masks` gives iterates in ``BooleanRing.order_key`` order."""
-    boolean, table = BooleanRing(coefficient_names(degree)), _relation_masks(degree, ctx)
+    """The table :func:`_relation_masks` gives comes in the term order of PolynomialRing(Z/2)."""
+    table = _relation_masks(degree, ctx)
     for idx, bits in table:
         assert bits and 0 < idx[0] and list(idx) == sorted(set(idx)) and idx[-1] <= degree, idx
-    masks = [sum(1 << (i - 1) for i in idx) for idx, _ in table]
-    keys = [boolean.order_key(m) for m in masks]
-    assert keys == sorted(set(keys))  # ascending, so each mask once
-    # the printer writes a mask's text from its indices
     names = coefficient_names(degree)
+    exps = [tuple(int(k in idx) for k in range(1, degree + 1)) for idx, _ in table]
+    # the ring sorts the monomials into its own order, and a mask twice would cancel
+    ring = PolynomialRing(F2, names)
+    assert [e for e, _ in ring.normalize([(e, 1) for e in exps])] == exps
+    # the printer writes a mask's text from its indices
     assert ["*".join(names[i - 1] for i in idx) for idx, _ in table] == [
-        boolean.mask_text(m) for m in masks
+        monomial_text(names, e) for e in exps
     ]
 
 
@@ -378,7 +388,7 @@ def test_relation_table_needs_a_numeric_context():
                 entry(3, ctx)
     for ring, tau in ((IntegerModRing(2), 0), (IntegerModRing(6), 2)):
         ctx = PowerOpContext(standard_ring(ring, 5, 3), builtin_law("multiplicative", ring), tau)
-        assert _as_polynomials(boolean_relations(4, ctx)) == extract_relations(4, ctx)
+        assert _as_polynomials(4, boolean_relations(4, ctx)) == extract_relations(4, ctx)
 
 
 def test_search_runs_every_line(default_context):
@@ -522,7 +532,7 @@ def test_search_refuses_tau_other_than_2(tau):
                 entry(3, ctx)
     ctx = standard_context(F2, law=builtin_law("multiplicative", F2), tau=0)
     relations = extract_relations(4, ctx)
-    assert relations and _as_polynomials(boolean_relations(4, ctx)) == relations
+    assert relations and _as_polynomials(4, boolean_relations(4, ctx)) == relations
     assert [row for _, row in symbolic_table(4, ctx)] == [str(poly) for _, poly in relations]
     integer = standard_context(Z, law=builtin_law("multiplicative", Z))
     assert _report_fields(exhaustive_search(4, ctx)) == _report_fields(

@@ -9,8 +9,8 @@ printer gives, and ``obstruct --search --json`` prints them.
 printed row, in ``--json``, in text and in a search report, is held to
 ``str()`` of the matching :func:`extract_relations` row: the defect over
 Z[a1..aD] reduced at the end by ``multilinear_mod2`` and printed by
-PolynomialRing(Z/2), with no ``BooleanRing`` involved, under a z^j*t^i
-label written out here.
+PolynomialRing(Z/2), with no mask table involved, under a z^j*t^i label
+written out here.
 """
 
 import functools
@@ -20,7 +20,7 @@ import json
 import pytest
 
 from fglops import (
-    BooleanRing,
+    Coefficient,
     FormalGroupLaw,
     IntegerRing,
     Series,
@@ -32,7 +32,8 @@ from fglops import (
 from fglops.chern import coefficient_names
 from fglops.cli import _json_relations, _plain, main
 from fglops.obstruction import symbolic_table
-from test_obstruction import law_tau_torsion, slice_grid, table_points
+from test_coefficients import _ring_classes
+from test_obstruction import law_tau_torsion, slice_grid, standard_relations, table_points
 
 Z = IntegerRing()
 BENCH_POINTS = [(17, 9, 16), (33, 17, 32), (49, 25, 48), (63, 31, 62)]
@@ -42,17 +43,21 @@ def _power(name: str, e: int) -> str:
     return "" if e == 0 else name if e == 1 else f"{name}^{e}"
 
 
-def reference_rows(degree, ctx) -> list:
-    """(label, polynomial text) of each relation, from the defect over Z[a1..aD]."""
+def _labelled(relations) -> list:
     return [
         ("*".join(p for p in (_power("z", j), _power("t", i)) if p) or "1", str(poly))
-        for (i, j), poly in extract_relations(degree, ctx)
+        for (i, j), poly in relations
     ]
+
+
+def reference_rows(degree, ctx) -> list:
+    """(label, polynomial text) of each relation, from the defect over Z[a1..aD]."""
+    return _labelled(extract_relations(degree, ctx))
 
 
 @functools.lru_cache(maxsize=None)
 def standard_reference(t, z, degree) -> list:
-    return reference_rows(degree, standard_context(Z, t, z))
+    return _labelled(standard_relations(t, z, degree))
 
 
 def _cli_rows(capsys, t, z, degree) -> tuple:
@@ -132,25 +137,37 @@ def test_table_shape_at_bench_points():
               for t, z, degree in BENCH_POINTS]
     assert counts == [103, 447, 1047, 1732]
     rows = boolean_relations(62, standard_context(Z, 63, 31))
-    assert sum(len(coef.value) for _, coef in rows) == 15975
-    assert len(set().union(*(coef.value for _, coef in rows))) == 1456
+    assert sum(len(masks) for _, masks in rows) == 15975
+    assert len(set().union(*(masks for _, masks in rows))) == 1456
 
 
 def test_symbolic_json_does_not_format_values(monkeypatch, capsys):
-    # the CLI prints from the mask-major rows: no B_D value is made or printed
-    argv = ["obstruct", "--symbolic", "--json", "--t-trunc", "63", "--z-trunc", "31",
-            "--degree", "62"]
-    assert main(argv) == 0
-    expected = capsys.readouterr().out
-
-    def refuse(self, value):
-        raise AssertionError("BooleanRing.format_value called")
-
-    monkeypatch.setattr(BooleanRing, "format_value", refuse)
-    assert main(argv) == 0
-    assert capsys.readouterr().out == expected
-    rows = json.loads(expected)["relations"]
+    # the CLI prints from the mask-major rows: no coefficient of any ring is
+    # formatted on the way, so every request prints in full with each
+    # ring's format_value and Coefficient.__str__ refusing
+    requests = [
+        ["--symbolic", "--json", "--t-trunc", "63", "--z-trunc", "31", "--degree", "62"],
+        ["--search", "--json", "--t-trunc", "5", "--z-trunc", "3", "--degree", "12"],
+        ["--search", "--t-trunc", "9", "--z-trunc", "5", "--degree", "9"],
+    ]
+    expected = []
+    for argv in requests:
+        expected.append((main(["obstruct", *argv]), capsys.readouterr()))
+        assert expected[-1][0] in (0, 1) and expected[-1][1].err == "", argv
+    rows = json.loads(expected[0][1].out)["relations"]
     assert [(row["monomial"], row["poly"]) for row in rows] == standard_reference(63, 31, 62)
+
+    def refuse(*args):
+        raise AssertionError("a coefficient was formatted")
+
+    for cls in _ring_classes():
+        monkeypatch.setattr(cls, "format_value", refuse)
+    monkeypatch.setattr(Coefficient, "__str__", refuse)
+    for patched in (lambda: str(Z.one), lambda: Z.format_value(1)):
+        with pytest.raises(AssertionError, match="formatted"):
+            patched()
+    for argv, before in zip(requests, expected):
+        assert (main(["obstruct", *argv]), capsys.readouterr()) == before, argv
 
 
 @pytest.mark.parametrize("argv", [

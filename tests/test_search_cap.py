@@ -30,10 +30,6 @@ PAIRS = [(5, 3), (9, 5), (17, 9), (2, 3), (3, 2), (17, 2), (33, 2)]
 DEGREES = [1, 13, 14, 15, 16]
 
 
-def _plain_rows(degree, ctx):
-    return [(exps, coef.value) for exps, coef in boolean_relations(degree, ctx)]
-
-
 def _width(rows):
     return max([1] + [m.bit_length() for _, masks in rows for m in masks])
 
@@ -43,7 +39,7 @@ def _width(rows):
 def test_search_matches_prefix_reference(t, z, degree):
     ctx = standard_context(Z, t, z)
     report = exhaustive_search(degree, ctx)
-    witness, failures = prefix_search(_plain_rows(degree, ctx), degree)
+    witness, failures = prefix_search(boolean_relations(degree, ctx), degree)
     assert report.witness == witness
     assert report.failures == failures
     assert report.verdict == ("satisfiable" if witness else "unsatisfiable")
@@ -54,7 +50,7 @@ def test_points_reach_both_widths():
     seen = set()
     for t, z, degree in [(5, 3, 1), (5, 1, 16), (17, 9, 16), (33, 2, 16), (17, 2, 16)]:
         ctx = standard_context(Z, t, z)
-        width = _width(_plain_rows(degree, ctx))
+        width = _width(boolean_relations(degree, ctx))
         seen.add((width, exhaustive_search(degree, ctx).verdict))
     assert seen == {
         (1, "unsatisfiable"), (1, "satisfiable"), (16, "unsatisfiable"), (16, "satisfiable")

@@ -23,7 +23,7 @@ Z = IntegerRing()
 def _rows_pass(rows, candidate) -> bool:
     # a row is 1 at a {0, 1} candidate when an odd number of its masks divide it
     off = ~sum(bit << i for i, bit in enumerate(candidate))
-    return not any(sum(not m & off for m in coef.value) % 2 for _, coef in rows)
+    return not any(sum(not m & off for m in masks) % 2 for _, masks in rows)
 
 
 def _solved_candidate(rng, degree, m):
